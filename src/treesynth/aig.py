@@ -148,12 +148,12 @@ def truth_table_input_words(num_inputs: int, base: int = 0,
         if period >= count:
             words.append(((1 << count) - 1) if ((base >> i) & 1) else 0)
         else:
-            block = (1 << period) - 1
-            pattern = 0
-            pos = period
-            while pos < count:
-                pattern |= block << pos
-                pos += 2 * period
+            # one 0^period 1^period block, doubled until it fills count bits
+            pattern = ((1 << period) - 1) << period
+            width = 2 * period
+            while width < count:
+                pattern |= pattern << width
+                width *= 2
             words.append(pattern)
     return words
 

@@ -57,9 +57,10 @@ def parse_aiger(text: str) -> Aig:
     and_defs: dict[int, tuple[int, int]] = {}
     for _ in range(a):
         fields = next_line("and").split()
-        if len(fields) != 3:
-            raise AigError(f"bad AND line: {' '.join(fields)!r}")
-        lhs, rhs0, rhs1 = (int(x) for x in fields)
+        try:
+            lhs, rhs0, rhs1 = (int(x) for x in fields)
+        except ValueError as exc:
+            raise AigError(f"bad AND line: {' '.join(fields)!r}") from exc
         if lhs & 1 or lhs == 0:
             raise AigError(f"AND lhs {lhs} must be even, nonzero")
         var = lhs >> 1

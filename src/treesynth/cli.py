@@ -151,8 +151,7 @@ def _exploration_config(args) -> ExplorationConfig:
         partition=PartitionConfig(
             max_inputs=args.max_sub_inputs,
             max_outputs=args.max_sub_outputs,
-            initial_parts=args.initial_parts,
-            seed=args.seed),
+            initial_parts=args.initial_parts),
         node_limit=args.node_limit,
         time_limit=args.time_limit,
         jobs=args.jobs)
@@ -236,12 +235,12 @@ def cmd_partition(args) -> int:
     circuit = _read_netlist(args.netlist)
     config = PartitionConfig(
         max_inputs=args.max_sub_inputs, max_outputs=args.max_sub_outputs,
-        initial_parts=args.initial_parts, seed=args.seed)
+        initial_parts=args.initial_parts)
     parts = partition(circuit, config)
     out = partition_report(circuit, parts)
     out["config"] = {
         "max_inputs": config.max_inputs, "max_outputs": config.max_outputs,
-        "initial_parts": config.initial_parts, "seed": config.seed,
+        "initial_parts": config.initial_parts,
     }
     m = metrics(circuit)
     out["circuit"] = {"inputs": m.num_inputs, "outputs": m.num_outputs,

@@ -97,6 +97,13 @@ class PlaTriple:
             raise DatasetError("PLA train/validation/test feature widths differ")
 
 
+def _header_count(tokens: list[str]) -> int:
+    """The single non-negative integer argument of a ``.i``/``.o`` line."""
+    if len(tokens) == 2 and tokens[1].isascii() and tokens[1].isdigit():
+        return int(tokens[1])
+    raise DatasetError(f"bad PLA header line: {' '.join(tokens)!r}")
+
+
 def parse_pla(text: str) -> Dataset:
     num_in = None
     num_out = None
@@ -109,9 +116,9 @@ def parse_pla(text: str) -> Dataset:
         if line.startswith("."):
             tokens = line.split()
             if tokens[0] == ".i":
-                num_in = int(tokens[1])
+                num_in = _header_count(tokens)
             elif tokens[0] == ".o":
-                num_out = int(tokens[1])
+                num_out = _header_count(tokens)
                 if num_out != 1:
                     raise DatasetError("only single-output PLA is supported")
             elif tokens[0] == ".p":

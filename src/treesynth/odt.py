@@ -6,14 +6,22 @@ conditions, memoized so that equivalent paths share work.  Subproblem
 results are cached only when solved to proven optimality, which keeps the
 cache sound regardless of bounding.  ``fit_bruteforce`` is a deliberately
 naive enumerator kept as an independent oracle.
+
+Unbudgeted fits are pure functions of ``(data, max_depth)``, so finished
+trees are memoized per process in a bounded LRU cache.  Fits with a node or
+time limit never touch that cache: their outcome depends on the budget.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 from .dataset import Dataset
+
+# Finished unbudgeted fits kept per process (least recently used evicted).
+FIT_MEMO_SIZE = 512
 
 
 class OdtError(Exception):
@@ -193,10 +201,21 @@ def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
 
     Raises SearchExhausted when a node or time limit preempts the proof;
     callers that can use an anytime result may catch it and inspect
-    ``exc.tree``.
+    ``exc.tree``.  Calls without such a limit are memoized.
     """
     if data.num_rows < 1:
         raise OdtError("cannot fit a tree on an empty dataset")
+    if budget.node_limit is None and budget.time_limit is None:
+        return _fit_unbudgeted(data, budget.max_depth)
+    return _fit(data, budget)
+
+
+@functools.lru_cache(maxsize=FIT_MEMO_SIZE)
+def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
+    return _fit(data, SearchBudget(max_depth=max_depth))
+
+
+def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.solve(data.row_mask, budget.max_depth)
     root = collapse(root)

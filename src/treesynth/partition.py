@@ -2,11 +2,14 @@
 
 Cells are kept in a global order such that every signal between cells
 flows forward, so the cell quotient graph is acyclic by construction and
-substitution can never create a combinational loop.
+substitution can never create a combinational loop.  FM is deterministic,
+so ``partition`` is a pure function of its arguments and is memoized per
+process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, AigError, cleanup, lit_negated, lit_node
@@ -17,7 +20,6 @@ class PartitionConfig:
     max_inputs: int = 14   # k
     max_outputs: int = 5   # m
     initial_parts: int = 5
-    seed: int = 0
     balance: float = 0.1
     max_fm_passes: int = 8
 
@@ -246,16 +248,25 @@ def _acyclic_repair(net: _Netlist, part_a: list[int],
     return sorted(set_a), sorted(set_b)
 
 
+# Distinct (circuit, config) decompositions kept per process.
+PARTITION_MEMO_SIZE = 16
+
+
 def partition(circuit: Aig, config: PartitionConfig) -> list[SubCircuit]:
     """Decompose into cells with <= k boundary inputs and <= m outputs.
 
     The returned list is ordered so that all inter-cell signals flow from
-    earlier to later cells.
+    earlier to later cells.  Each call returns a new list.
     """
+    return list(_partition(circuit, config))
+
+
+@functools.lru_cache(maxsize=PARTITION_MEMO_SIZE)
+def _partition(circuit: Aig, config: PartitionConfig) -> tuple[SubCircuit, ...]:
     circuit = cleanup(circuit)
     net = _Netlist(circuit)
     if not net.nodes:
-        return []
+        return ()
     parts: list[list[int]] = [list(net.nodes)]
 
     def split(index: int) -> bool:
@@ -288,7 +299,7 @@ def partition(circuit: Aig, config: PartitionConfig) -> list[SubCircuit]:
                     changed = True
                     break
 
-    return [_extract(net, group, pid) for pid, group in enumerate(parts)]
+    return tuple(_extract(net, group, pid) for pid, group in enumerate(parts))
 
 
 def partition_report(circuit: Aig, parts: list[SubCircuit]) -> dict:

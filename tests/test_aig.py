@@ -91,6 +91,15 @@ def test_truth_table_words_chunked():
         chunk = truth_table_input_words(5, base=base, count=8)
         for i in range(5):
             assert chunk[i] == (full[i] >> base) & 0xFF
+    # every aligned chunk against a row-by-row reference
+    for n in range(13):
+        count = 1
+        while count <= 1 << n:
+            for base in range(0, 1 << n, count):
+                expected = [sum((((base + r) >> i) & 1) << r
+                                for r in range(count)) for i in range(n)]
+                assert truth_table_input_words(n, base, count) == expected
+            count *= 2
 
 
 def test_truth_table_words_alignment_checked():

@@ -81,3 +81,9 @@ def test_bad_header_rejected():
         parse_aiger("aig 1 1 0 1 0\n2\n2\n")
     with pytest.raises(AigError):
         parse_aiger("aag 1 1 0 1\n2\n2\n")
+
+
+def test_non_integer_and_tokens_rejected():
+    for line in ("6 2i 4", "6 2 x", "6 2", "6 2 4 4"):
+        with pytest.raises(AigError):
+            parse_aiger(f"aag 3 2 0 1 1\n2\n4\n6\n{line}\n")

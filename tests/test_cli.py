@@ -131,6 +131,14 @@ def test_malformed_netlist_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_malformed_pla_header_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.pla"
+    bad.write_text(".i\n.o 1\n0 1\n.e\n")
+    good = str(PLA / "add8u_cout_valid.pla")
+    code, _ = run(capsys, "learn", str(bad), good, good)
+    assert code == 2
+
+
 def test_bad_depth_range_is_input_error(capsys):
     code, _ = run(capsys, "approximate", str(BENCH / "c17.aag"),
                   "--whole-circuit", "--depth", "5..2")

@@ -100,6 +100,13 @@ def test_parse_pla_requires_header():
         parse_pla("01 1\n.e\n")
 
 
+def test_parse_pla_rejects_bad_header_counts():
+    for header in (".i", ".i x", ".i -1", ".i 2 3", ".o", ".o one"):
+        text = header + "\n.i 2\n.o 1\n01 1\n.e\n"
+        with pytest.raises(DatasetError):
+            parse_pla(text)
+
+
 def test_load_pla_triple_width_check():
     one = ".i 1\n.o 1\n1 1\n.e\n"
     two = ".i 2\n.o 1\n11 1\n.e\n"

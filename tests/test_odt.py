@@ -115,6 +115,35 @@ def test_node_limit_raises_with_anytime_tree():
     assert count_errors(partial, d) == partial.train_error
 
 
+def test_budgeted_fit_bypasses_memo():
+    # an earlier unbudgeted fit of the same data must not answer a budgeted one
+    rng = random.Random(17)
+    d = make_dataset(rng, 8, 64)
+    assert fit_optimal(d, SearchBudget(max_depth=6)).proven_optimal
+    with pytest.raises(SearchExhausted):
+        fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
+
+
+def test_memo_hit_matches_fresh_search():
+    rng = random.Random(23)
+    for _ in range(50):
+        d = make_dataset(rng, rng.randint(2, 6), rng.randint(3, 20),
+                         weighted=rng.random() < 0.3)
+        budget = SearchBudget(max_depth=rng.randint(0, 3))
+        first = fit_optimal(d, budget)
+        # an equal dataset built anew is answered from the memo
+        twin = Dataset(num_features=d.num_features, num_rows=d.num_rows,
+                       features=d.features, labels=d.labels,
+                       weights=d.weights)
+        hit = fit_optimal(twin, budget)
+        assert hit is first
+        # a node limit bypasses the memo, so this is a fresh search
+        fresh = fit_optimal(d, SearchBudget(max_depth=budget.max_depth,
+                                            node_limit=10**9))
+        assert hit == fresh
+        assert hit == fit_bruteforce(d, budget)
+
+
 def test_bruteforce_guard():
     rng = random.Random(19)
     d = make_dataset(rng, 11, 8)

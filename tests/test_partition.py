@@ -109,6 +109,18 @@ def test_partition_deterministic():
     assert [p.extracted for p in first] == [p.extracted for p in second]
 
 
+def test_partition_returns_fresh_list():
+    c = BENCHMARKS["add8u"]()
+    config = PartitionConfig()
+    first = partition(c, config)
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    second = partition(c, config)
+    assert second == expected
+    assert second is not first
+
+
 def test_substitution_with_exact_replacement():
     rng = random.Random(41)
     c = random_circuit(rng, 5, 30, 3)
