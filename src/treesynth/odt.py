@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .dataset import Dataset
 
 # Finished unbudgeted fits kept per process (least recently used evicted).
+# lru_cache reads this once, at import.
 FIT_MEMO_SIZE = 512
 
 

@@ -249,6 +249,7 @@ def _acyclic_repair(net: _Netlist, part_a: list[int],
 
 
 # Distinct (circuit, config) decompositions kept per process.
+# lru_cache reads this once, at import.
 PARTITION_MEMO_SIZE = 16
 
 

@@ -3,6 +3,20 @@ import random
 import pytest
 
 from treesynth.aig import Aig, AigBuilder
+from treesynth.odt import _fit_unbudgeted
+from treesynth.partition import _partition
+
+
+def clear_memos() -> None:
+    """Empty the per-process fit and partition memos."""
+    _fit_unbudgeted.cache_clear()
+    _partition.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    # every test computes from scratch, whatever an earlier test cached
+    clear_memos()
 
 
 def random_circuit(rng: random.Random, num_inputs: int,

@@ -23,7 +23,7 @@ from treesynth.partition import PartitionConfig, partition
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 from treesynth.synth import approx_sub_circuit, approx_whole_circuit
 
-from conftest import random_circuit
+from conftest import clear_memos, random_circuit
 
 ROOT = Path(__file__).resolve().parents[1]
 PLA = ROOT / "benchmarks" / "pla"
@@ -253,6 +253,8 @@ def test_criterion_9_determinism(capsys, tmp_path):
                 base = tmp_path / f"{out_name}.aag"
                 args += ["--out", str(base)]
             args += extra
+            # each run computes from scratch, not from the first run's memos
+            clear_memos()
             code, out = run_cli(*args)
             assert code in (0, 3)
             outs.append(out)

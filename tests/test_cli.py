@@ -6,6 +6,8 @@ from pathlib import Path
 from treesynth.aiger import parse_aiger
 from treesynth.cli import main
 
+from conftest import clear_memos
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "benchmarks"
 PLA = BENCH / "pla"
@@ -149,5 +151,6 @@ def test_reports_byte_identical_across_jobs(capsys):
     args = ("approximate", str(BENCH / "c17.aag"),
             "--whole-circuit", "--depth", "1..3", "--no-timing")
     _, first = run(capsys, *args)
+    clear_memos()
     _, second = run(capsys, *args, "--jobs", "4")
     assert json.loads(first)["results"] == json.loads(second)["results"]

@@ -10,7 +10,7 @@ from treesynth.explore import (ExplorationConfig, explore, loss, replay)
 from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive
 
-from conftest import random_circuit
+from conftest import clear_memos, random_circuit
 
 
 def small_config(threshold, **kw):
@@ -89,6 +89,7 @@ def test_deterministic(rng):
     c = random_circuit(rng, 6, 40, 3)
     cfg = small_config(0.1)
     r1 = explore(c, cfg)
+    clear_memos()
     r2 = explore(c, cfg)
     assert r1.circuit == r2.circuit
     assert r1.trace == r2.trace

@@ -11,7 +11,7 @@ from treesynth.partition import (PartitionConfig, extract, partition,
                                  partition_report)
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
-from conftest import random_circuit
+from conftest import clear_memos, random_circuit
 
 
 def check_soundness(circuit, parts, config):
@@ -104,6 +104,7 @@ def test_partition_deterministic():
     c = BENCHMARKS["add8u"]()
     config = PartitionConfig()
     first = partition(c, config)
+    clear_memos()
     second = partition(c, config)
     assert [p.member_nodes for p in first] == [p.member_nodes for p in second]
     assert [p.extracted for p in first] == [p.extracted for p in second]

@@ -13,7 +13,7 @@ from treesynth.partition import PartitionConfig, extract, partition
 from treesynth.synth import (approx_sub_circuit, approx_whole_circuit,
                              tree_to_aig, trees_to_aig)
 
-from conftest import random_circuit
+from conftest import clear_memos, random_circuit
 
 
 def make_tree(root) -> DecisionTree:
@@ -104,6 +104,7 @@ def test_jobs_do_not_change_the_result(rng):
     parts = partition(c, PartitionConfig(initial_parts=2))
     for sub in parts:
         serial = approx_sub_circuit(sub, md=3, jobs=1)
+        clear_memos()
         threaded = approx_sub_circuit(sub, md=3, jobs=4)
         assert serial.circuit == threaded.circuit
         assert serial.md == threaded.md
