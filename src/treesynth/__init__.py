@@ -12,7 +12,7 @@ from .aig import (Aig, AigBuilder, AigError, CircuitMetrics, and_count,
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import (Dataset, DatasetError, PlaTriple, parse_pla,
-                      truth_table, truth_tables, write_pla)
+                      truth_tables, write_pla)
 from .explore import (ExplorationConfig, ExplorationResult, ExplorationState,
                       TraceRecord, explore, loss, replay)
 from .odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
@@ -28,8 +28,8 @@ __all__ = [
     "Aig", "AigBuilder", "AigError", "CircuitMetrics", "and_count",
     "cleanup", "compose", "metrics", "simulate", "simulate_words", "strash",
     "substitute", "parse_aiger", "write_aiger", "parse_blif", "write_blif",
-    "Dataset", "DatasetError", "PlaTriple", "parse_pla", "truth_table",
-    "truth_tables", "write_pla", "ExplorationConfig", "ExplorationResult",
+    "Dataset", "DatasetError", "PlaTriple", "parse_pla", "truth_tables",
+    "write_pla", "ExplorationConfig", "ExplorationResult",
     "ExplorationState", "TraceRecord", "explore", "loss", "replay",
     "Branch", "DecisionTree", "Leaf", "OdtError", "SearchBudget",
     "SearchExhausted", "fit_bruteforce", "fit_optimal", "predict",

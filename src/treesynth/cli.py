@@ -14,7 +14,7 @@ from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import Dataset, DatasetError, load_pla_triple
 from .explore import ExplorationConfig, explore
-from .odt import OdtError, SearchBudget, fit_optimal, predict
+from .odt import OdtError, SearchBudget, count_errors, fit_optimal
 from .partition import PartitionConfig, partition, partition_report
 from .qor import qor_exhaustive, qor_monte_carlo
 from .synth import tree_to_aig
@@ -90,9 +90,7 @@ def _parse_depth_range(text: str) -> list[int]:
 
 
 def _accuracy(tree, data: Dataset) -> float:
-    wrong = sum(1 for bits, label in data.rows()
-                if predict(tree, bits) != label)
-    return 1.0 - wrong / data.num_rows
+    return 1.0 - count_errors(tree, data) / data.num_rows
 
 
 def _emit_report(report: RunReport, args) -> None:

@@ -53,23 +53,6 @@ class Dataset:
             yield self.row(r), self.label(r)
 
 
-def truth_table(circuit: Aig, output_index: int,
-                max_table_inputs: int = MAX_TABLE_INPUTS) -> Dataset:
-    """Exhaustive dataset for one circuit output over the full input space."""
-    n = circuit.num_inputs
-    if n > max_table_inputs:
-        raise DatasetError(
-            f"{n} inputs exceed the truth-table cap of {max_table_inputs}; "
-            "partition the circuit first")
-    if not 0 <= output_index < circuit.num_outputs:
-        raise DatasetError(f"output index {output_index} out of range")
-    rows = 1 << n
-    words = truth_table_input_words(n)
-    out = simulate_words(circuit, words, (1 << rows) - 1)[output_index]
-    return Dataset(num_features=n, num_rows=rows,
-                   features=tuple(words), labels=out)
-
-
 def truth_tables(circuit: Aig,
                  max_table_inputs: int = MAX_TABLE_INPUTS) -> list[Dataset]:
     """One exhaustive dataset per output, sharing a single simulation pass."""
@@ -137,11 +120,15 @@ def parse_pla(text: str) -> Dataset:
 
     if num_in is None or num_out is None:
         raise DatasetError("PLA header must declare .i and .o")
+    if not rows:
+        raise DatasetError("PLA has no rows")
+    # widths first, so a bogus .i cannot size the columns
+    for in_bits, out_bit in rows:
+        if len(in_bits) != num_in or len(out_bit) != 1:
+            raise DatasetError(f"PLA row width mismatch: {in_bits} {out_bit}")
     features = [0] * num_in
     labels = 0
     for r, (in_bits, out_bit) in enumerate(rows):
-        if len(in_bits) != num_in or len(out_bit) != 1:
-            raise DatasetError(f"PLA row width mismatch: {in_bits} {out_bit}")
         for i, ch in enumerate(in_bits):
             if ch == "1":
                 features[i] |= 1 << r

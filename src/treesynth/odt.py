@@ -7,6 +7,15 @@ results are cached only when solved to proven optimality, which keeps the
 cache sound regardless of bounding.  ``fit_bruteforce`` is a deliberately
 naive enumerator kept as an independent oracle.
 
+The bottom of the search is solved in closed form, as in MurTree: at depth 1
+both children are leaves, so each candidate split needs only the weight and
+the positive weight of its high side; the low side follows by subtraction
+from the totals of the subproblem.  No depth-0 subproblem is created or
+memoized below the root.  Only a search with a node or time limit checks
+its budget inside the feature loops; an unbudgeted search never can run
+out, so it skips those checks, and unweighted data is counted with
+``int.bit_count``.
+
 Unbudgeted fits are pure functions of ``(data, max_depth)``, so finished
 trees are memoized per process in a bounded LRU cache.  Fits with a node or
 time limit never touch that cache: their outcome depends on the budget.
@@ -63,6 +72,9 @@ class Branch:
 
 TreeNode = Leaf | Branch
 
+LEAF_0 = Leaf(0)
+LEAF_1 = Leaf(1)
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -93,13 +105,42 @@ def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
     return node.label
 
 
-def count_errors(tree: DecisionTree, data: Dataset) -> int:
-    """Weighted misclassification count of the tree on the dataset."""
+def _weighted_count(mask: int, weights: tuple[int, ...] | None) -> int:
+    """Total weight of the rows in mask (their number when unweighted)."""
+    if weights is None:
+        return mask.bit_count()
     total = 0
-    for r, (bits, label) in enumerate(data.rows()):
-        if predict(tree, bits) != label:
-            total += data.weights[r] if data.weights else 1
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
     return total
+
+
+def _predicted_ones(node: TreeNode, mask: int,
+                    features: tuple[int, ...]) -> int:
+    """Rows of mask that the subtree at node labels 1."""
+    if not mask:
+        return 0
+    if isinstance(node, Leaf):
+        return mask if node.label else 0
+    if node.feature >= len(features):
+        raise OdtError(
+            f"feature {node.feature} out of range for width {len(features)}")
+    column = features[node.feature]
+    return (_predicted_ones(node.low, mask & ~column, features)
+            | _predicted_ones(node.high, mask & column, features))
+
+
+def count_errors(tree: DecisionTree, data: Dataset) -> int:
+    """Weighted misclassification count of the tree on the dataset.
+
+    Bit-parallel: each root-to-leaf path selects its rows by ANDing the
+    column bitsets along it, so the whole dataset is evaluated at once.
+    """
+    predicted = _predicted_ones(tree.root, data.row_mask, data.features)
+    return _weighted_count((predicted ^ data.labels) & data.row_mask,
+                           data.weights)
 
 
 def collapse(node: TreeNode) -> TreeNode:
@@ -123,33 +164,17 @@ class _Search:
     def __init__(self, data: Dataset, budget: SearchBudget):
         self.features = data.features
         self.labels = data.labels
-        self.weights = data.weights
-        self.num_features = data.num_features
         self.budget = budget
+        self.weight_of = (int.bit_count if data.weights is None
+                          else functools.partial(_weighted_count,
+                                                 weights=data.weights))
+        self.limited = (budget.node_limit is not None
+                        or budget.time_limit is not None)
         self.cache: dict[tuple[int, int], tuple[int, TreeNode]] = {}
         self.expansions = 0
         self.deadline = (time.monotonic() + budget.time_limit
                          if budget.time_limit is not None else None)
         self.exhausted = False
-
-    def weight_of(self, mask: int) -> int:
-        if self.weights is None:
-            return mask.bit_count()
-        total = 0
-        r = 0
-        while mask:
-            low = mask & -mask
-            total += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return total
-
-    def leaf_for(self, mask: int) -> tuple[int, Leaf]:
-        ones = self.weight_of(mask & self.labels)
-        zeros = self.weight_of(mask) - ones
-        # majority class, ties to 0
-        if ones > zeros:
-            return zeros, Leaf(1)
-        return ones, Leaf(0)
 
     def out_of_budget(self) -> bool:
         if self.exhausted:
@@ -167,31 +192,64 @@ class _Search:
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        leaf_err, leaf = self.leaf_for(mask)
-        if depth == 0 or leaf_err == 0:
-            self.cache[key] = (leaf_err, leaf)
-            return leaf_err, leaf
+        weight_of = self.weight_of
+        total = weight_of(mask)
+        ones = weight_of(mask & self.labels)
+        # majority class, ties to 0
+        if ones > total - ones:
+            best_err, best = total - ones, LEAF_1
+        else:
+            best_err, best = ones, LEAF_0
+        if depth == 0 or best_err == 0:
+            self.cache[key] = (best_err, best)
+            return best_err, best
         self.expansions += 1
-        best_err: int = leaf_err
-        best: TreeNode = leaf
+        limited = self.limited
         complete = True
-        for f in range(self.num_features):
-            if self.out_of_budget():
-                complete = False
-                break
-            m1 = mask & self.features[f]
-            m0 = mask & ~m1
-            if m0 == 0 or m1 == 0:
-                continue  # constant feature here; split can never improve
-            err0, t0 = self.solve(m0, depth - 1)
-            if err0 >= best_err:
-                continue
-            err1, t1 = self.solve(m1, depth - 1)
-            if err0 + err1 < best_err:
-                best_err = err0 + err1
-                best = Branch(f, t0, t1)
-                if best_err == 0:
+        if depth == 1:
+            # Both children are leaves: their errors follow from the counts
+            # of the high side and the totals of mask, without recursion.
+            labels = self.labels
+            for f, column in enumerate(self.features):
+                if limited and self.out_of_budget():
+                    complete = False
                     break
+                m1 = mask & column
+                if m1 == 0 or m1 == mask:
+                    continue  # constant feature here; split can never improve
+                w1 = weight_of(m1)
+                o1 = weight_of(m1 & labels)
+                o0 = ones - o1
+                z0 = total - w1 - o0
+                err0 = z0 if o0 > z0 else o0
+                if err0 >= best_err:
+                    continue
+                z1 = w1 - o1
+                err1 = z1 if o1 > z1 else o1
+                if err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best = Branch(f, LEAF_1 if o0 > z0 else LEAF_0,
+                                  LEAF_1 if o1 > z1 else LEAF_0)
+                    if best_err == 0:
+                        break
+        else:
+            solve = self.solve
+            for f, column in enumerate(self.features):
+                if limited and self.out_of_budget():
+                    complete = False
+                    break
+                m1 = mask & column
+                if m1 == 0 or m1 == mask:
+                    continue  # constant feature here; split can never improve
+                err0, t0 = solve(mask ^ m1, depth - 1)
+                if err0 >= best_err:
+                    continue
+                err1, t1 = solve(m1, depth - 1)
+                if err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best = Branch(f, t0, t1)
+                    if best_err == 0:
+                        break
         if complete and not self.exhausted:
             self.cache[key] = (best_err, best)
         return best_err, best

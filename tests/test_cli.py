@@ -141,6 +141,15 @@ def test_malformed_pla_header_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_empty_pla_is_input_error(tmp_path, capsys):
+    # an empty validation set used to end in a ZeroDivisionError traceback
+    empty = tmp_path / "empty.pla"
+    empty.write_text(".i 16\n.o 1\n.e\n")
+    good = str(PLA / "add8u_cout_valid.pla")
+    code, _ = run(capsys, "learn", good, str(empty), good)
+    assert code == 2
+
+
 def test_bad_depth_range_is_input_error(capsys):
     code, _ = run(capsys, "approximate", str(BENCH / "c17.aag"),
                   "--whole-circuit", "--depth", "5..2")

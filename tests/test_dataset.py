@@ -2,10 +2,10 @@
 
 import pytest
 
-from treesynth.aig import AigBuilder
+from treesynth.aig import Aig, AigBuilder
 from treesynth.dataset import (Dataset, DatasetError, load_pla_triple,
-                               parse_pla, truth_table, truth_tables,
-                               write_csv, write_pla)
+                               parse_pla, truth_tables, write_csv,
+                               write_pla)
 
 from conftest import random_circuit
 
@@ -36,14 +36,14 @@ def test_dataset_validation():
 
 
 def test_truth_table_xor():
-    d = truth_table(xor_circuit(), 0)
+    d = truth_tables(xor_circuit())[0]
     assert d.num_rows == 4
     assert [lbl for _, lbl in d.rows()] == [0, 1, 1, 0]
 
 
 def test_truth_table_row_order():
     """Row r of the table is the input assignment with value r."""
-    d = truth_table(xor_circuit(), 0)
+    d = truth_tables(xor_circuit())[0]
     for r in range(4):
         assert d.row(r) == ((r >> 0) & 1, (r >> 1) & 1)
 
@@ -53,7 +53,8 @@ def test_truth_tables_match_single(rng):
     all_tables = truth_tables(c)
     assert len(all_tables) == 3
     for i, table in enumerate(all_tables):
-        assert table == truth_table(c, i)
+        single = Aig(c.num_inputs, c.ands, (c.outputs[i],))
+        assert table == truth_tables(single)[0]
 
 
 def test_truth_table_input_cap():
@@ -64,13 +65,13 @@ def test_truth_table_input_cap():
 
 
 def test_truth_table_bad_output_index():
-    with pytest.raises(DatasetError):
-        truth_table(xor_circuit(), 1)
+    with pytest.raises(IndexError):
+        truth_tables(xor_circuit())[1]
 
 
 def test_pla_roundtrip(rng):
     c = random_circuit(rng, 4, 10, 1)
-    d = truth_table(c, 0)
+    d = truth_tables(c)[0]
     assert parse_pla(write_pla(d)) == d
 
 
@@ -105,6 +106,15 @@ def test_parse_pla_rejects_bad_header_counts():
         text = header + "\n.i 2\n.o 1\n01 1\n.e\n"
         with pytest.raises(DatasetError):
             parse_pla(text)
+
+
+def test_parse_pla_rejects_empty_table():
+    with pytest.raises(DatasetError):
+        parse_pla(".i 2\n.o 1\n.e\n")
+    # the declared width is checked against the rows before it sizes
+    # anything, so an absurd .i costs no memory
+    with pytest.raises(DatasetError):
+        parse_pla(".i 999999999999\n.o 1\n01 1\n.e\n")
 
 
 def test_load_pla_triple_width_check():

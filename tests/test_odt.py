@@ -5,8 +5,8 @@ import random
 import pytest
 
 from treesynth.dataset import Dataset
-from treesynth.odt import (Branch, Leaf, OdtError, SearchBudget,
-                           SearchExhausted, collapse, count_errors,
+from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
+                           SearchExhausted, _Search, collapse, count_errors,
                            fit_bruteforce, fit_optimal, predict, to_sexpr)
 
 
@@ -142,6 +142,73 @@ def test_memo_hit_matches_fresh_search():
                                             node_limit=10**9))
         assert hit == fresh
         assert hit == fit_bruteforce(d, budget)
+
+
+def test_depth_one_fit_respects_node_limit():
+    # the closed-form depth-1 step still checks the budget before a feature
+    d = Dataset(num_features=2, num_rows=4, features=(0b1010, 0b1100),
+                labels=0b1010)
+    assert fit_optimal(d, SearchBudget(max_depth=1)).root == \
+        Branch(0, Leaf(0), Leaf(1))
+    with pytest.raises(SearchExhausted) as info:
+        fit_optimal(d, SearchBudget(max_depth=1, node_limit=1))
+    partial = info.value.tree
+    assert partial.root == Leaf(0)  # majority leaf, ties to 0
+    assert partial.train_error == 2
+    assert not partial.proven_optimal
+
+
+def test_trees_match_bruteforce_oracle():
+    # the whole tree, not only its error: same features, same tie-breaks
+    rng = random.Random(29)
+    for weighted in (False, True):
+        for depth in (1, 2, 3):
+            for _ in range(15):
+                d = make_dataset(rng, rng.randint(1, 7), rng.randint(1, 40),
+                                 weighted=weighted)
+                budget = SearchBudget(max_depth=depth)
+                fast = fit_optimal(d, budget)
+                slow = fit_bruteforce(d, budget)
+                assert to_sexpr(fast.root) == to_sexpr(slow.root)
+                assert fast == slow
+
+
+def test_expansions_pinned():
+    # closed-form depth-1 nodes still count one expansion each
+    d = make_dataset(random.Random(29), 10, 200)
+    search = _Search(d, SearchBudget(max_depth=6))
+    err, _ = search.solve(d.row_mask, 6)
+    assert err == 11
+    assert search.expansions == 11225
+
+
+def random_tree(rng: random.Random, num_features: int, depth: int):
+    if depth == 0 or rng.random() < 0.25:
+        return Leaf(rng.randint(0, 1))
+    return Branch(rng.randrange(num_features),
+                  random_tree(rng, num_features, depth - 1),
+                  random_tree(rng, num_features, depth - 1))
+
+
+def test_count_errors_matches_row_by_row():
+    rng = random.Random(31)
+    for _ in range(100):
+        d = make_dataset(rng, rng.randint(1, 6), rng.randint(1, 50),
+                         weighted=rng.random() < 0.5)
+        tree = DecisionTree(root=random_tree(rng, d.num_features, 5),
+                            train_error=0, realized_depth=0)
+        expected = sum(d.weights[r] if d.weights else 1
+                       for r, (bits, label) in enumerate(d.rows())
+                       if predict(tree, bits) != label)
+        assert count_errors(tree, d) == expected
+
+
+def test_count_errors_rejects_out_of_range_feature():
+    d = xor_dataset()
+    tree = DecisionTree(root=Branch(2, Leaf(0), Leaf(1)), train_error=0,
+                        realized_depth=1)
+    with pytest.raises(OdtError):
+        count_errors(tree, d)
 
 
 def test_bruteforce_guard():
