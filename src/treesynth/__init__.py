@@ -8,7 +8,7 @@ logic, and greedily substitute cells under a global error budget.
 
 from .aig import (Aig, AigBuilder, AigError, CircuitMetrics, and_count,
                   cleanup, compose, metrics, simulate, simulate_words,
-                  strash, substitute)
+                  strash)
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import (Dataset, DatasetError, PlaTriple, parse_pla,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Aig", "AigBuilder", "AigError", "CircuitMetrics", "and_count",
     "cleanup", "compose", "metrics", "simulate", "simulate_words", "strash",
-    "substitute", "parse_aiger", "write_aiger", "parse_blif", "write_blif",
+    "parse_aiger", "write_aiger", "parse_blif", "write_blif",
     "Dataset", "DatasetError", "PlaTriple", "parse_pla", "truth_tables",
     "write_pla", "ExplorationConfig", "ExplorationResult",
     "ExplorationState", "TraceRecord", "explore", "loss", "replay",

@@ -390,7 +390,3 @@ def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
         builder.add_output(mapped(o))
     return cleanup(builder.build(circuit.input_names, circuit.output_names))
 
-
-def substitute(circuit: Aig, region, replacement: Aig) -> Aig:
-    """Replace one partition cell with an equal-interface circuit."""
-    return compose(circuit, [region], {region.id: replacement})

@@ -17,7 +17,7 @@ from .explore import ExplorationConfig, explore
 from .odt import OdtError, SearchBudget, count_errors, fit_optimal
 from .partition import PartitionConfig, partition, partition_report
 from .qor import qor_exhaustive, qor_monte_carlo
-from .synth import tree_to_aig
+from .synth import approx_sub_circuit, tree_to_aig
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
@@ -151,8 +151,7 @@ def _exploration_config(args) -> ExplorationConfig:
             max_outputs=args.max_sub_outputs,
             initial_parts=args.initial_parts),
         node_limit=args.node_limit,
-        time_limit=args.time_limit,
-        jobs=args.jobs)
+        time_limit=args.time_limit)
 
 
 def cmd_approximate(args) -> int:
@@ -172,16 +171,14 @@ def cmd_approximate(args) -> int:
 
     if args.whole_circuit:
         # one approximation per depth over the whole circuit's truth tables
-        from .synth import approx_whole_circuit
-
         depths = _parse_depth_range(args.depth or str(args.initial_depth))
         for depth in depths:
-            approx = approx_whole_circuit(
-                circuit, depth, max_table_inputs=args.max_sub_inputs,
-                jobs=args.jobs)
+            approx = approx_sub_circuit(
+                circuit, depth, max_table_inputs=args.max_sub_inputs)
             q = qor_exhaustive(circuit, approx.circuit)
-            d_avg = (sum(t.realized_depth for t in approx.per_output_trees)
-                     / len(approx.per_output_trees))
+            trees = approx.per_output_trees
+            d_avg = (sum(t.realized_depth for t in trees) / len(trees)
+                     if trees else 0.0)
             report.results.append({
                 "depth": depth,
                 "qor": q.error,
@@ -249,7 +246,9 @@ def cmd_partition(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored; kept for compatibility "
+                        "(every run is single-threaded)")
     p.add_argument("--format", choices=["aiger", "blif"], default="aiger")
     p.add_argument("--report", choices=["json", "csv"], default="json")
     p.add_argument("--no-timing", action="store_true",

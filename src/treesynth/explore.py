@@ -29,10 +29,9 @@ class ExplorationConfig:
     qor_samples: int = 10_000
     seed: int = 0
     partition: PartitionConfig = field(default_factory=PartitionConfig)
-    allow_depth_one_regen: bool = False
     node_limit: int | None = None
     time_limit: float | None = None
-    jobs: int = 1
+    jobs: int = 1  # accepted and ignored: every fit runs in this thread
 
     def __post_init__(self):
         if not 0.0 <= self.error_threshold <= 1.0:
@@ -115,6 +114,7 @@ class _Explorer:
         self.parts = partition(self.original, config.partition)
         self.original_area = and_count(self.original)
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
+        self._best_partial: ExplorationResult | None = None
         if self.original.num_inputs <= config.partition.max_inputs:
             self.search_words, self.search_mask = None, 0
         else:
@@ -126,11 +126,10 @@ class _Explorer:
         hit = self.cache.get(key)
         if hit is None:
             hit = approx_sub_circuit(
-                part, md,
+                part.extracted, md,
                 node_limit=self.config.node_limit,
                 time_limit=self.config.time_limit,
-                max_table_inputs=self.config.partition.max_inputs,
-                jobs=self.config.jobs)
+                max_table_inputs=self.config.partition.max_inputs)
             self.cache[key] = hit
             if hit.md != md:
                 # an exact result also answers the recorded (smaller) depth
@@ -147,9 +146,8 @@ class _Explorer:
         """
         cell_area = and_count(part.extracted)
         while md >= 1:
-            if md == 1 and not self.config.allow_depth_one_regen and \
-                    (part.id, 1) not in self.cache:
-                return 1  # frozen: depth-1 regeneration is disabled
+            if md == 1 and (part.id, 1) not in self.cache:
+                return 1  # frozen: depth 1 is never regenerated
             sa = self.approx(part, md)
             if not sa.exact:
                 return md
@@ -177,7 +175,7 @@ class _Explorer:
         try:
             return self._run()
         except SearchExhausted:
-            best = getattr(self, "_best_partial", None)
+            best = self._best_partial
             if best is None:
                 report = _final_measure(self.original, self.original,
                                         self.config)
@@ -231,9 +229,8 @@ class _Explorer:
                         continue  # frozen cell
                     if active == md:
                         continue  # already substituted at this depth
-                    if md == 1 and not self.config.allow_depth_one_regen and \
-                            (part.id, 1) not in self.cache:
-                        continue  # frozen: depth-1 regeneration is disabled
+                    if md == 1 and (part.id, 1) not in self.cache:
+                        continue  # frozen: depth 1 is never regenerated
                     sa = self.approx(part, md)
                     applied = list(state.applied)
                     applied[part.id] = md
@@ -306,11 +303,7 @@ def explore(circuit: Aig, config: ExplorationConfig) -> ExplorationResult:
 def replay(circuit: Aig, config: ExplorationConfig,
            substitutions) -> Aig:
     """Rebuild the composed circuit for a substitution list (trace replay)."""
-    explorer = _Explorer.__new__(_Explorer)
-    explorer.original = cleanup(circuit)
-    explorer.config = config
-    explorer.parts = partition(explorer.original, config.partition)
-    explorer.cache = {}
+    explorer = _Explorer(circuit, config)
     applied: list[int | None] = [None] * len(explorer.parts)
     for part_id, depth in substitutions:
         explorer.approx(explorer.parts[part_id], depth)

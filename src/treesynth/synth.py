@@ -1,8 +1,7 @@
-"""Resynthesis of decision trees into AIG logic and per-cell approximation."""
+"""Resynthesis of decision trees into AIG logic and circuit approximation."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, CONST0, CONST1
@@ -37,58 +36,32 @@ def trees_to_aig(trees: list[DecisionTree], num_inputs: int) -> Aig:
     return builder.build()
 
 
-def approx_whole_circuit(circuit: Aig, md: int,
-                         max_table_inputs: int = 14,
-                         jobs: int = 1) -> "ApproxSubCircuit":
-    """Whole-circuit approximation: one tree per primary output."""
-    if md < 1:
-        raise OdtError("maximum depth must be >= 1")
-    datasets = truth_tables(circuit, max_table_inputs=max_table_inputs)
-    budget = SearchBudget(max_depth=md)
-    if jobs > 1 and len(datasets) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(lambda d: fit_optimal(d, budget), datasets))
-    else:
-        trees = [fit_optimal(d, budget) for d in datasets]
-    exact = all(t.train_error == 0 for t in trees)
-    recorded = min((t.realized_depth for t in trees), default=0) if exact else md
-    return ApproxSubCircuit(
-        source_id=-1, circuit=trees_to_aig(trees, circuit.num_inputs),
-        md=recorded, per_output_trees=tuple(trees), exact=exact)
-
-
 @dataclass(frozen=True)
 class ApproxSubCircuit:
-    source_id: int
     circuit: Aig
     md: int  # value recorded in the max_depth stream
     per_output_trees: tuple[DecisionTree, ...]
     exact: bool
 
 
-def approx_sub_circuit(sub, md: int, node_limit: int | None = None,
+def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
                        time_limit: float | None = None,
-                       max_table_inputs: int = 14,
-                       jobs: int = 1) -> ApproxSubCircuit:
-    """Learn one depth-bounded optimal tree per boundary output and
-    reassemble them into a replacement circuit.
+                       max_table_inputs: int = 14) -> ApproxSubCircuit:
+    """Learn one depth-bounded optimal tree per output of ``circuit`` (a
+    partition cell's extracted circuit, or a whole netlist) and reassemble
+    them into a replacement circuit.
 
     When every tree is error-free the recorded depth drops to the smallest
     realized depth; otherwise the requested depth is recorded.
     """
     if md < 1:
         raise OdtError("maximum depth must be >= 1")
-    source = sub.extracted
-    datasets = truth_tables(source, max_table_inputs=max_table_inputs)
+    datasets = truth_tables(circuit, max_table_inputs=max_table_inputs)
     budget = SearchBudget(max_depth=md, node_limit=node_limit,
                           time_limit=time_limit)
-    if jobs > 1 and len(datasets) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(lambda d: fit_optimal(d, budget), datasets))
-    else:
-        trees = [fit_optimal(d, budget) for d in datasets]
+    trees = [fit_optimal(d, budget) for d in datasets]
     exact = all(t.train_error == 0 for t in trees)
     recorded = min((t.realized_depth for t in trees), default=0) if exact else md
-    circuit = trees_to_aig(trees, source.num_inputs)
-    return ApproxSubCircuit(source_id=sub.id, circuit=circuit, md=recorded,
-                            per_output_trees=tuple(trees), exact=exact)
+    return ApproxSubCircuit(
+        circuit=trees_to_aig(trees, circuit.num_inputs), md=recorded,
+        per_output_trees=tuple(trees), exact=exact)

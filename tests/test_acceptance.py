@@ -21,7 +21,7 @@ from treesynth.explore import ExplorationConfig, explore
 from treesynth.odt import SearchBudget, fit_bruteforce, fit_optimal, predict
 from treesynth.partition import PartitionConfig, partition
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
-from treesynth.synth import approx_sub_circuit, approx_whole_circuit
+from treesynth.synth import approx_sub_circuit
 
 from conftest import clear_memos, random_circuit
 
@@ -48,7 +48,7 @@ def test_criterion_1_c17_golden_table(capsys):
     got = []
     ok = True
     for depth in (1, 2, 3, 4):
-        approx = approx_whole_circuit(circuit, depth)
+        approx = approx_sub_circuit(circuit, depth)
         q = qor_exhaustive(circuit, approx.circuit)
         got.append(q.error)
         if depth == 1 and and_count(approx.circuit) != 0:
@@ -96,7 +96,7 @@ def test_criterion_3_tree_circuit_equivalence(capsys):
                                              initial_parts=2))
         for sub in parts:
             md = rng.randint(1, 4)
-            approx = approx_sub_circuit(sub, md)
+            approx = approx_sub_circuit(sub.extracted, md)
             src = sub.extracted
             n, m = src.num_inputs, src.num_outputs
             # tree circuits agree with tree predictions everywhere
@@ -125,7 +125,7 @@ def test_criterion_4_depth_monotonicity(capsys):
         c = random_circuit(rng, n, rng.randint(5, 40), rng.randint(1, 3))
         errors = []
         for depth in range(1, n + 1):
-            approx = approx_whole_circuit(c, depth)
+            approx = approx_sub_circuit(c, depth)
             errors.append(qor_exhaustive(c, approx.circuit).error)
             if errors[-1] == 0.0:
                 break  # deeper trees stay exact; monotone by construction
@@ -170,7 +170,7 @@ def test_criterion_6_monte_carlo_estimator(capsys):
                                   rng.randint(1, 3))
         if and_count(original) == 0:
             continue
-        approx = approx_whole_circuit(original, rng.randint(1, 4))
+        approx = approx_sub_circuit(original, rng.randint(1, 4))
         pairs.append((original, approx.circuit))
     total = 0
     within = 0

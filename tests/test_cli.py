@@ -163,3 +163,25 @@ def test_reports_byte_identical_across_jobs(capsys):
     clear_memos()
     _, second = run(capsys, *args, "--jobs", "4")
     assert json.loads(first)["results"] == json.loads(second)["results"]
+
+
+def test_whole_circuit_without_outputs(tmp_path, capsys):
+    # d_avg over no trees used to end in a ZeroDivisionError traceback
+    empty = tmp_path / "no_outputs.aag"
+    empty.write_text("aag 2 2 0 0 0\n2\n4\n")
+    code, out = run(capsys, "approximate", str(empty), "--whole-circuit",
+                    "--depth", "1..2", "--no-timing")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [row["d_avg"] for row in results] == [0.0, 0.0]
+    assert all(row["exact"] and row["and_count"] == 0 for row in results)
+
+
+def test_whole_circuit_over_table_cap_is_input_error(capsys):
+    # c432 has 36 inputs, over the 14-input truth-table cap
+    code = main(["approximate", str(BENCH / "c432.aag"),
+                 "--whole-circuit", "--depth", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("error:")

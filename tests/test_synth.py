@@ -1,5 +1,6 @@
-"""Tree-to-circuit resynthesis and per-cell approximation."""
+"""Tree-to-circuit resynthesis and circuit approximation."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,11 +8,11 @@ import pytest
 
 from treesynth.aig import and_count, simulate
 from treesynth.dataset import Dataset
+from treesynth.explore import ExplorationConfig, explore
 from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
                            fit_optimal, predict)
 from treesynth.partition import PartitionConfig, extract, partition
-from treesynth.synth import (approx_sub_circuit, approx_whole_circuit,
-                             tree_to_aig, trees_to_aig)
+from treesynth.synth import approx_sub_circuit, tree_to_aig, trees_to_aig
 
 from conftest import clear_memos, random_circuit
 
@@ -62,7 +63,7 @@ def test_exact_approximation_of_small_cell(rng):
     c = random_circuit(rng, 4, 12, 2)
     first_and = c.num_inputs + 1
     sub = extract(c, range(first_and, first_and + len(c.ands)))
-    approx = approx_sub_circuit(sub, md=4)
+    approx = approx_sub_circuit(sub.extracted, md=4)
     assert approx.exact
     assert approx.md <= 4  # records the realized depth when exact
     n = sub.extracted.num_inputs
@@ -80,7 +81,7 @@ def test_inexact_approximation_reports_requested_depth(rng):
     b.add_output(x)
     c = b.build()
     sub = extract(c, range(5, 5 + len(c.ands)))
-    approx = approx_sub_circuit(sub, md=1)
+    approx = approx_sub_circuit(sub.extracted, md=1)
     assert not approx.exact
     assert approx.md == 1
 
@@ -89,7 +90,7 @@ def test_approximation_error_matches_tree_error(rng):
     c = random_circuit(rng, 5, 18, 3)
     parts = partition(c, PartitionConfig(initial_parts=2))
     sub = parts[0]
-    approx = approx_sub_circuit(sub, md=2)
+    approx = approx_sub_circuit(sub.extracted, md=2)
     n = sub.extracted.num_inputs
     vecs = list(itertools.product((0, 1), repeat=n))
     got = simulate(approx.circuit, vecs)
@@ -100,19 +101,20 @@ def test_approximation_error_matches_tree_error(rng):
 
 
 def test_jobs_do_not_change_the_result(rng):
+    # ``jobs`` is accepted and ignored; callers passing it get the same run
     c = random_circuit(rng, 5, 20, 3)
-    parts = partition(c, PartitionConfig(initial_parts=2))
-    for sub in parts:
-        serial = approx_sub_circuit(sub, md=3, jobs=1)
-        clear_memos()
-        threaded = approx_sub_circuit(sub, md=3, jobs=4)
-        assert serial.circuit == threaded.circuit
-        assert serial.md == threaded.md
+    config = ExplorationConfig(error_threshold=0.15,
+                               partition=PartitionConfig(initial_parts=2))
+    serial = explore(c, dataclasses.replace(config, jobs=1))
+    clear_memos()
+    threaded = explore(c, dataclasses.replace(config, jobs=4))
+    assert serial.trace
+    assert serial == threaded
 
 
 def test_whole_circuit_approximation(rng):
     c = random_circuit(rng, 4, 15, 2)
-    approx = approx_whole_circuit(c, md=4)
+    approx = approx_sub_circuit(c, md=4)
     assert approx.exact
     vecs = list(itertools.product((0, 1), repeat=4))
     assert simulate(approx.circuit, vecs) == simulate(c, vecs)
@@ -121,4 +123,4 @@ def test_whole_circuit_approximation(rng):
 def test_depth_zero_rejected(rng):
     c = random_circuit(rng, 3, 5, 1)
     with pytest.raises(OdtError):
-        approx_whole_circuit(c, md=0)
+        approx_sub_circuit(c, md=0)
