@@ -13,10 +13,10 @@ from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import (Dataset, DatasetError, PlaTriple, parse_pla,
                       truth_tables, write_pla)
-from .explore import (ExplorationConfig, ExplorationResult, ExplorationState,
-                      TraceRecord, explore, loss, replay)
+from .explore import (ExplorationConfig, ExplorationResult, TraceRecord,
+                      explore, loss, replay)
 from .odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                  SearchExhausted, fit_bruteforce, fit_optimal, predict)
+                  fit_bruteforce, fit_optimal, predict)
 from .partition import (PartitionConfig, SubCircuit, extract, partition,
                         partition_report)
 from .qor import QorReport, qor_exhaustive, qor_monte_carlo
@@ -29,10 +29,10 @@ __all__ = [
     "cleanup", "compose", "metrics", "simulate", "simulate_words", "strash",
     "parse_aiger", "write_aiger", "parse_blif", "write_blif",
     "Dataset", "DatasetError", "PlaTriple", "parse_pla", "truth_tables",
-    "write_pla", "ExplorationConfig", "ExplorationResult",
-    "ExplorationState", "TraceRecord", "explore", "loss", "replay",
+    "write_pla", "ExplorationConfig", "ExplorationResult", "TraceRecord",
+    "explore", "loss", "replay",
     "Branch", "DecisionTree", "Leaf", "OdtError", "SearchBudget",
-    "SearchExhausted", "fit_bruteforce", "fit_optimal", "predict",
+    "fit_bruteforce", "fit_optimal", "predict",
     "PartitionConfig", "SubCircuit", "extract", "partition",
     "partition_report", "QorReport", "qor_exhaustive", "qor_monte_carlo",
     "ApproxSubCircuit", "approx_sub_circuit", "tree_to_aig", "trees_to_aig",

@@ -80,11 +80,6 @@ class Aig:
     def num_nodes(self) -> int:
         return 1 + self.num_inputs + len(self.ands)
 
-    def input_literal(self, index: int) -> int:
-        if not 0 <= index < self.num_inputs:
-            raise AigError(f"input index {index} out of range")
-        return lit(1 + index)
-
 
 def simulate_words(circuit: Aig, input_words: list[int], mask: int) -> list[int]:
     """Evaluate the circuit on bit-packed vectors.

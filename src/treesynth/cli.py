@@ -172,9 +172,13 @@ def cmd_approximate(args) -> int:
     if args.whole_circuit:
         # one approximation per depth over the whole circuit's truth tables
         depths = _parse_depth_range(args.depth or str(args.initial_depth))
+        proven = True
         for depth in depths:
             approx = approx_sub_circuit(
-                circuit, depth, max_table_inputs=args.max_sub_inputs)
+                circuit, depth, node_limit=args.node_limit,
+                time_limit=args.time_limit,
+                max_table_inputs=args.max_sub_inputs)
+            proven = proven and approx.proven
             q = qor_exhaustive(circuit, approx.circuit)
             trees = approx.per_output_trees
             d_avg = (sum(t.realized_depth for t in trees) / len(trees)
@@ -191,7 +195,7 @@ def cmd_approximate(args) -> int:
                                f"{args.out}.md{depth}", args.format)
         report.wall_clock_s = time.monotonic() - started
         _emit_report(report, args)
-        return EXIT_OK
+        return EXIT_OK if proven else EXIT_BUDGET_EXCEEDED
 
     result = explore(circuit, _exploration_config(args))
     for rec in result.trace:
@@ -285,9 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--node-limit", type=int,
-                   help="abort tree searches after this many expansions")
+                   help="stop each tree search after this many expansions; "
+                        "an exhausted search keeps its best tree so far, "
+                        "the run continues and exits 3")
     p.add_argument("--time-limit", type=float,
-                   help="per-tree search time budget in seconds")
+                   help="per-tree search time budget in seconds; an "
+                        "exhausted search keeps its best tree so far, the "
+                        "run continues and exits 3")
     _add_partition_flags(p)
     p.add_argument("--whole-circuit", action="store_true",
                    help="skip partitioning; learn trees over the full "

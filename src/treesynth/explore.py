@@ -5,6 +5,10 @@ applied so far.  Every iteration scores the substitution of each eligible
 cell by loss = (area' - original_area) / error', keeps the best successor
 states inside the error budget, then lowers the substituted cell's depth
 budget and regenerates its approximation.
+
+A tree search that runs out of its node or time limit leaves the best tree
+it found for that cell; the run goes on with it and reports
+``budget_exceeded``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 from .aig import Aig, AigError, and_count, cleanup, compose
-from .odt import SearchExhausted
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, qor_exhaustive,
                   qor_monte_carlo, qor_on_words, sample_input_words)
@@ -67,16 +70,6 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
-class ExplorationState:
-    md_stream: tuple[int, ...]
-    applied: tuple[int | None, ...]  # requested depth of the active
-                                     # substitution per cell, None if original
-    composed: Aig
-    qor: float
-    area: int
-
-
-@dataclass(frozen=True)
 class ExplorationResult:
     circuit: Aig
     trace: tuple[TraceRecord, ...]
@@ -84,7 +77,7 @@ class ExplorationResult:
     original_area: int
     final_area: int
     substitutions: tuple[tuple[int, int], ...]  # (part id, requested depth)
-    budget_exceeded: bool = False
+    budget_exceeded: bool = False  # some tree was not proven optimal
 
 
 def loss(candidate_area: int, original_area: int, candidate_qor: float) -> float:
@@ -114,7 +107,6 @@ class _Explorer:
         self.parts = partition(self.original, config.partition)
         self.original_area = and_count(self.original)
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
-        self._best_partial: ExplorationResult | None = None
         if self.original.num_inputs <= config.partition.max_inputs:
             self.search_words, self.search_mask = None, 0
         else:
@@ -172,36 +164,16 @@ class _Explorer:
                             self.config.seed).error
 
     def run(self) -> ExplorationResult:
-        try:
-            return self._run()
-        except SearchExhausted:
-            best = self._best_partial
-            if best is None:
-                report = _final_measure(self.original, self.original,
-                                        self.config)
-                best = ExplorationResult(
-                    circuit=self.original, trace=(), final_qor=report,
-                    original_area=self.original_area,
-                    final_area=self.original_area, substitutions=())
-            return ExplorationResult(
-                circuit=best.circuit, trace=best.trace,
-                final_qor=best.final_qor, original_area=best.original_area,
-                final_area=best.final_area, substitutions=best.substitutions,
-                budget_exceeded=True)
-
-    def _run(self) -> ExplorationResult:
         config = self.config
         err = config.error_threshold
 
         # Algorithm setup: approximate every cell at the initial depth; the
-        # depth stream starts from the realized depths.
-        initial_md = [self.normalize_md(part, config.initial_max_depth)
-                      for part in self.parts]
-
-        start = ExplorationState(
-            md_stream=tuple(initial_md),
-            applied=tuple(None for _ in self.parts),
-            composed=self.original, qor=0.0, area=self.original_area)
+        # depth stream starts from the realized depths.  A beam state is
+        # (md_stream, applied): the per-cell depth budgets, and the requested
+        # depth of each cell's active substitution (None if original).
+        initial_md = tuple(self.normalize_md(part, config.initial_max_depth)
+                           for part in self.parts)
+        start = (initial_md, (None,) * len(self.parts))
 
         best_circuit = self.original
         best_area = self.original_area
@@ -209,22 +181,15 @@ class _Explorer:
         best_subs: tuple[tuple[int, int], ...] = ()
         trace: list[TraceRecord] = []
 
-        def snapshot() -> ExplorationResult:
-            return ExplorationResult(
-                circuit=best_circuit, trace=tuple(trace),
-                final_qor=best_report, original_area=self.original_area,
-                final_area=best_area, substitutions=best_subs)
-
-        self._best_partial = snapshot()
         beam = [start]
-        seen = {self._state_key(start)}
+        seen = {start}
         iteration = 0
         while beam:
             iteration += 1
-            candidates = []  # (loss, part id, stream idx, state fields)
-            for stream_idx, state in enumerate(beam):
-                for part, md, active in zip(self.parts, state.md_stream,
-                                            state.applied):
+            candidates = []  # (loss, part id, stream idx, applied, ...)
+            for stream_idx, (md_stream, state_applied) in enumerate(beam):
+                for part, md, active in zip(self.parts, md_stream,
+                                            state_applied):
                     if md < 1:
                         continue  # frozen cell
                     if active == md:
@@ -232,7 +197,7 @@ class _Explorer:
                     if md == 1 and (part.id, 1) not in self.cache:
                         continue  # frozen: depth 1 is never regenerated
                     sa = self.approx(part, md)
-                    applied = list(state.applied)
+                    applied = list(state_applied)
                     applied[part.id] = md
                     composed = self.compose_state(tuple(applied))
                     area = and_count(composed)
@@ -253,20 +218,16 @@ class _Explorer:
             for score, part_id, stream_idx, applied, composed, area, q in candidates:
                 if len(next_beam) >= config.beam_width:
                     break
-                parent = beam[stream_idx]
-                md_stream = list(parent.md_stream)
+                md_stream = list(beam[stream_idx][0])
                 used_md = md_stream[part_id]
                 new_md = used_md - config.step
                 if new_md >= 1:
                     new_md = self.normalize_md(self.parts[part_id], new_md)
                 md_stream[part_id] = new_md
-                state = ExplorationState(
-                    md_stream=tuple(md_stream), applied=applied,
-                    composed=composed, qor=q, area=area)
-                key = self._state_key(state)
-                if key in seen:
+                state = (tuple(md_stream), applied)
+                if state in seen:
                     continue
-                seen.add(key)
+                seen.add(state)
                 next_beam.append(state)
                 trace.append(TraceRecord(
                     iteration=iteration, stream=len(next_beam) - 1,
@@ -280,14 +241,13 @@ class _Explorer:
                         best_subs = tuple(
                             (pid, d) for pid, d in enumerate(applied)
                             if d is not None)
-                self._best_partial = snapshot()
             beam = next_beam
 
-        return snapshot()
-
-    @staticmethod
-    def _state_key(state: ExplorationState):
-        return (state.md_stream, state.applied)
+        return ExplorationResult(
+            circuit=best_circuit, trace=tuple(trace), final_qor=best_report,
+            original_area=self.original_area, final_area=best_area,
+            substitutions=best_subs,
+            budget_exceeded=not all(sa.proven for sa in self.cache.values()))
 
 
 def explore(circuit: Aig, config: ExplorationConfig) -> ExplorationResult:

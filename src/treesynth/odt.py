@@ -16,9 +16,12 @@ its budget inside the feature loops; an unbudgeted search never can run
 out, so it skips those checks, and unweighted data is counted with
 ``int.bit_count``.
 
-Unbudgeted fits are pure functions of ``(data, max_depth)``, so finished
-trees are memoized per process in a bounded LRU cache.  Fits with a node or
-time limit never touch that cache: their outcome depends on the budget.
+A node or time limit makes the search anytime: when the budget runs out it
+returns the best tree found so far with ``proven_optimal`` false, so the
+caller gets a worse tree, not an error.  Unbudgeted fits are pure functions
+of ``(data, max_depth)``, so finished trees are memoized per process in a
+bounded LRU cache.  Fits with a node or time limit never touch that cache:
+their outcome depends on the budget.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ FIT_MEMO_SIZE = 512
 
 class OdtError(Exception):
     """Invalid learning request (empty data, guard violation, ...)."""
-
-
-class SearchExhausted(OdtError):
-    """Budget ran out before optimality was proven."""
 
 
 @dataclass(frozen=True)
@@ -258,9 +257,9 @@ class _Search:
 def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     """Tree with provably minimal weighted training error at the depth cap.
 
-    Raises SearchExhausted when a node or time limit preempts the proof;
-    callers that can use an anytime result may catch it and inspect
-    ``exc.tree``.  Calls without such a limit are memoized.
+    When a node or time limit preempts the proof, the best tree found so
+    far is returned with ``proven_optimal`` false.  Calls without such a
+    limit are memoized.
     """
     if data.num_rows < 1:
         raise OdtError("cannot fit a tree on an empty dataset")
@@ -278,15 +277,8 @@ def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.solve(data.row_mask, budget.max_depth)
     root = collapse(root)
-    tree = DecisionTree(root=root, train_error=err,
-                        realized_depth=root.depth,
+    return DecisionTree(root=root, train_error=err, realized_depth=root.depth,
                         proven_optimal=not search.exhausted)
-    if search.exhausted:
-        exc = SearchExhausted(
-            "search budget exhausted before optimality was proven")
-        exc.tree = tree
-        raise exc
-    return tree
 
 
 def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:

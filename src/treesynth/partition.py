@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, AigError, cleanup, lit_negated, lit_node
 
+# FM keeps each side of a bipartition within (0.5 +- BALANCE) of the cells,
+# and stops after MAX_FM_PASSES improvement passes.
+BALANCE = 0.1
+MAX_FM_PASSES = 8
+
 
 @dataclass(frozen=True)
 class PartitionConfig:
     max_inputs: int = 14   # k
     max_outputs: int = 5   # m
     initial_parts: int = 5
-    balance: float = 0.1
-    max_fm_passes: int = 8
 
     def __post_init__(self):
         if self.max_inputs < 2:
@@ -42,7 +45,11 @@ class SubCircuit:
 
 
 class _Netlist:
-    """Fanin/fanout view of the AND nodes of a cleaned circuit."""
+    """Fanin/fanout view of the AND nodes of a cleaned circuit.
+
+    ``consumers`` maps every primary input and AND node to the AND nodes
+    that read it, in increasing order.
+    """
 
     def __init__(self, circuit: Aig):
         self.circuit = circuit
@@ -50,12 +57,13 @@ class _Netlist:
         self.first_and = first_and
         self.nodes = list(range(first_and, first_and + len(circuit.ands)))
         self.fanins: dict[int, tuple[int, int]] = {}
-        self.consumers: dict[int, list[int]] = {n: [] for n in self.nodes}
+        self.consumers: dict[int, list[int]] = {
+            n: [] for n in range(1, first_and + len(circuit.ands))}
         for n in self.nodes:
             a, b = circuit.ands[n - first_and]
             self.fanins[n] = (lit_node(a), lit_node(b))
             for src in set((lit_node(a), lit_node(b))):
-                if src >= first_and:
+                if src != 0:
                     self.consumers[src].append(n)
         self.po_nodes = {lit_node(o) for o in circuit.outputs
                          if lit_node(o) >= first_and}
@@ -103,8 +111,8 @@ def _extract(net: _Netlist, members, part_id: int) -> SubCircuit:
                       extracted=builder.build())
 
 
-def _fm_bipartition(net: _Netlist, members: list[int], balance: float,
-                    max_passes: int) -> tuple[list[int], list[int]]:
+def _fm_bipartition(net: _Netlist,
+                    members: list[int]) -> tuple[list[int], list[int]]:
     """Balanced min-cut bipartition of a member set.
 
     Nets are driver signals with at least two member pins.  Starts from the
@@ -119,17 +127,17 @@ def _fm_bipartition(net: _Netlist, members: list[int], balance: float,
 
     nets: list[list[int]] = []
     vertex_nets: dict[int, list[int]] = {v: [] for v in members}
+
+    def add_net(pins: list[int]) -> None:
+        if len(pins) >= 2:
+            for p in pins:
+                vertex_nets[p].append(len(nets))
+            nets.append(pins)
+
+    # consumers come in increasing order and after their driver, so every
+    # pin list is sorted
     for v in members:
-        pins = set()
-        if v in member_set:
-            pins.add(v)
-        pins.update(c for c in net.consumers[v] if c in member_set)
-        if len(pins) < 2:
-            continue
-        idx = len(nets)
-        nets.append(sorted(pins))
-        for p in pins:
-            vertex_nets[p].append(idx)
+        add_net([v] + [c for c in net.consumers[v] if c in member_set])
     # nets driven by signals outside the member set
     seen_drivers = set(members)
     for v in members:
@@ -137,16 +145,9 @@ def _fm_bipartition(net: _Netlist, members: list[int], balance: float,
             if src == 0 or src in seen_drivers:
                 continue
             seen_drivers.add(src)
-            pins = sorted(c for c in net.consumers.get(src, ())
-                          if c in member_set) if src >= net.first_and else \
-                sorted(c for c in member_set if src in net.fanins[c])
-            if len(pins) >= 2:
-                idx = len(nets)
-                nets.append(pins)
-                for p in pins:
-                    vertex_nets[p].append(idx)
+            add_net([c for c in net.consumers[src] if c in member_set])
 
-    lo = max(1, int((0.5 - balance) * n))
+    lo = max(1, int((0.5 - BALANCE) * n))
     hi = n - lo
 
     def gain(v: int) -> int:
@@ -161,7 +162,7 @@ def _fm_bipartition(net: _Netlist, members: list[int], balance: float,
                 g -= 1
         return g
 
-    for _ in range(max_passes):
+    for _ in range(MAX_FM_PASSES):
         locked: set[int] = set()
         moves: list[int] = []
         gains: list[int] = []
@@ -274,8 +275,7 @@ def _partition(circuit: Aig, config: PartitionConfig) -> tuple[SubCircuit, ...]:
         group = parts[index]
         if len(group) < 2:
             return False
-        a, b = _fm_bipartition(net, group, config.balance,
-                               config.max_fm_passes)
+        a, b = _fm_bipartition(net, group)
         parts[index:index + 1] = [a, b]
         return True
 

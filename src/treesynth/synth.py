@@ -43,6 +43,11 @@ class ApproxSubCircuit:
     per_output_trees: tuple[DecisionTree, ...]
     exact: bool
 
+    @property
+    def proven(self) -> bool:
+        """Every tree was proven optimal (no search ran out of budget)."""
+        return all(t.proven_optimal for t in self.per_output_trees)
+
 
 def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
                        time_limit: float | None = None,
@@ -52,7 +57,9 @@ def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
     them into a replacement circuit.
 
     When every tree is error-free the recorded depth drops to the smallest
-    realized depth; otherwise the requested depth is recorded.
+    realized depth; otherwise the requested depth is recorded.  A node or
+    time limit that runs out leaves the best tree found so far for that
+    output, and ``proven`` false.
     """
     if md < 1:
         raise OdtError("maximum depth must be >= 1")

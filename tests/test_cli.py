@@ -92,6 +92,17 @@ def test_approximate_budget_exit_code(capsys):
     assert selected["qor"] <= 0.1
 
 
+def test_whole_circuit_node_limit_exit_code(tmp_path, capsys):
+    # --whole-circuit honours --node-limit: exit 3, netlist still written
+    out_file = tmp_path / "mul7u_approx.aag"
+    code, out = run(capsys, "approximate", str(BENCH / "mul7u.aag"),
+                    "--whole-circuit", "--depth", "3", "--node-limit", "1",
+                    "--out", str(out_file), "--no-timing")
+    assert code == 3
+    assert [r["depth"] for r in json.loads(out)["results"]] == [3]
+    parse_aiger(Path(f"{out_file}.md3").read_text())
+
+
 def test_learn_command(tmp_path, capsys):
     out_file = tmp_path / "learned.aag"
     code, out = run(capsys, "learn",

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from treesynth.aig import Aig, AigError, and_count, simulate
-from treesynth.bench import add8u
+from treesynth.bench import add8u, mul7u
 from treesynth.explore import (ExplorationConfig, explore, loss, replay)
 from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive
@@ -129,6 +129,20 @@ def test_budget_exceeded_flag():
     assert res.budget_exceeded
     # the partial answer is still within budget
     assert qor_exhaustive(c, res.circuit).error <= 0.1
+
+
+def test_budgeted_run_keeps_searching():
+    # an exhausted tree search leaves its best tree and the run goes on
+    c = mul7u()
+    cfg = ExplorationConfig(
+        error_threshold=0.1, node_limit=200,
+        partition=PartitionConfig(initial_parts=10))
+    res = explore(c, cfg)
+    assert res.budget_exceeded
+    assert res.trace
+    assert res.final_area < res.original_area
+    assert qor_exhaustive(c, res.circuit).error <= 0.1
+    assert replay(c, cfg, res.substitutions) == res.circuit
 
 
 def test_substituted_circuit_functionally_within_budget(rng):

@@ -6,8 +6,8 @@ import pytest
 
 from treesynth.dataset import Dataset
 from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                           SearchExhausted, _Search, collapse, count_errors,
-                           fit_bruteforce, fit_optimal, predict, to_sexpr)
+                           _Search, collapse, count_errors, fit_bruteforce,
+                           fit_optimal, predict, to_sexpr)
 
 
 def make_dataset(rng: random.Random, num_features: int, num_rows: int,
@@ -105,12 +105,10 @@ def test_empty_dataset_rejected():
         fit_optimal(d, SearchBudget(max_depth=1))
 
 
-def test_node_limit_raises_with_anytime_tree():
+def test_node_limit_returns_unproven_tree():
     rng = random.Random(17)
     d = make_dataset(rng, 8, 64)
-    with pytest.raises(SearchExhausted) as info:
-        fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
-    partial = info.value.tree
+    partial = fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
     assert not partial.proven_optimal
     assert count_errors(partial, d) == partial.train_error
 
@@ -120,8 +118,9 @@ def test_budgeted_fit_bypasses_memo():
     rng = random.Random(17)
     d = make_dataset(rng, 8, 64)
     assert fit_optimal(d, SearchBudget(max_depth=6)).proven_optimal
-    with pytest.raises(SearchExhausted):
-        fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
+    partial = fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
+    assert not partial.proven_optimal
+    assert count_errors(partial, d) == partial.train_error
 
 
 def test_memo_hit_matches_fresh_search():
@@ -150,9 +149,7 @@ def test_depth_one_fit_respects_node_limit():
                 labels=0b1010)
     assert fit_optimal(d, SearchBudget(max_depth=1)).root == \
         Branch(0, Leaf(0), Leaf(1))
-    with pytest.raises(SearchExhausted) as info:
-        fit_optimal(d, SearchBudget(max_depth=1, node_limit=1))
-    partial = info.value.tree
+    partial = fit_optimal(d, SearchBudget(max_depth=1, node_limit=1))
     assert partial.root == Leaf(0)  # majority leaf, ties to 0
     assert partial.train_error == 2
     assert not partial.proven_optimal

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treesynth.aig import and_count, simulate
+from treesynth.aig import AigBuilder, and_count, simulate
 from treesynth.dataset import Dataset
 from treesynth.explore import ExplorationConfig, explore
 from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
@@ -71,19 +71,35 @@ def test_exact_approximation_of_small_cell(rng):
     assert simulate(approx.circuit, vecs) == simulate(sub.extracted, vecs)
 
 
-def test_inexact_approximation_reports_requested_depth(rng):
-    # XOR of 4 inputs is not depth-1 learnable
-    from treesynth.aig import AigBuilder
+def xor4():
     b = AigBuilder(4)
     x = b.input_lit(0)
     for i in range(1, 4):
         x = b.xor_(x, b.input_lit(i))
     b.add_output(x)
-    c = b.build()
+    return b.build()
+
+
+def test_inexact_approximation_reports_requested_depth(rng):
+    # XOR of 4 inputs is not depth-1 learnable
+    c = xor4()
     sub = extract(c, range(5, 5 + len(c.ands)))
     approx = approx_sub_circuit(sub.extracted, md=1)
     assert not approx.exact
     assert approx.md == 1
+
+
+def test_node_limit_leaves_unproven_result():
+    # an exhausted search is not an error: its best tree is used, unproven
+    c = xor4()
+    assert approx_sub_circuit(c, md=2).proven
+    approx = approx_sub_circuit(c, md=2, node_limit=1)
+    assert not approx.proven
+    assert not approx.per_output_trees[0].proven_optimal
+    vecs = list(itertools.product((0, 1), repeat=4))
+    mismatches = sum(g != w for g, w in zip(simulate(approx.circuit, vecs),
+                                            simulate(c, vecs)))
+    assert mismatches == approx.per_output_trees[0].train_error
 
 
 def test_approximation_error_matches_tree_error(rng):
