@@ -297,91 +297,51 @@ def cleanup(circuit: Aig) -> Aig:
 def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
     """Substitute several partition cells at once.
 
-    ``parts`` is a list of SubCircuit values (see the partition module);
+    ``parts`` must be the partition of ``circuit`` (SubCircuit values, see
+    the partition module) in its flow order: every boundary input of a cell
+    is a primary input or a boundary output of an earlier cell.
     ``replacements`` maps part id -> replacement Aig over the part's
-    boundary interface.  Every consumer of a substituted cell's boundary
-    output is rewired to the corresponding replacement output.  The result
-    is cleaned and structurally hashed.
+    boundary interface.  One pass over the cells inlines every cell, its
+    replacement or else its own extraction, on its already-built boundary
+    inputs.  The result is cleaned and structurally hashed; its nodes
+    follow cell order.
     """
-    by_id = {p.id: p for p in parts}
-    for pid, rep in replacements.items():
-        part = by_id[pid]
-        if rep.num_inputs != len(part.boundary_inputs):
-            raise AigError(
-                f"part {pid}: replacement has {rep.num_inputs} inputs, "
-                f"boundary has {len(part.boundary_inputs)}")
-        if rep.num_outputs != len(part.boundary_outputs):
-            raise AigError(
-                f"part {pid}: replacement has {rep.num_outputs} outputs, "
-                f"boundary has {len(part.boundary_outputs)}")
-
-    # node -> id of the substituted part that owns it
-    owner: dict[int, int] = {}
+    ids = {p.id for p in parts}
     for pid in replacements:
-        for node in by_id[pid].member_nodes:
-            owner[node] = pid
+        if pid not in ids:
+            raise AigError(f"replacement for unknown part id {pid!r}")
 
     builder = AigBuilder(circuit.num_inputs)
     mapping: dict[int, int] = {0: CONST0}
     for i in range(circuit.num_inputs):
         mapping[1 + i] = builder.input_lit(i)
-    first_and = circuit.num_inputs + 1
 
-    def mapped(literal: int) -> int:
-        m = resolve(lit_node(literal))
-        return lit_not(m) if lit_negated(literal) else m
-
-    def inline_part(pid: int) -> None:
-        part = by_id[pid]
-        rep = replacements[pid]
-        local: dict[int, int] = {0: CONST0}
-        for slot, src in enumerate(part.boundary_inputs):
-            local[1 + slot] = resolve(src)
-        rep_first = rep.num_inputs + 1
-        for j, (a, b) in enumerate(rep.ands):
-            fa = local[lit_node(a)] ^ (1 if lit_negated(a) else 0)
-            fb = local[lit_node(b)] ^ (1 if lit_negated(b) else 0)
-            local[rep_first + j] = builder.and_(fa, fb)
-        for out_node, out_lit in zip(part.boundary_outputs, rep.outputs):
-            m = local[lit_node(out_lit)]
-            mapping[out_node] = lit_not(m) if lit_negated(out_lit) else m
-
-    # Iterative resolution; the part quotient graph is acyclic by the
-    # partition contract, so inlining a whole part on demand terminates.
-    def resolve(node: int) -> int:
-        if node in mapping:
-            return mapping[node]
-        stack = [node]
-        while stack:
-            cur = stack[-1]
-            if cur in mapping:
-                stack.pop()
-                continue
-            pid = owner.get(cur)
-            if pid is not None:
-                part = by_id[pid]
-                deps = [s for s in part.boundary_inputs
-                        if s not in mapping]
-                if deps:
-                    stack.extend(deps)
-                    continue
-                inline_part(pid)
-                if cur not in mapping:
-                    raise AigError(
-                        f"node {cur} of part {pid} is read outside the part "
-                        "but is not a boundary output")
-                stack.pop()
-                continue
-            a, b = circuit.ands[cur - first_and]
-            deps = [n for n in (lit_node(a), lit_node(b)) if n not in mapping]
-            if deps:
-                stack.extend(deps)
-                continue
-            mapping[cur] = builder.and_(mapped(a), mapped(b))
-            stack.pop()
+    def built(node: int, reader: str) -> int:
+        if node not in mapping:
+            raise AigError(
+                f"{reader} reads node {node} before it is built: parts must "
+                "be the partition of the circuit in flow order, read outside "
+                "a cell only through its boundary outputs")
         return mapping[node]
 
+    for part in parts:
+        cell = replacements.get(part.id, part.extracted)
+        shape = (len(part.boundary_inputs), len(part.boundary_outputs))
+        if (cell.num_inputs, cell.num_outputs) != shape:
+            raise AigError(
+                f"part {part.id}: replacement has {cell.num_inputs} inputs "
+                f"and {cell.num_outputs} outputs, boundary has {shape[0]} "
+                f"and {shape[1]}")
+        # local[n] is the builder literal of the cell's node n
+        local = [CONST0] + [built(src, f"part {part.id}")
+                            for src in part.boundary_inputs]
+        for a, b in cell.ands:
+            local.append(builder.and_(local[a >> 1] ^ (a & 1),
+                                      local[b >> 1] ^ (b & 1)))
+        for node, out in zip(part.boundary_outputs, cell.outputs):
+            mapping[node] = local[out >> 1] ^ (out & 1)
+
     for o in circuit.outputs:
-        builder.add_output(mapped(o))
+        builder.add_output(built(lit_node(o), "an output") ^ (o & 1))
     return cleanup(builder.build(circuit.input_names, circuit.output_names))
 

@@ -45,6 +45,8 @@ class ExplorationConfig:
             raise AigError("step must be >= 1")
         if self.beam_width < 1:
             raise AigError("beam_width must be >= 1")
+        if self.qor_samples < 1:
+            raise AigError("qor_samples must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,10 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_depth < 0:
             raise OdtError("max_depth must be >= 0")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise OdtError("node_limit must be >= 0")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise OdtError("time_limit must be >= 0")  # NaN fails too
 
 
 @dataclass(frozen=True)

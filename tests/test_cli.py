@@ -196,3 +196,18 @@ def test_whole_circuit_over_table_cap_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and err.startswith("error:")
+
+
+def test_negative_limit_or_sample_count_is_input_error(capsys):
+    # --samples -1 used to fail as Python's "negative shift count"; the
+    # other three were accepted and ran
+    for name, flag, value in (("c17", "--node-limit", "-5"),
+                              ("c17", "--time-limit", "-1"),
+                              ("c432", "--samples", "-1"),
+                              ("c17", "--samples", "0")):
+        code = main(["approximate", str(BENCH / f"{name}.aag"), flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert "Traceback" not in err and err.startswith("error:")
+        assert flag[2:].replace("-", "_") in err, err

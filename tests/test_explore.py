@@ -36,6 +36,9 @@ def test_config_validation():
         ExplorationConfig(beam_width=0)
     with pytest.raises(AigError):
         ExplorationConfig(step=0)
+    for samples in (0, -1):
+        with pytest.raises(AigError):
+            ExplorationConfig(qor_samples=samples)
 
 
 def test_zero_threshold_returns_equivalent_circuit(rng):

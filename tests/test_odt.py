@@ -105,6 +105,14 @@ def test_empty_dataset_rejected():
         fit_optimal(d, SearchBudget(max_depth=1))
 
 
+def test_negative_budget_rejected():
+    for limits in ({"node_limit": -5}, {"time_limit": -1.0},
+                   {"time_limit": float("nan")}):
+        with pytest.raises(OdtError):
+            SearchBudget(max_depth=1, **limits)
+    SearchBudget(max_depth=1, node_limit=0, time_limit=0.0)  # zero is valid
+
+
 def test_node_limit_returns_unproven_tree():
     rng = random.Random(17)
     d = make_dataset(rng, 8, 64)

@@ -1,11 +1,13 @@
 """Bounded-interface decomposition."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
-from treesynth.aig import AigError, and_count, cleanup, compose, simulate
+from treesynth.aig import (Aig, AigError, and_count, cleanup, compose,
+                           simulate)
 from treesynth.bench import BENCHMARKS
 from treesynth.partition import (PartitionConfig, extract, partition,
                                  partition_report)
@@ -42,6 +44,8 @@ def check_soundness(circuit, parts, config):
 def identity_recompose_error(circuit, parts) -> float:
     replacements = {p.id: p.extracted for p in parts}
     rebuilt = compose(cleanup(circuit), parts, replacements)
+    # an unsubstituted cell is inlined as its own extraction
+    assert rebuilt == compose(cleanup(circuit), parts, {})
     if circuit.num_inputs <= 16:
         return qor_exhaustive(circuit, rebuilt).error
     return qor_monte_carlo(circuit, rebuilt, 10_000, 0).error
@@ -75,7 +79,6 @@ def test_extract_rejects_non_and_nodes():
 
 
 def test_partition_empty_circuit():
-    from treesynth.aig import Aig
     c = Aig(num_inputs=3, ands=(), outputs=(2,))
     assert partition(c, PartitionConfig()) == []
 
@@ -142,6 +145,36 @@ def test_replacement_interface_checked():
     wrong = AigBuilder(17).build()
     with pytest.raises(AigError):
         compose(cleanup(c), parts, {parts[0].id: wrong})
+
+
+def test_unknown_part_id_rejected():
+    c = cleanup(BENCHMARKS["add8u"]())
+    parts = partition(c, PartitionConfig())
+    for pid in (99, -1):
+        with pytest.raises(AigError, match="unknown part id"):
+            compose(c, parts, {pid: parts[-1].extracted})
+
+
+def test_cells_out_of_flow_order_rejected():
+    c = cleanup(BENCHMARKS["add8u"]())
+    parts = partition(c, PartitionConfig())
+    assert len(parts) > 1
+    with pytest.raises(AigError, match="before it is built"):
+        compose(c, parts[::-1], {})
+
+
+def test_non_boundary_member_read_outside_rejected():
+    # drop a boundary output from a cell: its reader cannot see the node
+    c = cleanup(BENCHMARKS["add8u"]())
+    parts = partition(c, PartitionConfig())
+    cell = parts[0]
+    hidden = Aig(cell.extracted.num_inputs, cell.extracted.ands,
+                 cell.extracted.outputs[1:])
+    parts[0] = dataclasses.replace(
+        cell, boundary_outputs=cell.boundary_outputs[1:], extracted=hidden)
+    for replacements in ({}, {cell.id: hidden}):
+        with pytest.raises(AigError, match="before it is built"):
+            compose(c, parts, replacements)
 
 
 def test_partition_report():
