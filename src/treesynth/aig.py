@@ -90,18 +90,34 @@ def simulate_words(circuit: Aig, input_words: list[int], mask: int) -> list[int]
     """
     if len(input_words) != circuit.num_inputs:
         raise AigError("input word count does not match circuit inputs")
-    values = [0] * circuit.num_nodes
-    for i, w in enumerate(input_words):
-        values[1 + i] = w & mask
+    values = [0] + [w & mask for w in input_words]
+    extend_words(values, circuit.ands, circuit.num_inputs + 1, mask)
+    return literal_words(values, circuit.outputs, mask)
 
-    def val(literal: int) -> int:
-        v = values[literal >> 1]
-        return v ^ mask if literal & 1 else v
 
-    base = circuit.num_inputs + 1
-    for i, (a, b) in enumerate(circuit.ands):
-        values[base + i] = val(a) & val(b)
-    return [val(o) for o in circuit.outputs]
+def extend_words(values: list[int], ands, first_and: int, mask: int) -> None:
+    """Append the packed word of every AND node that ``values`` lacks.
+
+    ``values[n]`` is the word of node ``n``; it covers the constant, the
+    inputs and a prefix of ``ands``, whose entry ``i`` is the fanin pair of
+    node ``first_and + i``.  Calling it again after more nodes were built
+    simulates only those.
+    """
+    append = values.append
+    for a, b in ands[len(values) - first_and:]:
+        wa = values[a >> 1]
+        if a & 1:
+            wa ^= mask
+        wb = values[b >> 1]
+        if b & 1:
+            wb ^= mask
+        append(wa & wb)
+
+
+def literal_words(values: list[int], literals, mask: int) -> list[int]:
+    """The packed word of each literal, given the word of every node."""
+    return [values[x >> 1] ^ mask if x & 1 else values[x >> 1]
+            for x in literals]
 
 
 def pack_vectors(vectors: list[tuple[int, ...]], num_inputs: int) -> list[int]:
@@ -155,17 +171,25 @@ def truth_table_input_words(num_inputs: int, base: int = 0,
 
 def reachable_nodes(circuit: Aig) -> set[int]:
     """AND nodes reachable from the outputs (constants/PIs excluded)."""
-    first_and = circuit.num_inputs + 1
-    seen: set[int] = set()
-    stack = [lit_node(o) for o in circuit.outputs]
+    return _reachable(circuit.ands, circuit.num_inputs + 1, circuit.outputs)
+
+
+def _reachable(ands, first_and: int, literals) -> set[int]:
+    """AND nodes reachable from ``literals``; ``ands[i]`` is node
+    ``first_and + i``."""
+    seen = {x >> 1 for x in literals if x >> 1 >= first_and}
+    stack = list(seen)
+    push, mark = stack.append, seen.add
     while stack:
-        node = stack.pop()
-        if node < first_and or node in seen:
-            continue
-        seen.add(node)
-        a, b = circuit.ands[node - first_and]
-        stack.append(lit_node(a))
-        stack.append(lit_node(b))
+        a, b = ands[stack.pop() - first_and]
+        a >>= 1
+        if a >= first_and and a not in seen:
+            mark(a)
+            push(a)
+        b >>= 1
+        if b >= first_and and b not in seen:
+            mark(b)
+            push(b)
     return seen
 
 
@@ -249,6 +273,32 @@ class AigBuilder:
             return lit_not(sel)
         return self.or_(self.and_(sel, high), self.and_(lit_not(sel), low))
 
+    def inline(self, cell: Aig, inputs: list[int]) -> list[int]:
+        """Build ``cell`` on the builder literals ``inputs`` of its inputs.
+
+        Returns the builder literal of each cell output.  Structural
+        hashing reuses every node the builder already holds.
+        """
+        local = [CONST0, *inputs]  # builder literal of the cell's node n
+        for a, b in cell.ands:
+            local.append(self.and_(local[a >> 1] ^ (a & 1),
+                                   local[b >> 1] ^ (b & 1)))
+        return [local[o >> 1] ^ (o & 1) for o in cell.outputs]
+
+    def reachable(self, literals) -> set[int]:
+        """AND nodes reachable from ``literals``."""
+        return _reachable(self.ands, self.num_inputs + 1, literals)
+
+    def rollback(self, size: int) -> None:
+        """Forget the AND nodes built after the first ``size``.
+
+        The builder is then as it was when it held ``size`` AND nodes;
+        outputs must not reference the forgotten nodes.
+        """
+        for key in self.ands[size:]:
+            del self._strash[key]
+        del self.ands[size:]
+
     def add_output(self, literal: int) -> None:
         self.outputs.append(literal)
 
@@ -294,17 +344,15 @@ def cleanup(circuit: Aig) -> Aig:
     return _rebuild(circuit, keep_only_reachable=True)
 
 
-def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
-    """Substitute several partition cells at once.
+def compose_builder(circuit: Aig, parts,
+                    replacements: dict[int, Aig]) -> tuple[AigBuilder,
+                                                           dict[int, int]]:
+    """The uncleaned composition behind ``compose``.
 
-    ``parts`` must be the partition of ``circuit`` (SubCircuit values, see
-    the partition module) in its flow order: every boundary input of a cell
-    is a primary input or a boundary output of an earlier cell.
-    ``replacements`` maps part id -> replacement Aig over the part's
-    boundary interface.  One pass over the cells inlines every cell, its
-    replacement or else its own extraction, on its already-built boundary
-    inputs.  The result is cleaned and structurally hashed; its nodes
-    follow cell order.
+    Returns the builder, whose outputs are the circuit's, and the builder
+    literal of node 0, of every primary input and of every boundary output
+    node.  Its nodes follow cell order; AND nodes no output reaches are
+    kept.
     """
     ids = {p.id for p in parts}
     for pid in replacements:
@@ -332,16 +380,28 @@ def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
                 f"part {part.id}: replacement has {cell.num_inputs} inputs "
                 f"and {cell.num_outputs} outputs, boundary has {shape[0]} "
                 f"and {shape[1]}")
-        # local[n] is the builder literal of the cell's node n
-        local = [CONST0] + [built(src, f"part {part.id}")
-                            for src in part.boundary_inputs]
-        for a, b in cell.ands:
-            local.append(builder.and_(local[a >> 1] ^ (a & 1),
-                                      local[b >> 1] ^ (b & 1)))
-        for node, out in zip(part.boundary_outputs, cell.outputs):
-            mapping[node] = local[out >> 1] ^ (out & 1)
+        inputs = [built(src, f"part {part.id}")
+                  for src in part.boundary_inputs]
+        for node, out in zip(part.boundary_outputs,
+                             builder.inline(cell, inputs)):
+            mapping[node] = out
 
     for o in circuit.outputs:
         builder.add_output(built(lit_node(o), "an output") ^ (o & 1))
-    return cleanup(builder.build(circuit.input_names, circuit.output_names))
+    return builder, mapping
 
+
+def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
+    """Substitute several partition cells at once.
+
+    ``parts`` must be the partition of ``circuit`` (SubCircuit values, see
+    the partition module) in its flow order: every boundary input of a cell
+    is a primary input or a boundary output of an earlier cell.
+    ``replacements`` maps part id -> replacement Aig over the part's
+    boundary interface.  One pass over the cells inlines every cell, its
+    replacement or else its own extraction, on its already-built boundary
+    inputs.  The result is cleaned and structurally hashed; its nodes
+    follow cell order.
+    """
+    builder, _ = compose_builder(circuit, parts, replacements)
+    return cleanup(builder.build(circuit.input_names, circuit.output_names))

@@ -6,6 +6,24 @@ cell by loss = (area' - original_area) / error', keeps the best successor
 states inside the error budget, then lowers the substituted cell's depth
 budget and regenerates its approximation.
 
+A candidate is scored without composing it.  Each beam state is built once
+per iteration: a structurally hashed builder holding all its cells in flow
+order, the builder literal of every boundary node, and the search-vector
+word of every builder node.  A candidate inlines its replacement on the
+state's boundary literals and re-inlines only the later cells that read a
+literal that changed.  Its area is the number of AND nodes reachable from
+its outputs; its error counts the bits in which its output words, from
+simulating only the appended nodes, differ from the original circuit's,
+simulated once per run.  The builder and its words are then rolled back.
+Structural hashing makes node identity the same as term identity, so area
+and error equal those of the composed candidate exactly; only a candidate
+that becomes the new best is composed.
+
+The per-node words of one beam state are held at a time, which bounds the
+search's memory: (AND nodes of the state) x (search vectors) bits, where
+the vectors are the whole truth table when the circuit has at most
+``max_inputs`` inputs and ``qor_samples`` random vectors otherwise.
+
 A tree search that runs out of its node or time limit leaves the best tree
 it found for that cell; the run goes on with it and reports
 ``budget_exceeded``.
@@ -16,10 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .aig import Aig, AigError, and_count, cleanup, compose
+from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
+                  extend_words, literal_words, simulate_words,
+                  truth_table_input_words)
 from .partition import PartitionConfig, SubCircuit, partition
-from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, qor_exhaustive,
-                  qor_monte_carlo, qor_on_words, sample_input_words)
+from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, mismatched_bits,
+                  qor_exhaustive, qor_monte_carlo, sample_input_words)
+from .qor import qor_on_words  # noqa: F401  (perfbench's tracer wraps it here)
 from .synth import ApproxSubCircuit, approx_sub_circuit
 
 
@@ -102,6 +123,67 @@ def _final_measure(original: Aig, approx: Aig, config: ExplorationConfig) -> Qor
                            config.seed + 1)
 
 
+class _BeamState:
+    """One beam state's composition, held while its candidates are scored.
+
+    ``builder`` holds every cell of the state inlined in flow order,
+    ``lits`` the builder literal of node 0, of each primary input and of
+    each boundary output node, and ``words`` the search-vector word of each
+    builder node.  ``substitute`` appends a candidate's nodes and
+    ``rollback`` drops them and their words again.
+    """
+
+    def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
+        original = explorer.original
+        self.parts = explorer.parts
+        self.outputs = original.outputs
+        self.cells = [replacements.get(p.id, p.extracted) for p in self.parts]
+        self.builder, self.lits = compose_builder(original, self.parts,
+                                                  replacements)
+        self.size = len(self.builder.ands)
+        self.first_and = original.num_inputs + 1
+        self.mask = explorer.search_mask
+        self.words = [0, *explorer.search_words]
+        extend_words(self.words, self.builder.ands, self.first_and, self.mask)
+
+    def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
+        """Build the candidate that replaces cell ``part_id`` by ``cell``.
+
+        ``cell`` is inlined on the state's boundary literals, then every
+        later cell that reads a boundary literal that changed is inlined
+        again.  Returns the candidate's area and output literals.
+        """
+        lits, builder = self.lits, self.builder
+        changed: dict[int, int] = {}
+        for part in self.parts[part_id:]:
+            if part.id == part_id:
+                body = cell
+            elif changed.keys().isdisjoint(part.boundary_inputs):
+                continue  # same inputs, so the same nodes as the state's
+            else:
+                body = self.cells[part.id]
+            inputs = [changed.get(src, lits[src])
+                      for src in part.boundary_inputs]
+            for node, out in zip(part.boundary_outputs,
+                                 builder.inline(body, inputs)):
+                if out != lits[node]:
+                    changed[node] = out
+        outputs = [changed.get(o >> 1, lits[o >> 1]) ^ (o & 1)
+                   for o in self.outputs]
+        return len(builder.reachable(outputs)), outputs
+
+    def output_words(self, outputs: list[int]) -> list[int]:
+        """Words of ``outputs``, simulating only the nodes not yet
+        simulated."""
+        extend_words(self.words, self.builder.ands, self.first_and, self.mask)
+        return literal_words(self.words, outputs, self.mask)
+
+    def rollback(self) -> None:
+        """Drop the nodes and words of the last candidate."""
+        self.builder.rollback(self.size)
+        del self.words[self.first_and + self.size:]
+
+
 class _Explorer:
     def __init__(self, circuit: Aig, config: ExplorationConfig):
         self.original = cleanup(circuit)
@@ -109,11 +191,21 @@ class _Explorer:
         self.parts = partition(self.original, config.partition)
         self.original_area = and_count(self.original)
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
-        if self.original.num_inputs <= config.partition.max_inputs:
-            self.search_words, self.search_mask = None, 0
+        n = self.original.num_inputs
+        if n <= config.partition.max_inputs:
+            if n > EXHAUSTIVE_INPUT_CAP:
+                raise AigError(f"{n} inputs exceed the exhaustive cap of "
+                               f"{EXHAUSTIVE_INPUT_CAP}")
+            vectors = 1 << n
+            self.search_words = truth_table_input_words(n)
+            self.search_mask = (1 << vectors) - 1
         else:
+            vectors = config.qor_samples
             self.search_words, self.search_mask = sample_input_words(
-                self.original.num_inputs, config.qor_samples, config.seed)
+                n, vectors, config.seed)
+        self.search_bits = vectors * max(self.original.num_outputs, 1)
+        self.reference_words = simulate_words(
+            self.original, self.search_words, self.search_mask)
 
     def approx(self, part: SubCircuit, md: int) -> ApproxSubCircuit:
         key = (part.id, md)
@@ -150,20 +242,54 @@ class _Explorer:
             md = sa.md - self.config.step
         return md
 
+    def replacements(self, applied: tuple[int | None, ...]) -> dict[int, Aig]:
+        return {p.id: self.cache[(p.id, depth)].circuit
+                for p, depth in zip(self.parts, applied) if depth is not None}
+
     def compose_state(self, applied: tuple[int | None, ...]) -> Aig:
-        replacements = {
-            p.id: self.cache[(p.id, depth)].circuit
-            for p, depth in zip(self.parts, applied) if depth is not None}
+        replacements = self.replacements(applied)
         if not replacements:
             return self.original
         return compose(self.original, self.parts, replacements)
 
-    def search_qor(self, approx: Aig) -> float:
-        if self.search_words is None:
-            return qor_exhaustive(self.original, approx).error
-        return qor_on_words(self.original, approx, self.search_words,
-                            self.search_mask, self.config.qor_samples,
-                            self.config.seed).error
+    def search_qor(self, state: _BeamState, outputs: list[int]) -> float:
+        """Search error of the candidate ``state`` holds, with output
+        literals ``outputs``."""
+        return (mismatched_bits(self.reference_words,
+                                state.output_words(outputs))
+                / self.search_bits)
+
+    def score_state(self, stream_idx: int, md_stream: tuple[int, ...],
+                   state_applied: tuple[int | None, ...]) -> list[tuple]:
+        """Score the substitution of each eligible cell of one beam state.
+
+        Returns (loss, part id, stream idx, applied, area, error) for each
+        candidate inside the error budget that is not a zero-gain exact
+        substitution.
+        """
+        err = self.config.error_threshold
+        state = _BeamState(self, self.replacements(state_applied))
+        out = []
+        for part, md, active in zip(self.parts, md_stream, state_applied):
+            if md < 1:
+                continue  # frozen cell
+            if active == md:
+                continue  # already substituted at this depth
+            if md == 1 and (part.id, 1) not in self.cache:
+                continue  # frozen: depth 1 is never regenerated
+            sa = self.approx(part, md)
+            area, outputs = state.substitute(part.id, sa.circuit)
+            q = self.search_qor(state, outputs)
+            state.rollback()
+            if q > err:
+                continue
+            score = loss(area, self.original_area, q)
+            if math.isinf(score) and score > 0:
+                continue  # zero-gain exact substitution
+            applied = list(state_applied)
+            applied[part.id] = md
+            out.append((score, part.id, stream_idx, tuple(applied), area, q))
+        return out
 
     def run(self) -> ExplorationResult:
         config = self.config
@@ -188,36 +314,16 @@ class _Explorer:
         iteration = 0
         while beam:
             iteration += 1
-            candidates = []  # (loss, part id, stream idx, applied, ...)
+            candidates = []
             for stream_idx, (md_stream, state_applied) in enumerate(beam):
-                for part, md, active in zip(self.parts, md_stream,
-                                            state_applied):
-                    if md < 1:
-                        continue  # frozen cell
-                    if active == md:
-                        continue  # already substituted at this depth
-                    if md == 1 and (part.id, 1) not in self.cache:
-                        continue  # frozen: depth 1 is never regenerated
-                    sa = self.approx(part, md)
-                    applied = list(state_applied)
-                    applied[part.id] = md
-                    composed = self.compose_state(tuple(applied))
-                    area = and_count(composed)
-                    q = self.search_qor(composed)
-                    if q > err:
-                        continue
-                    score = loss(area, self.original_area, q)
-                    if math.isinf(score) and score > 0:
-                        continue  # zero-gain exact substitution
-                    candidates.append(
-                        (score, part.id, stream_idx, tuple(applied),
-                         composed, area, q))
+                candidates += self.score_state(stream_idx, md_stream,
+                                               state_applied)
             if not candidates:
                 break
             candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
             next_beam = []
-            for score, part_id, stream_idx, applied, composed, area, q in candidates:
+            for score, part_id, stream_idx, applied, area, q in candidates:
                 if len(next_beam) >= config.beam_width:
                     break
                 md_stream = list(beam[stream_idx][0])
@@ -235,6 +341,7 @@ class _Explorer:
                     iteration=iteration, stream=len(next_beam) - 1,
                     part=part_id, md=used_md, loss=score, area=area, qor=q))
                 if area < best_area:
+                    composed = self.compose_state(applied)
                     report = _final_measure(self.original, composed, config)
                     if report.error <= err:
                         best_circuit = composed
@@ -268,6 +375,8 @@ def replay(circuit: Aig, config: ExplorationConfig,
     explorer = _Explorer(circuit, config)
     applied: list[int | None] = [None] * len(explorer.parts)
     for part_id, depth in substitutions:
+        if part_id not in range(len(explorer.parts)):
+            raise AigError(f"substitution for unknown part id {part_id!r}")
         explorer.approx(explorer.parts[part_id], depth)
         applied[part_id] = depth
     return explorer.compose_state(tuple(applied))

@@ -38,11 +38,20 @@ def _check_arity(original: Aig, approx: Aig) -> None:
         raise AigError("output arity mismatch between original and approx")
 
 
+def mismatched_bits(reference: list[int], candidate: list[int]) -> int:
+    """Bits in which two lists of packed output words differ.
+
+    The one error counter: every error rate of this module, and the
+    explorer's search error, is this count over the number of bits
+    compared.
+    """
+    return sum((wa ^ wb).bit_count() for wa, wb in zip(reference, candidate))
+
+
 def _mismatches(original: Aig, approx: Aig, words: list[int],
                 mask: int) -> int:
-    out_a = simulate_words(original, words, mask)
-    out_b = simulate_words(approx, words, mask)
-    return sum((wa ^ wb).bit_count() for wa, wb in zip(out_a, out_b))
+    return mismatched_bits(simulate_words(original, words, mask),
+                           simulate_words(approx, words, mask))
 
 
 def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from treesynth.aig import (Aig, AigBuilder, AigError, and_count, cleanup,
-                           lit, lit_node, lit_not, metrics, simulate,
+                           extend_words, lit, lit_node, lit_not,
+                           literal_words, metrics, reachable_nodes, simulate,
                            simulate_words, strash, truth_table_input_words)
 
 from conftest import random_circuit
@@ -58,6 +59,45 @@ def test_builder_structural_hashing():
     g2 = b.and_(y, x)  # commuted operands hash to the same node
     assert g1 == g2
     assert len(b.ands) == 1
+
+
+def test_builder_rollback_forgets_later_nodes():
+    b = AigBuilder(3)
+    x, y, z = (b.input_lit(i) for i in range(3))
+    g = b.and_(x, y)
+    ands, strash_table = list(b.ands), dict(b._strash)
+    h = b.and_(g, z)
+    b.and_(h, lit_not(x))
+    b.rollback(1)
+    assert b.ands == ands and b._strash == strash_table
+    assert b.and_(x, y) == g  # kept
+    assert b.and_(g, z) == h  # forgotten, built again as the next node
+    assert len(b.ands) == 2
+
+
+def test_builder_inline_is_simulation_equivalent(rng):
+    for _ in range(10):
+        c = random_circuit(rng, 4, 20, 3)
+        b = AigBuilder(4)
+        for o in b.inline(c, [b.input_lit(i) for i in range(4)]):
+            b.add_output(o)
+        inlined = b.build()
+        assert len(reachable_nodes(inlined)) == and_count(c)
+        words = truth_table_input_words(4)
+        assert simulate_words(inlined, words, 0xFFFF) == \
+            simulate_words(c, words, 0xFFFF)
+
+
+def test_extend_words_simulates_only_new_nodes(rng):
+    c = random_circuit(rng, 5, 30, 3)
+    words, mask = truth_table_input_words(5), (1 << 32) - 1
+    values = [0] + words
+    extend_words(values, c.ands[:10], 6, mask)
+    assert len(values) == 16
+    extend_words(values, c.ands, 6, mask)
+    assert len(values) == c.num_nodes
+    assert literal_words(values, c.outputs, mask) == \
+        simulate_words(c, words, mask)
 
 
 def test_simulate_xor():

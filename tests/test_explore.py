@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from treesynth.aig import Aig, AigError, and_count, simulate
-from treesynth.bench import add8u, mul7u
-from treesynth.explore import (ExplorationConfig, explore, loss, replay)
+from treesynth.aig import Aig, AigError, and_count, compose, simulate
+from treesynth.bench import add8u, c17, mul7u
+from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
+                               explore, loss, replay)
 from treesynth.partition import PartitionConfig
-from treesynth.qor import qor_exhaustive
+from treesynth.qor import qor_exhaustive, qor_on_words, sample_input_words
 
 from conftest import clear_memos, random_circuit
 
@@ -156,3 +157,98 @@ def test_substituted_circuit_functionally_within_budget(rng):
     want = simulate(c, vecs)
     mism = sum(x != y for rg, rw in zip(got, want) for x, y in zip(rg, rw))
     assert mism / (32 * 2) <= 0.25
+
+
+def test_replay_rejects_unknown_part_id():
+    cfg = ExplorationConfig(
+        partition=PartitionConfig(initial_parts=2, max_inputs=3))
+    for part_id in (99, -1):
+        with pytest.raises(AigError, match="unknown part id"):
+            replay(c17(), cfg, [(part_id, 2)])
+
+
+def constant_cell(part, value: int) -> Aig:
+    """A replacement that ties every output of ``part`` to ``value``."""
+    return Aig(num_inputs=len(part.boundary_inputs), ands=(),
+               outputs=(value,) * len(part.boundary_outputs))
+
+
+def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
+    """Score random candidates on random beam states against compose and
+    the QoR module, and check that rollback restores each state."""
+    explorer = _Explorer(circuit, config)
+    original, parts = explorer.original, explorer.parts
+    n = original.num_inputs
+    exhaustive = n <= config.partition.max_inputs
+
+    def random_cell(part):
+        if rng.random() < 0.2:
+            return constant_cell(part, rng.randint(0, 1))
+        return explorer.approx(part, rng.randint(1, max_depth)).circuit
+
+    def check(state, replacements, part, cell):
+        snapshot = (list(state.builder.ands), dict(state.builder._strash),
+                    list(state.words))
+        area, outputs = state.substitute(part.id, cell)
+        error = explorer.search_qor(state, outputs)
+        state.rollback()
+        assert snapshot == (list(state.builder.ands),
+                            dict(state.builder._strash), list(state.words))
+        composed = compose(original, parts, {**replacements, part.id: cell})
+        assert area == and_count(composed)
+        if exhaustive:
+            want = qor_exhaustive(original, composed)
+        else:
+            words, mask = sample_input_words(n, config.qor_samples,
+                                             config.seed)
+            want = qor_on_words(original, composed, words, mask,
+                                config.qor_samples, config.seed)
+        assert error == want.error
+        return outputs
+
+    # a cell that drives an output, folded to constant 1
+    driven = [(k, p) for k, o in enumerate(original.outputs) for p in parts
+              if o >> 1 in p.boundary_outputs]
+    assert driven
+    index, driver = driven[0]
+    for _ in range(states):
+        replacements = {p.id: random_cell(p) for p in parts
+                        if rng.random() < 0.4}
+        state = _BeamState(explorer, replacements)
+        for _ in range(per_state):
+            part = rng.choice(parts)
+            check(state, replacements, part, random_cell(part))
+        outputs = check(state, replacements, driver,
+                        constant_cell(driver, 1))
+        assert outputs[index] in (0, 1)
+
+
+def deep_circuit(rng, num_inputs: int, num_ands: int,
+                 num_outputs: int) -> Aig:
+    """A random circuit whose outputs read its last AND nodes, so that
+    most of its logic is live."""
+    c = random_circuit(rng, num_inputs, num_ands, 0)
+    last = c.num_inputs + len(c.ands)
+    outputs = tuple(2 * (last - k) + rng.randint(0, 1)
+                    for k in range(num_outputs))
+    return Aig(num_inputs=num_inputs, ands=c.ands, outputs=outputs)
+
+
+@pytest.mark.parametrize("num_inputs,max_inputs", [
+    (6, 14),   # exhaustive search, one chunk
+    (9, 4),    # Monte-Carlo search
+    (15, 15),  # exhaustive search over two 2**14-row chunks
+])
+def test_scorer_matches_compose_and_qor(rng, num_inputs, max_inputs):
+    for _ in range(3):
+        c = deep_circuit(rng, num_inputs, 12 * num_inputs, 3)
+        cfg = ExplorationConfig(qor_samples=500, partition=PartitionConfig(
+            initial_parts=4, max_inputs=max_inputs))
+        check_scorer(c, cfg, rng, max_depth=3)
+
+
+def test_scorer_matches_compose_and_qor_on_benchmarks(rng):
+    check_scorer(c17(), ExplorationConfig(partition=PartitionConfig(
+        initial_parts=2, max_inputs=3)), rng, max_depth=2)
+    check_scorer(mul7u(), ExplorationConfig(partition=PartitionConfig(
+        initial_parts=10)), rng, max_depth=3, states=2)

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from treesynth.aig import Aig, AigBuilder, AigError, lit_not
-from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, qor_exhaustive,
-                           qor_monte_carlo, sample_input_words)
+from treesynth.aig import (Aig, AigBuilder, AigError, lit_not, simulate_words,
+                           truth_table_input_words)
+from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, mismatched_bits,
+                           qor_exhaustive, qor_monte_carlo, sample_input_words)
 
 from conftest import random_circuit
 
@@ -62,6 +63,16 @@ def test_exhaustive_matches_manual_count(rng):
         r = qor_exhaustive(a, b)
         assert r.mismatched_bits == mism
         assert r.error == mism / (len(vecs) * 2)
+
+
+def test_mismatched_bits_is_the_reported_count(rng):
+    assert mismatched_bits([0b1010, 0b1], [0b0110, 0b1]) == 2
+    assert mismatched_bits([], []) == 0
+    a = random_circuit(rng, 5, 20, 3)
+    b = random_circuit(rng, 5, 20, 3)
+    words, mask = truth_table_input_words(5), (1 << 32) - 1
+    assert qor_exhaustive(a, b).mismatched_bits == mismatched_bits(
+        simulate_words(a, words, mask), simulate_words(b, words, mask))
 
 
 def test_exhaustive_chunking_consistent(rng):
