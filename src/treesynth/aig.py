@@ -340,8 +340,16 @@ def strash(circuit: Aig) -> Aig:
 
 
 def cleanup(circuit: Aig) -> Aig:
-    """Drop AND nodes unreachable from the outputs, then strash."""
-    return _rebuild(circuit, keep_only_reachable=True)
+    """Drop AND nodes unreachable from the outputs, then strash.
+
+    Constant folding can orphan a kept node (``n6 = n5 & !n5`` leaves
+    ``n5`` unread); a second pass then drops it, so that cleaning a
+    cleaned circuit returns it unchanged.
+    """
+    cleaned = _rebuild(circuit, keep_only_reachable=True)
+    if and_count(cleaned) < len(cleaned.ands):
+        cleaned = _rebuild(cleaned, keep_only_reachable=True)
+    return cleaned
 
 
 def compose_builder(circuit: Aig, parts,

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aig import Aig, AigError, and_count, metrics
@@ -22,42 +21,6 @@ from .synth import approx_sub_circuit, tree_to_aig
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET_EXCEEDED = 3
-
-
-@dataclass
-class RunReport:
-    mode: str
-    config: dict
-    results: list[dict] = field(default_factory=list)
-    selected: dict | None = None
-    seed: int = 0
-    wall_clock_s: float = 0.0
-
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "mode": self.mode,
-            "config": self.config,
-            "seed": self.seed,
-            "results": self.results,
-        }
-        if self.selected is not None:
-            out["selected"] = self.selected
-        if include_timing:
-            out["wall_clock_s"] = round(self.wall_clock_s, 3)
-        return out
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True,
-                          indent=2)
-
-    def to_csv(self) -> str:
-        if not self.results:
-            return ""
-        keys = sorted({k for row in self.results for k in row})
-        lines = [",".join(keys)]
-        for row in self.results:
-            lines.append(",".join(str(row.get(k, "")) for k in keys))
-        return "\n".join(lines) + "\n"
 
 
 def _read_netlist(path: str) -> Aig:
@@ -77,28 +40,37 @@ def _write_netlist(circuit: Aig, path: str, fmt: str) -> None:
 
 
 def _parse_depth_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-    elif ":" in text:
-        lo, hi = text.split(":", 1)
-    else:
-        lo = hi = text
-    lo_i, hi_i = int(lo), int(hi)
-    if lo_i < 0 or hi_i < lo_i:
-        raise ValueError(f"bad depth range {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    """The depths of ``N`` or of the inclusive range ``LO..HI``."""
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    try:
+        depths = range(int(lo), int(hi) + 1)
+    except ValueError:
+        depths = range(0)
+    if not depths or depths[0] < 0:
+        raise ValueError(f"bad depth range {text!r}: expected N or LO..HI "
+                         "with 0 <= LO <= HI")
+    return list(depths)
 
 
 def _accuracy(tree, data: Dataset) -> float:
     return 1.0 - count_errors(tree, data) / data.num_rows
 
 
-def _emit_report(report: RunReport, args) -> None:
+def _emit_report(report: dict, args, started: float) -> None:
+    """Print ``report`` as JSON, with ``wall_clock_s`` unless --no-timing,
+    or its ``results`` rows as CSV."""
     if args.report == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        sys.stdout.write(report.to_json(include_timing=not args.no_timing)
-                         + "\n")
+        rows = report["results"]
+        if rows:
+            keys = sorted({k for row in rows for k in row})
+            lines = [",".join(keys)]
+            lines += [",".join(str(row.get(k, "")) for k in keys)
+                      for row in rows]
+            sys.stdout.write("\n".join(lines) + "\n")
+        return
+    if not args.no_timing:
+        report["wall_clock_s"] = round(time.monotonic() - started, 3)
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_learn(args) -> int:
@@ -107,11 +79,13 @@ def cmd_learn(args) -> int:
                              Path(args.validation).read_text(),
                              Path(args.test).read_text())
     depths = _parse_depth_range(args.depths)
-    report = RunReport(
-        mode="learn",
-        config={"train": args.train, "validation": args.validation,
-                "test": args.test, "depths": args.depths, "out": args.out},
-        seed=args.seed)
+    report = {
+        "mode": "learn",
+        "config": {"train": args.train, "validation": args.validation,
+                   "test": args.test, "depths": args.depths, "out": args.out},
+        "seed": args.seed,  # echoed only: learning draws no random numbers
+        "results": [],
+    }
     best = None
     for depth in depths:
         tree = fit_optimal(triple.train, SearchBudget(max_depth=depth))
@@ -124,17 +98,16 @@ def cmd_learn(args) -> int:
             "test_accuracy": _accuracy(tree, triple.test),
             "and_count": and_count(circuit),
         }
-        report.results.append(row)
+        report["results"].append(row)
         # best validation accuracy wins; ties go to the shallower model
         if best is None or row["validation_accuracy"] > best[0]["validation_accuracy"]:
             best = (row, circuit)
     selected_row, selected_circuit = best
-    report.selected = dict(selected_row)
-    report.selected["d_avg"] = float(selected_row["realized_depth"])
+    report["selected"] = {**selected_row,
+                          "d_avg": float(selected_row["realized_depth"])}
     if args.out:
         _write_netlist(selected_circuit, args.out, args.format)
-    report.wall_clock_s = time.monotonic() - started
-    _emit_report(report, args)
+    _emit_report(report, args, started)
     return EXIT_OK
 
 
@@ -167,7 +140,8 @@ def cmd_approximate(args) -> int:
         "whole_circuit": args.whole_circuit, "depth": args.depth,
         "out": args.out, "format": args.format,
     }
-    report = RunReport(mode="approximate", config=config_echo, seed=args.seed)
+    report = {"mode": "approximate", "config": config_echo,
+              "seed": args.seed, "results": []}
 
     if args.whole_circuit:
         # one approximation per depth over the whole circuit's truth tables
@@ -183,7 +157,7 @@ def cmd_approximate(args) -> int:
             trees = approx.per_output_trees
             d_avg = (sum(t.realized_depth for t in trees) / len(trees)
                      if trees else 0.0)
-            report.results.append({
+            report["results"].append({
                 "depth": depth,
                 "qor": q.error,
                 "and_count": and_count(approx.circuit),
@@ -193,14 +167,12 @@ def cmd_approximate(args) -> int:
             if args.out:
                 _write_netlist(approx.circuit,
                                f"{args.out}.md{depth}", args.format)
-        report.wall_clock_s = time.monotonic() - started
-        _emit_report(report, args)
+        _emit_report(report, args, started)
         return EXIT_OK if proven else EXIT_BUDGET_EXCEEDED
 
     result = explore(circuit, _exploration_config(args))
-    for rec in result.trace:
-        report.results.append(rec.as_dict())
-    report.selected = {
+    report["results"] = [rec.as_dict() for rec in result.trace]
+    report["selected"] = {
         "original_and_count": result.original_area,
         "and_count": result.final_area,
         "qor": result.final_qor.error,
@@ -214,8 +186,7 @@ def cmd_approximate(args) -> int:
         Path(args.trace).write_text(
             "\n".join(json.dumps(rec.as_dict(), sort_keys=True)
                       for rec in result.trace) + "\n")
-    report.wall_clock_s = time.monotonic() - started
-    _emit_report(report, args)
+    _emit_report(report, args, started)
     return EXIT_BUDGET_EXCEEDED if result.budget_exceeded else EXIT_OK
 
 
@@ -248,15 +219,22 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p: argparse.ArgumentParser, *, seed: bool,
+                report: bool) -> None:
+    """``--jobs``; ``--seed`` if ``seed``; the netlist format and report
+    flags if ``report``."""
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted and ignored; kept for compatibility "
                         "(every run is single-threaded)")
-    p.add_argument("--format", choices=["aiger", "blif"], default="aiger")
-    p.add_argument("--report", choices=["json", "csv"], default="json")
-    p.add_argument("--no-timing", action="store_true",
-                   help="omit wall-clock from the report (reproducible bytes)")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if report:
+        p.add_argument("--format", choices=["aiger", "blif"],
+                       default="aiger")
+        p.add_argument("--report", choices=["json", "csv"], default="json")
+        p.add_argument("--no-timing", action="store_true",
+                       help="omit wall-clock from the report "
+                            "(reproducible bytes)")
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
@@ -277,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--depths", default="2..10")
     p.add_argument("--out")
-    _add_common(p)
+    _add_common(p, seed=True, report=True)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("approximate", help="approximate a circuit under an "
@@ -304,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depth or LO..HI range for --whole-circuit mode")
     p.add_argument("--out")
     p.add_argument("--trace", help="write the substitution trace (JSON lines)")
-    _add_common(p)
+    _add_common(p, seed=True, report=True)
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("eval", help="measure error between two netlists")
@@ -312,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("approx")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--exhaustive", action="store_true")
-    _add_common(p)
+    _add_common(p, seed=True, report=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("partition", help="report a bounded-interface "
                                          "decomposition")
     p.add_argument("netlist")
     _add_partition_flags(p)
-    _add_common(p)
+    _add_common(p, seed=False, report=False)
     p.set_defaults(func=cmd_partition)
 
     return parser
@@ -330,8 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (AigError, DatasetError, OdtError, FileNotFoundError,
-            ValueError) as exc:
+    except (AigError, DatasetError, OdtError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

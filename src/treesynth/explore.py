@@ -99,7 +99,8 @@ class ExplorationResult:
     final_qor: QorReport
     original_area: int
     final_area: int
-    substitutions: tuple[tuple[int, int], ...]  # (part id, requested depth)
+    # (part id, depth its approximation was computed at), as replay() takes
+    substitutions: tuple[tuple[int, int], ...]
     budget_exceeded: bool = False  # some tree was not proven optimal
 
 
@@ -191,6 +192,9 @@ class _Explorer:
         self.parts = partition(self.original, config.partition)
         self.original_area = and_count(self.original)
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
+        # (part id, depth) -> the depth its cached approximation was
+        # computed at, which replay() must request to rebuild it
+        self.computed_at: dict[tuple[int, int], int] = {}
         n = self.original.num_inputs
         if n <= config.partition.max_inputs:
             if n > EXHAUSTIVE_INPUT_CAP:
@@ -217,9 +221,12 @@ class _Explorer:
                 time_limit=self.config.time_limit,
                 max_table_inputs=self.config.partition.max_inputs)
             self.cache[key] = hit
-            if hit.md != md:
+            self.computed_at[key] = md
+            recorded = (part.id, hit.md)
+            if recorded not in self.cache:
                 # an exact result also answers the recorded (smaller) depth
-                self.cache.setdefault((part.id, hit.md), hit)
+                self.cache[recorded] = hit
+                self.computed_at[recorded] = md
         return hit
 
     def normalize_md(self, part: SubCircuit, md: int) -> int:
@@ -348,7 +355,8 @@ class _Explorer:
                         best_area = area
                         best_report = report
                         best_subs = tuple(
-                            (pid, d) for pid, d in enumerate(applied)
+                            (pid, self.computed_at[(pid, d)])
+                            for pid, d in enumerate(applied)
                             if d is not None)
             beam = next_beam
 

@@ -208,14 +208,12 @@ class _Search:
             return best_err, best
         self.expansions += 1
         limited = self.limited
-        complete = True
         if depth == 1:
             # Both children are leaves: their errors follow from the counts
             # of the high side and the totals of mask, without recursion.
             labels = self.labels
             for f, column in enumerate(self.features):
                 if limited and self.out_of_budget():
-                    complete = False
                     break
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
@@ -239,7 +237,6 @@ class _Search:
             solve = self.solve
             for f, column in enumerate(self.features):
                 if limited and self.out_of_budget():
-                    complete = False
                     break
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
@@ -253,7 +250,7 @@ class _Search:
                     best = Branch(f, t0, t1)
                     if best_err == 0:
                         break
-        if complete and not self.exhausted:
+        if not self.exhausted:
             self.cache[key] = (best_err, best)
         return best_err, best
 

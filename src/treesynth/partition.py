@@ -290,15 +290,13 @@ def _partition(circuit: Aig, config: PartitionConfig) -> tuple[SubCircuit, ...]:
         return (len(ins) <= config.max_inputs
                 and len(outs) <= config.max_outputs)
 
-    # recursive bipartitioning until every cell fits the interface budget
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(parts)):
-            if not within_limits(parts[i]):
-                if split(i):
-                    changed = True
-                    break
+    # recursive bipartitioning until every cell fits the interface budget;
+    # a split leaves the cells before it unchanged, so the scan goes on at
+    # the first half
+    i = 0
+    while i < len(parts):
+        if within_limits(parts[i]) or not split(i):
+            i += 1
 
     return tuple(_extract(net, group, pid) for pid, group in enumerate(parts))
 

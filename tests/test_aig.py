@@ -162,6 +162,23 @@ def test_cleanup_drops_dead_logic():
     assert and_count(c) == and_count(cleaned) == 1
 
 
+def test_cleanup_is_idempotent(rng):
+    # folding n6 = n5 & !n5 to a constant orphans n5; one reachable pass
+    # kept it, so cleaning the result again renumbered its nodes
+    orphaning = Aig(num_inputs=4,
+                    ands=((2, 4), (10, 11), (6, 8), (13, 14), (14, 2), (18, 5)),
+                    outputs=(16, 20, 14))
+    circuits = [orphaning] + [random_circuit(rng, 4, 20, 3)
+                              for _ in range(50)]
+    for c in circuits:
+        cleaned = cleanup(c)
+        assert and_count(cleaned) == len(cleaned.ands)
+        assert cleanup(cleaned) == cleaned
+        vectors = list(itertools.product((0, 1), repeat=c.num_inputs))
+        assert simulate(cleaned, vectors) == simulate(c, vectors)
+    assert len(cleanup(orphaning).ands) == 3
+
+
 def test_strash_preserves_function(rng):
     for _ in range(20):
         c = random_circuit(rng, 4, 20, 3)

@@ -1,10 +1,13 @@
 """Command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
+import pytest
+
 from treesynth.aiger import parse_aiger
-from treesynth.cli import main
+from treesynth.cli import build_parser, main
 
 from conftest import clear_memos
 
@@ -211,3 +214,100 @@ def test_negative_limit_or_sample_count_is_input_error(capsys):
         assert out == ""
         assert "Traceback" not in err and err.startswith("error:")
         assert flag[2:].replace("-", "_") in err, err
+
+
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys):
+    c17 = str(BENCH / "c17.aag")
+    report_flags = [["--format", "blif"], ["--report", "csv"], ["--no-timing"]]
+    cases = [["eval", c17, c17, *flag] for flag in report_flags]
+    cases += [["partition", c17, *flag]
+              for flag in report_flags + [["--seed", "3"]]]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert "error: unrecognized arguments" in err, argv
+
+
+def test_colon_depth_range_is_input_error(capsys):
+    code = main(["approximate", str(BENCH / "c17.aag"), "--whole-circuit",
+                 "--depth", "1:4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad depth range '1:4'")
+
+
+def test_directory_path_is_input_error(tmp_path, capsys):
+    # a directory used to end in an IsADirectoryError traceback, exit 1
+    d, c17 = str(tmp_path), str(BENCH / "c17.aag")
+    for argv in (["learn", d, d, d], ["approximate", d], ["eval", d, c17],
+                 ["eval", c17, d], ["partition", d],
+                 ["approximate", c17, "--initial-parts", "2", "--out", d]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2, argv
+        assert "Traceback" not in err and err.startswith("error:"), argv
+
+
+def test_explore_orphaning_netlist(tmp_path, capsys):
+    # a valid netlist whose first cleanup orphans node 5 (node 6 = 5 & !5)
+    # used to exit 2 with "an output reads node 8 before it is built"
+    netlist = tmp_path / "orphan.aag"
+    netlist.write_text("aag 10 4 0 3 6\n2\n4\n6\n8\n16\n20\n14\n"
+                       "10 2 4\n12 10 11\n14 6 8\n16 13 14\n18 14 2\n"
+                       "20 18 5\n")
+    code, out = run(capsys, "approximate", str(netlist), "--no-timing")
+    assert code == 0
+    assert json.loads(out)["selected"]["original_and_count"] == 3
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes are read."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_declared_flag_is_read(tmp_path, capsys):
+    # --jobs is the one documented no-op; every other flag must change
+    # something, so its handler must read it
+    c17, out = str(BENCH / "c17.aag"), str(tmp_path / "out.aag")
+    pla = [str(PLA / f"mul7u_p12_{part}.pla")
+           for part in ("train", "valid", "test")]
+    invocations = {
+        "learn": [[*pla, "--depths", "1", "--out", out, "--seed", "1"]],
+        "approximate": [
+            [c17, "--initial-parts", "2", "--out", out,
+             "--trace", str(tmp_path / "trace.jsonl")],
+            [c17, "--whole-circuit", "--depth", "1..2", "--out", out]],
+        "eval": [[c17, c17, "--exhaustive"], [c17, c17, "--samples", "64"]],
+        "partition": [[c17]],
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(invocations)
+    flags = [a for p in subparsers.choices.values() for a in p._actions
+             if a.option_strings and a.dest != "help"]
+    assert len(flags) == 34  # 41 before eval and partition lost 7
+    for command, argvs in invocations.items():
+        reads = set()
+        for argv in argvs:
+            args = parser.parse_args([command, *argv],
+                                     namespace=ReadRecorder())
+            # parsing itself looks every default up; count only the handler
+            args._reads.clear()
+            assert args.func(args) == 0
+            reads |= args._reads
+        capsys.readouterr()
+        declared = {a.dest for a in subparsers.choices[command]._actions
+                    if a.dest != "help"}
+        assert declared - reads == {"jobs"}, command
+

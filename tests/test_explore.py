@@ -1,6 +1,7 @@
 """Greedy exploration of the area-vs-error trade-off."""
 
 import math
+import random
 
 import pytest
 
@@ -87,6 +88,49 @@ def test_trace_replay_reproduces_result(rng):
     res = explore(c, cfg)
     rebuilt = replay(c, cfg, res.substitutions)
     assert rebuilt == res.circuit
+
+
+def test_replay_rebuilds_exact_cell_cached_under_smaller_depth():
+    # cell 1's exact approximation is also cached under its smallest
+    # realized depth, 2, at which the cell is not exact; the substitution
+    # used to name 2, and replay built a 1-AND circuit with error 1/64
+    c = Aig(num_inputs=5, ands=((3, 4), (6, 8), (12, 14), (7, 8), (5, 13)),
+            outputs=(20, 18, 1, 17))
+    cfg = ExplorationConfig(
+        error_threshold=0.15,
+        partition=PartitionConfig(initial_parts=2, max_inputs=5))
+    res = explore(c, cfg)
+    assert (res.final_area, res.final_qor.error) == (4, 0.0)
+    assert res.substitutions == ((1, 9),)
+    assert replay(c, cfg, res.substitutions) == res.circuit
+
+
+def test_replay_matches_explore_on_random_circuits():
+    # seed 1 reaches the cached-under-a-smaller-depth case at its 15th
+    # circuit
+    rng = random.Random(1)
+    for _ in range(200):
+        c = random_circuit(rng, rng.randint(3, 6), rng.randint(4, 14),
+                           rng.randint(1, 4))
+        cfg = ExplorationConfig(
+            error_threshold=rng.choice((0.05, 0.15, 0.3)),
+            partition=PartitionConfig(initial_parts=rng.randint(2, 3),
+                                      max_inputs=rng.randint(3, 6)))
+        res = explore(c, cfg)
+        assert replay(c, cfg, res.substitutions) == res.circuit, (c, cfg)
+
+
+def test_explore_circuit_whose_cleanup_orphans_a_node():
+    # cleanup left an orphaned node, so partition's second cleanup numbered
+    # nodes differently from the explorer's and compose raised AigError
+    c = Aig(num_inputs=4,
+            ands=((2, 4), (10, 11), (6, 8), (13, 14), (14, 2), (18, 5)),
+            outputs=(16, 20, 14))
+    cfg = ExplorationConfig()
+    res = explore(c, cfg)
+    assert res.original_area == 3
+    assert qor_exhaustive(c, res.circuit).error <= cfg.error_threshold
+    assert replay(c, cfg, res.substitutions) == res.circuit
 
 
 def test_deterministic(rng):
