@@ -142,7 +142,11 @@ def _logical_lines(text: str) -> list[str]:
 
 
 def write_blif(circuit: Aig, model: str = "top") -> str:
-    """Serialize the cleaned circuit; one two-input .names table per AND."""
+    """Serialize the cleaned circuit; one two-input .names table per AND.
+
+    Internal nodes get names no input or output uses; an output named like
+    an input or an earlier output must carry its literal (else AigError).
+    """
     c = cleanup(circuit)
     in_names = list(c.input_names) if c.input_names else [
         f"x{k}" for k in range(c.num_inputs)]
@@ -152,18 +156,23 @@ def write_blif(circuit: Aig, model: str = "top") -> str:
     if in_names:
         lines.append(".inputs " + " ".join(in_names))
     lines.append(".outputs " + " ".join(out_names))
+    reserved = set(in_names) | set(out_names)
+
+    def fresh(name: str) -> str:
+        while name in reserved:
+            name += "_"
+        return name
+
+    const0 = fresh("const0")
+    names = [const0, *in_names]
 
     def name_of(node: int) -> str:
-        if node == 0:
-            return "const0"
-        if node <= c.num_inputs:
-            return in_names[node - 1]
-        return f"n{node}"
+        return names[node] if node < len(names) else fresh(f"n{node}")
 
     uses_const = any(lit_node(x) == 0 for pair in c.ands for x in pair) or any(
         lit_node(o) == 0 for o in c.outputs)
     if uses_const:
-        lines.append(".names const0")
+        lines.append(f".names {const0}")
     first_and = c.num_inputs + 1
     for k, (a, b) in enumerate(c.ands):
         pa = "0" if lit_negated(a) else "1"
@@ -172,9 +181,15 @@ def write_blif(circuit: Aig, model: str = "top") -> str:
             f".names {name_of(lit_node(a))} {name_of(lit_node(b))} "
             f"{name_of(first_and + k)}")
         lines.append(f"{pa}{pb} 1")
+    literal_of = {name: 2 * k for k, name in enumerate(in_names, 1)}
     for o, out_name in zip(c.outputs, out_names):
-        src = name_of(lit_node(o))
-        lines.append(f".names {src} {out_name}")
+        if out_name in literal_of:
+            if literal_of[out_name] != o:
+                raise AigError(f"output {out_name} is named like an input or "
+                               "an earlier output but other logic drives it")
+            continue
+        literal_of[out_name] = o
+        lines.append(f".names {name_of(lit_node(o))} {out_name}")
         lines.append(("0 1" if lit_negated(o) else "1 1"))
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aig import Aig, simulate_words, truth_table_input_words
+from .qor import EXHAUSTIVE_INPUT_CAP
 
 MAX_TABLE_INPUTS = 14
 
@@ -55,11 +56,13 @@ class Dataset:
 
 def truth_tables(circuit: Aig,
                  max_table_inputs: int = MAX_TABLE_INPUTS) -> list[Dataset]:
-    """One exhaustive dataset per output, sharing a single simulation pass."""
+    """One exhaustive dataset per output, sharing a single simulation pass;
+    at most ``max_table_inputs`` and never over ``EXHAUSTIVE_INPUT_CAP``."""
     n = circuit.num_inputs
-    if n > max_table_inputs:
+    cap = min(max_table_inputs, EXHAUSTIVE_INPUT_CAP)
+    if n > cap:
         raise DatasetError(
-            f"{n} inputs exceed the truth-table cap of {max_table_inputs}; "
+            f"{n} inputs exceed the truth-table cap of {cap}; "
             "partition the circuit first")
     rows = 1 << n
     words = truth_table_input_words(n)

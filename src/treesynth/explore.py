@@ -3,8 +3,11 @@
 Each beam state carries the per-cell depth vector plus the substitutions
 applied so far.  Every iteration scores the substitution of each eligible
 cell by loss = (area' - original_area) / error', keeps the best successor
-states inside the error budget, then lowers the substituted cell's depth
-budget and regenerates its approximation.
+states inside the error budget, then steps the substituted cell's depth
+budget down from the depth its approximation records (the smallest
+realized depth when it is exact); a budget below 2 freezes the cell.  An
+approximation is cached only under the depth it was fitted at, which is
+also the trace's ``md`` and the substitution's depth.
 
 A candidate is scored without composing it.  Each beam state is built once
 per iteration: a structurally hashed builder holding all its cells in flow
@@ -99,7 +102,7 @@ class ExplorationResult:
     final_qor: QorReport
     original_area: int
     final_area: int
-    # (part id, depth its approximation was computed at), as replay() takes
+    # (part id, depth its approximation was fitted at), as replay() takes
     substitutions: tuple[tuple[int, int], ...]
     budget_exceeded: bool = False  # some tree was not proven optimal
 
@@ -191,10 +194,8 @@ class _Explorer:
         self.config = config
         self.parts = partition(self.original, config.partition)
         self.original_area = and_count(self.original)
+        # (part id, depth an approximation was fitted at) -> approximation
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
-        # (part id, depth) -> the depth its cached approximation was
-        # computed at, which replay() must request to rebuild it
-        self.computed_at: dict[tuple[int, int], int] = {}
         n = self.original.num_inputs
         if n <= config.partition.max_inputs:
             if n > EXHAUSTIVE_INPUT_CAP:
@@ -215,18 +216,11 @@ class _Explorer:
         key = (part.id, md)
         hit = self.cache.get(key)
         if hit is None:
-            hit = approx_sub_circuit(
+            hit = self.cache[key] = approx_sub_circuit(
                 part.extracted, md,
                 node_limit=self.config.node_limit,
                 time_limit=self.config.time_limit,
                 max_table_inputs=self.config.partition.max_inputs)
-            self.cache[key] = hit
-            self.computed_at[key] = md
-            recorded = (part.id, hit.md)
-            if recorded not in self.cache:
-                # an exact result also answers the recorded (smaller) depth
-                self.cache[recorded] = hit
-                self.computed_at[recorded] = md
         return hit
 
     def normalize_md(self, part: SubCircuit, md: int) -> int:
@@ -234,18 +228,15 @@ class _Explorer:
 
         An exact replacement that does not shrink the cell has infinite
         loss; keeping the stream parked there would deadlock the search, so
-        the budget steps down until the approximation is inexact, shrinks
-        the cell, or the cell freezes.
+        the budget steps down from the depth it records until the
+        approximation fitted at the budget is inexact or shrinks the cell.
+        Returns that fitted depth; a budget below 2 freezes the cell.
         """
         cell_area = and_count(part.extracted)
-        while md >= 1:
-            if md == 1 and (part.id, 1) not in self.cache:
-                return 1  # frozen: depth 1 is never regenerated
+        while md >= 2:
             sa = self.approx(part, md)
-            if not sa.exact:
+            if not sa.exact or and_count(sa.circuit) < cell_area:
                 return md
-            if and_count(sa.circuit) < cell_area:
-                return sa.md
             md = sa.md - self.config.step
         return md
 
@@ -277,13 +268,9 @@ class _Explorer:
         err = self.config.error_threshold
         state = _BeamState(self, self.replacements(state_applied))
         out = []
-        for part, md, active in zip(self.parts, md_stream, state_applied):
-            if md < 1:
+        for part, md in zip(self.parts, md_stream):
+            if md < 2:
                 continue  # frozen cell
-            if active == md:
-                continue  # already substituted at this depth
-            if md == 1 and (part.id, 1) not in self.cache:
-                continue  # frozen: depth 1 is never regenerated
             sa = self.approx(part, md)
             area, outputs = state.substitute(part.id, sa.circuit)
             q = self.search_qor(state, outputs)
@@ -302,18 +289,17 @@ class _Explorer:
         config = self.config
         err = config.error_threshold
 
-        # Algorithm setup: approximate every cell at the initial depth; the
-        # depth stream starts from the realized depths.  A beam state is
-        # (md_stream, applied): the per-cell depth budgets, and the requested
-        # depth of each cell's active substitution (None if original).
+        # Algorithm setup: approximate every cell at the initial depth and
+        # normalize it.  A beam state is (md_stream, applied): the per-cell
+        # depth budgets, and the depth each cell's active substitution was
+        # fitted at (None if original).
         initial_md = tuple(self.normalize_md(part, config.initial_max_depth)
                            for part in self.parts)
         start = (initial_md, (None,) * len(self.parts))
 
-        best_circuit = self.original
-        best_area = self.original_area
+        best_circuit, best_area = self.original, self.original_area
         best_report = _final_measure(self.original, self.original, config)
-        best_subs: tuple[tuple[int, int], ...] = ()
+        best_applied = start[1]
         trace: list[TraceRecord] = []
 
         beam = [start]
@@ -335,10 +321,9 @@ class _Explorer:
                     break
                 md_stream = list(beam[stream_idx][0])
                 used_md = md_stream[part_id]
-                new_md = used_md - config.step
-                if new_md >= 1:
-                    new_md = self.normalize_md(self.parts[part_id], new_md)
-                md_stream[part_id] = new_md
+                md_stream[part_id] = self.normalize_md(
+                    self.parts[part_id],
+                    self.cache[(part_id, used_md)].md - config.step)
                 state = (tuple(md_stream), applied)
                 if state in seen:
                     continue
@@ -351,19 +336,15 @@ class _Explorer:
                     composed = self.compose_state(applied)
                     report = _final_measure(self.original, composed, config)
                     if report.error <= err:
-                        best_circuit = composed
-                        best_area = area
-                        best_report = report
-                        best_subs = tuple(
-                            (pid, self.computed_at[(pid, d)])
-                            for pid, d in enumerate(applied)
-                            if d is not None)
+                        best_circuit, best_area = composed, area
+                        best_report, best_applied = report, applied
             beam = next_beam
 
         return ExplorationResult(
             circuit=best_circuit, trace=tuple(trace), final_qor=best_report,
             original_area=self.original_area, final_area=best_area,
-            substitutions=best_subs,
+            substitutions=tuple((pid, d) for pid, d in enumerate(best_applied)
+                                if d is not None),
             budget_exceeded=not all(sa.proven for sa in self.cache.values()))
 
 

@@ -68,8 +68,8 @@ def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
     for base in range(0, rows, chunk):
         words = truth_table_input_words(n, base, chunk)
         mismatched += _mismatches(original, approx, words, mask)
-    total = rows * max(original.num_outputs, 1)
-    error = mismatched / total if original.num_outputs else 0.0
+    total = rows * original.num_outputs
+    error = mismatched / total if total else 0.0
     return QorReport(error=error, estimator="exhaustive", samples=rows,
                      seed=0, mismatched_bits=mismatched, total_bits=total)
 
@@ -102,7 +102,7 @@ def qor_on_words(original: Aig, approx: Aig, words: list[int], mask: int,
     """Monte Carlo estimate over an already-packed testbench."""
     _check_arity(original, approx)
     mismatched = _mismatches(original, approx, words, mask)
-    total = samples * max(original.num_outputs, 1)
-    error = mismatched / total if original.num_outputs else 0.0
+    total = samples * original.num_outputs
+    error = mismatched / total if total else 0.0
     return QorReport(error=error, estimator="monte_carlo", samples=samples,
                      seed=seed, mismatched_bits=mismatched, total_bits=total)

@@ -39,7 +39,7 @@ def trees_to_aig(trees: list[DecisionTree], num_inputs: int) -> Aig:
 @dataclass(frozen=True)
 class ApproxSubCircuit:
     circuit: Aig
-    md: int  # value recorded in the max_depth stream
+    md: int  # the explorer's next budget steps down from here
     per_output_trees: tuple[DecisionTree, ...]
     exact: bool
 

@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from treesynth.aig import AigError, simulate
+from treesynth.aig import Aig, AigError, simulate
 from treesynth.bench import c17
 from treesynth.blif import parse_blif, write_blif
+from treesynth.qor import qor_exhaustive
 
 from conftest import random_circuit
 
@@ -75,6 +76,31 @@ def test_roundtrip_c17():
     assert again.output_names == c.output_names
     vecs = list(itertools.product((0, 1), repeat=5))
     assert simulate(again, vecs) == simulate(c, vecs)
+
+
+def test_roundtrip_names_shared_with_inputs():
+    # an output that is an input, an input named like an internal node,
+    # and one signal listed twice as an output, used to be written as
+    # `.names a a`, `.names n3 b n3` and two `.names ... y` tables
+    for text in (".model t\n.inputs a b\n.outputs a y\n"
+                 ".names a b y\n11 1\n.end\n",
+                 ".model t\n.inputs n3 b const0\n.outputs y n4\n"
+                 ".names n3 b y\n10 1\n.names n3 const0 n4\n01 1\n.end\n",
+                 ".model t\n.inputs a b\n.outputs y y\n"
+                 ".names a b y\n11 1\n.end\n"):
+        c = parse_blif(text)
+        again = parse_blif(write_blif(c))
+        assert again.input_names == c.input_names
+        assert again.output_names == c.output_names
+        assert qor_exhaustive(c, again).error == 0.0
+
+
+def test_output_named_like_an_input_but_driven_otherwise_rejected():
+    # output `a` is a AND b, not input a
+    c = Aig(num_inputs=2, ands=((2, 4),), outputs=(6,),
+            input_names=("a", "b"), output_names=("a",))
+    with pytest.raises(AigError, match="output a"):
+        write_blif(c)
 
 
 def test_latch_rejected():

@@ -201,6 +201,18 @@ def test_whole_circuit_over_table_cap_is_input_error(capsys):
     assert "Traceback" not in err and err.startswith("error:")
 
 
+def test_whole_circuit_over_exhaustive_cap_is_input_error(capsys):
+    # raising the table cap to 36 used to ask for 2^36-row words and die
+    # with a MemoryError traceback; no truth table exceeds 20 inputs
+    code = main(["approximate", str(BENCH / "c432.aag"), "--whole-circuit",
+                 "--depth", "1", "--max-sub-inputs", "36"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("error:")
+    assert "cap of 20" in err
+
+
 def test_negative_limit_or_sample_count_is_input_error(capsys):
     # --samples -1 used to fail as Python's "negative shift count"; the
     # other three were accepted and ran

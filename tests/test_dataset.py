@@ -62,6 +62,8 @@ def test_truth_table_input_cap():
     with pytest.raises(DatasetError):
         truth_tables(c)
     truth_tables(c, max_table_inputs=15)  # explicit override works
+    with pytest.raises(DatasetError, match="cap of 20"):
+        truth_tables(AigBuilder(21).build(), max_table_inputs=30)
 
 
 def test_truth_table_bad_output_index():

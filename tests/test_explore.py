@@ -91,9 +91,10 @@ def test_trace_replay_reproduces_result(rng):
 
 
 def test_replay_rebuilds_exact_cell_cached_under_smaller_depth():
-    # cell 1's exact approximation is also cached under its smallest
+    # cell 1's exact approximation, fitted at depth 9, records its smallest
     # realized depth, 2, at which the cell is not exact; the substitution
-    # used to name 2, and replay built a 1-AND circuit with error 1/64
+    # names the fitted depth, so replay rebuilds the same circuit, not a
+    # 1-AND circuit with error 1/64
     c = Aig(num_inputs=5, ands=((3, 4), (6, 8), (12, 14), (7, 8), (5, 13)),
             outputs=(20, 18, 1, 17))
     cfg = ExplorationConfig(
@@ -105,9 +106,29 @@ def test_replay_rebuilds_exact_cell_cached_under_smaller_depth():
     assert replay(c, cfg, res.substitutions) == res.circuit
 
 
+def test_exact_cell_with_a_constant_output_is_not_frozen():
+    # cell 0's exact depth-9 approximation has a constant output, so it
+    # records depth 0; that record used to freeze the cell before its
+    # approximation was ever scored, and the run ended at area 3
+    c = Aig(num_inputs=4,
+            ands=((3, 6), (5, 7), (4, 6), (5, 14), (9, 15), (9, 16),
+                  (15, 16), (17, 19), (8, 13)),
+            outputs=(25, 1, 0, 1))
+    cfg = ExplorationConfig(
+        error_threshold=0.15,
+        partition=PartitionConfig(initial_parts=2, max_inputs=3))
+    res = explore(c, cfg)
+    assert (res.original_area, res.final_area) == (4, 0)
+    assert res.substitutions == ((0, 9), (1, 2))
+    assert res.final_qor.error == 0.03125
+    assert replay(c, cfg, res.substitutions) == res.circuit
+
+
 def test_replay_matches_explore_on_random_circuits():
-    # seed 1 reaches the cached-under-a-smaller-depth case at its 15th
-    # circuit
+    # seed 1 reaches exact approximations that record a smaller depth than
+    # the one they were fitted at, the first at its 13th circuit; every
+    # trace record of the first iteration, replayed alone, rebuilds the
+    # area it scored
     rng = random.Random(1)
     for _ in range(200):
         c = random_circuit(rng, rng.randint(3, 6), rng.randint(4, 14),
@@ -118,6 +139,10 @@ def test_replay_matches_explore_on_random_circuits():
                                       max_inputs=rng.randint(3, 6)))
         res = explore(c, cfg)
         assert replay(c, cfg, res.substitutions) == res.circuit, (c, cfg)
+        for rec in res.trace:
+            if rec.iteration == 1:
+                alone = replay(c, cfg, [(rec.part, rec.md)])
+                assert and_count(alone) == rec.area, (c, cfg, rec)
 
 
 def test_explore_circuit_whose_cleanup_orphans_a_node():

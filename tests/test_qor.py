@@ -24,6 +24,10 @@ def test_identical_circuits_have_zero_error(rng):
     assert r.mismatched_bits == 0
     assert r.estimator == "exhaustive"
     assert r.samples == 32
+    # a circuit without outputs compares no bit
+    none = Aig(num_inputs=2, ands=(), outputs=())
+    for r in (qor_exhaustive(none, none), qor_monte_carlo(none, none, 100)):
+        assert (r.total_bits, r.error) == (0, 0.0)
 
 
 def test_complemented_output_is_total_error():
