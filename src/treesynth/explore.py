@@ -41,9 +41,11 @@ from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
                   extend_words, literal_words, simulate_words,
                   truth_table_input_words)
 from .partition import PartitionConfig, SubCircuit, partition
-from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, mismatched_bits,
-                  qor_exhaustive, qor_monte_carlo, sample_input_words)
-from .qor import qor_on_words  # noqa: F401  (perfbench's tracer wraps it here)
+from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
+                  exhaustive_testbench, mismatched_bits,
+                  monte_carlo_testbench, sample_input_words)
+# perfbench's tracer wraps these here
+from .qor import qor_exhaustive, qor_monte_carlo, qor_on_words  # noqa: F401
 from .synth import ApproxSubCircuit, approx_sub_circuit
 
 
@@ -120,11 +122,11 @@ def loss(candidate_area: int, original_area: int, candidate_qor: float) -> float
     return (candidate_area - original_area) / candidate_qor
 
 
-def _final_measure(original: Aig, approx: Aig, config: ExplorationConfig) -> QorReport:
-    if original.num_inputs <= EXHAUSTIVE_INPUT_CAP:
-        return qor_exhaustive(original, approx)
-    return qor_monte_carlo(original, approx, config.qor_samples,
-                           config.seed + 1)
+def _final_measure(testbench: Testbench, approx: Aig) -> QorReport:
+    """The reported error of ``approx``, re-measured independently of the
+    search: exhaustive up to ``EXHAUSTIVE_INPUT_CAP`` inputs, otherwise on
+    ``qor_samples`` vectors drawn with seed + 1."""
+    return testbench.measure(approx)
 
 
 class _BeamState:
@@ -211,6 +213,10 @@ class _Explorer:
         self.search_bits = vectors * max(self.original.num_outputs, 1)
         self.reference_words = simulate_words(
             self.original, self.search_words, self.search_mask)
+        self.final_bench = (
+            exhaustive_testbench(self.original) if n <= EXHAUSTIVE_INPUT_CAP
+            else monte_carlo_testbench(self.original, config.qor_samples,
+                                       config.seed + 1))
 
     def approx(self, part: SubCircuit, md: int) -> ApproxSubCircuit:
         key = (part.id, md)
@@ -298,7 +304,7 @@ class _Explorer:
         start = (initial_md, (None,) * len(self.parts))
 
         best_circuit, best_area = self.original, self.original_area
-        best_report = _final_measure(self.original, self.original, config)
+        best_report = _final_measure(self.final_bench, self.original)
         best_applied = start[1]
         trace: list[TraceRecord] = []
 
@@ -334,7 +340,7 @@ class _Explorer:
                     part=part_id, md=used_md, loss=score, area=area, qor=q))
                 if area < best_area:
                     composed = self.compose_state(applied)
-                    report = _final_measure(self.original, composed, config)
+                    report = _final_measure(self.final_bench, composed)
                     if report.error <= err:
                         best_circuit, best_area = composed, area
                         best_report, best_applied = report, applied

@@ -10,6 +10,7 @@ process.
 from __future__ import annotations
 
 import functools
+import heapq
 from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, AigError, cleanup, lit_negated, lit_node
@@ -115,16 +116,27 @@ def _fm_bipartition(net: _Netlist,
                     members: list[int]) -> tuple[list[int], list[int]]:
     """Balanced min-cut bipartition of a member set.
 
-    Nets are driver signals with at least two member pins.  Starts from the
-    topological (node-id) halving and improves it with Fiduccia-Mattheyses
-    passes; fully deterministic.
+    Starts from the topological (node-id) halving and improves it with
+    Fiduccia-Mattheyses passes; fully deterministic.
     """
     members = sorted(members)
-    n = len(members)
-    half = n // 2
-    side = {v: (0 if i < half else 1) for i, v in enumerate(members)}
-    member_set = set(members)
+    side = _fm_passes(members, *_member_nets(net, members))
+    part_a = [v for v in members if side[v] == 0]
+    part_b = [v for v in members if side[v] == 1]
+    if not part_a or not part_b:
+        half = len(members) // 2
+        part_a, part_b = members[:half], members[half:]
+    return _acyclic_repair(net, part_a, part_b)
 
+
+def _member_nets(net: _Netlist, members: list[int]
+                 ) -> tuple[list[list[int]], dict[int, list[int]]]:
+    """The nets of a sorted member set and the nets of each member.
+
+    Nets are driver signals with at least two member pins; each pin list is
+    sorted.
+    """
+    member_set = set(members)
     nets: list[list[int]] = []
     vertex_nets: dict[int, list[int]] = {v: [] for v in members}
 
@@ -146,47 +158,95 @@ def _fm_bipartition(net: _Netlist,
                 continue
             seen_drivers.add(src)
             add_net([c for c in net.consumers[src] if c in member_set])
+    return nets, vertex_nets
 
+
+def _fm_passes(members: list[int], nets: list[list[int]],
+               vertex_nets: dict[int, list[int]]) -> dict[int, int]:
+    """Side (0 or 1) of each member after the FM passes.
+
+    Starts from the halving of the sorted members.  A pass moves and locks
+    the lowest-id balance-feasible vertex of maximum gain until none is
+    left, then keeps the prefix of moves with the largest positive total
+    gain (the shortest such prefix); passes stop when no prefix gains.
+
+    Each pass counts the pins of every net on each side once and keeps the
+    gains incrementally: a move updates the counts of the moved vertex's
+    nets and re-scores only the unlocked pins of those nets whose counts
+    were small enough for a gain to change.  Moves come from one max-gain
+    heap per side, so a pass costs O(pins log n) on nets of bounded fanout.
+    """
+    n = len(members)
+    side = {v: (0 if i < n // 2 else 1) for i, v in enumerate(members)}
     lo = max(1, int((0.5 - BALANCE) * n))
     hi = n - lo
 
-    def gain(v: int) -> int:
-        g = 0
-        s = side[v]
-        for ni in vertex_nets[v]:
-            same = sum(1 for p in nets[ni] if side[p] == s)
-            other = len(nets[ni]) - same
-            if same == 1:
-                g += 1
-            if other == 0:
-                g -= 1
-        return g
-
     for _ in range(MAX_FM_PASSES):
+        # pins of each net on side 0 and side 1
+        count = [[0, 0] for _ in nets]
+        for v in members:
+            for ni in vertex_nets[v]:
+                count[ni][side[v]] += 1
+
+        def gain(v: int) -> int:
+            # +1 for each net v is alone on its side of, -1 for each net
+            # with no pin on the other side
+            s = side[v]
+            return sum((c[s] == 1) - (c[1 - s] == 0)
+                       for c in map(count.__getitem__, vertex_nets[v]))
+
+        # one heap of (-gain, node) per side; an entry is stale once its
+        # node is locked or its gain has changed
+        gains_now = {v: gain(v) for v in members}
+        heaps: list[list[tuple[int, int]]] = [[], []]
+        for v in members:
+            heaps[side[v]].append((-gains_now[v], v))
+        for heap in heaps:
+            heapq.heapify(heap)
+
         locked: set[int] = set()
         moves: list[int] = []
         gains: list[int] = []
         sizes = [n - sum(side.values()), sum(side.values())]
         saved = dict(side)
-        while len(locked) < n:
-            best_v, best_g = None, None
-            for v in members:
-                if v in locked:
-                    continue
-                s = side[v]
+        while True:
+            # balance feasibility depends only on the side
+            best = None
+            for s in (0, 1):
                 if sizes[s] - 1 < lo or sizes[1 - s] + 1 > hi:
                     continue
-                g = gain(v)
-                if best_g is None or g > best_g:
-                    best_v, best_g = v, g
-            if best_v is None:
+                heap = heaps[s]
+                while heap and (heap[0][1] in locked
+                                or gains_now[heap[0][1]] != -heap[0][0]):
+                    heapq.heappop(heap)
+                if heap and (best is None or heap[0] < best):
+                    best = heap[0]
+            if best is None:
                 break
+            best_v = best[1]
             locked.add(best_v)
             moves.append(best_v)
-            gains.append(best_g)
-            sizes[side[best_v]] -= 1
-            side[best_v] ^= 1
-            sizes[side[best_v]] += 1
+            gains.append(-best[0])
+            src = side[best_v]
+            dst = side[best_v] = 1 - src
+            sizes[src] -= 1
+            sizes[dst] += 1
+            for ni in vertex_nets[best_v]:
+                c = count[ni]
+                # a pin's gain on this net can change only when the source
+                # side keeps at most one other pin or the destination side
+                # had at most one
+                critical = c[src] <= 2 or c[dst] <= 1
+                c[src] -= 1
+                c[dst] += 1
+                if not critical:
+                    continue
+                for p in nets[ni]:
+                    if p not in locked:
+                        g = gain(p)
+                        if g != gains_now[p]:
+                            gains_now[p] = g
+                            heapq.heappush(heaps[side[p]], (-g, p))
         # keep the best prefix of the move sequence
         best_prefix, best_total, total = 0, 0, 0
         for i, g in enumerate(gains):
@@ -198,12 +258,7 @@ def _fm_bipartition(net: _Netlist,
             break
         for v in moves[:best_prefix]:
             side[v] ^= 1
-
-    part_a = [v for v in members if side[v] == 0]
-    part_b = [v for v in members if side[v] == 1]
-    if not part_a or not part_b:
-        part_a, part_b = members[:half], members[half:]
-    return _acyclic_repair(net, part_a, part_b)
+    return side
 
 
 def _acyclic_repair(net: _Netlist, part_a: list[int],

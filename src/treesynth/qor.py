@@ -48,15 +48,46 @@ def mismatched_bits(reference: list[int], candidate: list[int]) -> int:
     return sum((wa ^ wb).bit_count() for wa, wb in zip(reference, candidate))
 
 
-def _mismatches(original: Aig, approx: Aig, words: list[int],
-                mask: int) -> int:
-    return mismatched_bits(simulate_words(original, words, mask),
-                           simulate_words(approx, words, mask))
+class Testbench:
+    """Input vectors and the original circuit's output words on them.
+
+    The original is simulated once, when the testbench is built; ``measure``
+    simulates only the circuit it is given.  ``chunks`` are (input words,
+    mask) pairs of ``samples`` vectors in total.
+    """
+
+    def __init__(self, original: Aig, chunks: list[tuple[list[int], int]],
+                 estimator: str, samples: int, seed: int):
+        self.original = original
+        self.chunks = chunks
+        self.reference = [simulate_words(original, words, mask)
+                          for words, mask in chunks]
+        self.estimator = estimator
+        self.samples = samples
+        self.seed = seed
+        self.total_bits = samples * original.num_outputs
+
+    def _report(self, mismatched: int) -> QorReport:
+        total = self.total_bits
+        return QorReport(error=mismatched / total if total else 0.0,
+                         estimator=self.estimator, samples=self.samples,
+                         seed=self.seed, mismatched_bits=mismatched,
+                         total_bits=total)
+
+    def measure(self, approx: Aig) -> QorReport:
+        """Error of ``approx`` against the original; the original itself
+        differs in no bit and is not simulated."""
+        _check_arity(self.original, approx)
+        if approx is self.original:
+            return self._report(0)
+        return self._report(sum(
+            mismatched_bits(reference, simulate_words(approx, words, mask))
+            for reference, (words, mask) in zip(self.reference,
+                                                self.chunks)))
 
 
-def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
-    """Exact average bit-error rate over the full input space."""
-    _check_arity(original, approx)
+def exhaustive_testbench(original: Aig) -> Testbench:
+    """The full input space, in aligned chunks of at most 2**14 rows."""
     n = original.num_inputs
     if n > EXHAUSTIVE_INPUT_CAP:
         raise AigError(
@@ -64,14 +95,24 @@ def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
     rows = 1 << n
     chunk = min(rows, _CHUNK_BITS)
     mask = (1 << chunk) - 1
-    mismatched = 0
-    for base in range(0, rows, chunk):
-        words = truth_table_input_words(n, base, chunk)
-        mismatched += _mismatches(original, approx, words, mask)
-    total = rows * original.num_outputs
-    error = mismatched / total if total else 0.0
-    return QorReport(error=error, estimator="exhaustive", samples=rows,
-                     seed=0, mismatched_bits=mismatched, total_bits=total)
+    chunks = [(truth_table_input_words(n, base, chunk), mask)
+              for base in range(0, rows, chunk)]
+    return Testbench(original, chunks, "exhaustive", rows, 0)
+
+
+def monte_carlo_testbench(original: Aig, samples: int,
+                          seed: int) -> Testbench:
+    """``samples`` seeded random vectors, drawn by ``sample_input_words``."""
+    if samples < 1:
+        raise AigError("samples must be >= 1")
+    words, mask = sample_input_words(original.num_inputs, samples, seed)
+    return Testbench(original, [(words, mask)], "monte_carlo", samples, seed)
+
+
+def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
+    """Exact average bit-error rate over the full input space."""
+    _check_arity(original, approx)
+    return exhaustive_testbench(original).measure(approx)
 
 
 def sample_input_words(num_inputs: int, samples: int,
@@ -91,18 +132,11 @@ def qor_monte_carlo(original: Aig, approx: Aig, samples: int = 10_000,
                     seed: int = 0) -> QorReport:
     """Average bit-error rate over a seeded random testbench."""
     _check_arity(original, approx)
-    if samples < 1:
-        raise AigError("samples must be >= 1")
-    words, mask = sample_input_words(original.num_inputs, samples, seed)
-    return qor_on_words(original, approx, words, mask, samples, seed)
+    return monte_carlo_testbench(original, samples, seed).measure(approx)
 
 
 def qor_on_words(original: Aig, approx: Aig, words: list[int], mask: int,
                  samples: int, seed: int) -> QorReport:
     """Monte Carlo estimate over an already-packed testbench."""
-    _check_arity(original, approx)
-    mismatched = _mismatches(original, approx, words, mask)
-    total = samples * original.num_outputs
-    error = mismatched / total if total else 0.0
-    return QorReport(error=error, estimator="monte_carlo", samples=samples,
-                     seed=seed, mismatched_bits=mismatched, total_bits=total)
+    return Testbench(original, [(words, mask)], "monte_carlo", samples,
+                     seed).measure(approx)

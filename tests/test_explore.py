@@ -6,11 +6,12 @@ import random
 import pytest
 
 from treesynth.aig import Aig, AigError, and_count, compose, simulate
-from treesynth.bench import add8u, c17, mul7u
+from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
 from treesynth.partition import PartitionConfig
-from treesynth.qor import qor_exhaustive, qor_on_words, sample_input_words
+from treesynth.qor import (qor_exhaustive, qor_monte_carlo, qor_on_words,
+                           sample_input_words)
 
 from conftest import clear_memos, random_circuit
 
@@ -226,6 +227,26 @@ def test_substituted_circuit_functionally_within_budget(rng):
     want = simulate(c, vecs)
     mism = sum(x != y for rg, rw in zip(got, want) for x, y in zip(rg, rw))
     assert mism / (32 * 2) <= 0.25
+
+
+def test_final_qor_matches_fresh_measure():
+    # the kept final testbench gives the report a fresh measure would,
+    # also for the untouched original, which is never simulated
+    c432 = BENCHMARKS["c432"]()
+    untouched = 0
+    for threshold in (0.0, 0.05):
+        cfg = ExplorationConfig(
+            error_threshold=threshold, qor_samples=300,
+            partition=PartitionConfig(initial_parts=10, max_inputs=8))
+        res = explore(c432, cfg)
+        untouched += res.final_area == res.original_area
+        assert res.final_qor == qor_monte_carlo(
+            c432, res.circuit, cfg.qor_samples, cfg.seed + 1)
+    for threshold in (0.0, 0.15):
+        res = explore(add8u(), small_config(threshold, initial_parts=10))
+        assert res.final_qor == qor_exhaustive(add8u(), res.circuit)
+    assert res.final_qor.error > 0.0
+    assert untouched
 
 
 def test_replay_rejects_unknown_part_id():

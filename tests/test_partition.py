@@ -1,6 +1,8 @@
 """Bounded-interface decomposition."""
 
 import dataclasses
+import hashlib
+import importlib
 import itertools
 import random
 
@@ -9,11 +11,16 @@ import pytest
 from treesynth.aig import (Aig, AigError, and_count, cleanup, compose,
                            simulate)
 from treesynth.bench import BENCHMARKS
-from treesynth.partition import (PartitionConfig, extract, partition,
+from treesynth.partition import (BALANCE, MAX_FM_PASSES, PartitionConfig,
+                                 _fm_bipartition, _fm_passes, _member_nets,
+                                 _Netlist, extract, partition,
                                  partition_report)
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
+
+# the package binds ``treesynth.partition`` to the function of that name
+partition_module = importlib.import_module("treesynth.partition")
 
 
 def check_soundness(circuit, parts, config):
@@ -186,3 +193,122 @@ def test_partition_report():
     assert all(p["size"] > 0 for p in report["parts"])
     total = sum(p["size"] for p in report["parts"])
     assert total == and_count(c)
+
+
+# the configs of the pinned digest and of the FM oracle
+PINNED_CONFIGS = (
+    PartitionConfig(),
+    PartitionConfig(initial_parts=10),
+    PartitionConfig(initial_parts=10, max_inputs=8),
+    PartitionConfig(max_inputs=6, max_outputs=2, initial_parts=3),
+)
+PINNED_CELLS_SHA256 = (
+    "e17916740cc012dca1b4fdcc51fb13ee0a4c4c2b0d9eb01194b1a2e846df3be5")
+
+
+def test_partition_cells_pinned():
+    # every cell of every benchmark under the pinned configs, as the
+    # quadratic FM loop computed them
+    digest = hashlib.sha256()
+    for config in PINNED_CONFIGS:
+        for name, build in BENCHMARKS.items():
+            for p in partition(build(), config):
+                digest.update(repr((name, sorted(p.member_nodes),
+                                    p.boundary_inputs,
+                                    p.boundary_outputs)).encode())
+    assert digest.hexdigest() == PINNED_CELLS_SHA256
+
+
+def quadratic_fm_passes(members, nets, vertex_nets):
+    """Reference FM passes: every gain recomputed from the pin lists before
+    every move, O(n^2 * pins) per pass."""
+    n = len(members)
+    side = {v: (0 if i < n // 2 else 1) for i, v in enumerate(members)}
+    lo = max(1, int((0.5 - BALANCE) * n))
+    hi = n - lo
+
+    def gain(v):
+        g = 0
+        s = side[v]
+        for ni in vertex_nets[v]:
+            same = sum(1 for p in nets[ni] if side[p] == s)
+            other = len(nets[ni]) - same
+            if same == 1:
+                g += 1
+            if other == 0:
+                g -= 1
+        return g
+
+    for _ in range(MAX_FM_PASSES):
+        locked = set()
+        moves, gains = [], []
+        sizes = [n - sum(side.values()), sum(side.values())]
+        saved = dict(side)
+        while len(locked) < n:
+            best_v, best_g = None, None
+            for v in members:
+                if v in locked:
+                    continue
+                s = side[v]
+                if sizes[s] - 1 < lo or sizes[1 - s] + 1 > hi:
+                    continue
+                g = gain(v)
+                if best_g is None or g > best_g:
+                    best_v, best_g = v, g
+            if best_v is None:
+                break
+            locked.add(best_v)
+            moves.append(best_v)
+            gains.append(best_g)
+            sizes[side[best_v]] -= 1
+            side[best_v] ^= 1
+            sizes[side[best_v]] += 1
+        best_prefix, best_total, total = 0, 0, 0
+        for i, g in enumerate(gains):
+            total += g
+            if total > best_total:
+                best_total, best_prefix = total, i + 1
+        side = saved
+        if best_total <= 0:
+            break
+        for v in moves[:best_prefix]:
+            side[v] ^= 1
+    return side
+
+
+def oracle_member_sets():
+    """(netlist, member set) pairs: random member sets of seeded random
+    circuits, and benchmark cells and unions of neighbouring cells."""
+    rng = random.Random(53)
+    for _ in range(60):
+        c = cleanup(random_circuit(rng, rng.randint(3, 10),
+                                   rng.randint(10, 200), rng.randint(1, 20)))
+        net = _Netlist(c)
+        if len(net.nodes) < 2:
+            continue
+        for _ in range(3):
+            size = rng.randint(2, len(net.nodes))
+            yield net, rng.sample(net.nodes, size)
+        yield net, list(net.nodes)
+    for name in ("c17", "add8u", "c432", "c880", "c1908"):
+        c = cleanup(BENCHMARKS[name]())
+        net = _Netlist(c)
+        if len(net.nodes) <= 128:
+            yield net, list(net.nodes)
+        for config in PINNED_CONFIGS[1:3]:
+            parts = partition(c, config)
+            for a, b in zip(parts, parts[1:]):
+                yield net, sorted(a.member_nodes)
+                yield net, sorted(a.member_nodes | b.member_nodes)
+
+
+def test_fm_matches_quadratic_oracle(monkeypatch):
+    cases = list(oracle_member_sets())
+    for net, members in cases:
+        members = sorted(members)
+        nets, vertex_nets = _member_nets(net, members)
+        assert (_fm_passes(members, nets, vertex_nets)
+                == quadratic_fm_passes(members, nets, vertex_nets))
+    fast = [_fm_bipartition(net, members) for net, members in cases]
+    monkeypatch.setattr(partition_module, "_fm_passes", quadratic_fm_passes)
+    assert [_fm_bipartition(net, members) for net, members in cases] == fast
