@@ -30,18 +30,22 @@ COMMENTS = {
 }
 
 
+def benchmark_files() -> dict[str, str]:
+    """File name under benchmarks/ -> netlist text, for every benchmark."""
+    files = {f"{name}.aag": write_aiger(build(), comment=COMMENTS.get(name))
+             for name, build in BENCHMARKS.items()}
+    # one BLIF variant to exercise the second netlist format
+    files["c17.blif"] = write_blif(BENCHMARKS["c17"]())
+    return files
+
+
 def main() -> None:
     out_dir = Path(__file__).resolve().parents[1] / "benchmarks"
     out_dir.mkdir(exist_ok=True)
-    for name, build in BENCHMARKS.items():
-        circuit = build()
-        path = out_dir / f"{name}.aag"
-        path.write_text(write_aiger(circuit, comment=COMMENTS.get(name)))
+    for name, text in benchmark_files().items():
+        path = out_dir / name
+        path.write_text(text)
         print(f"wrote {path}")
-    # one BLIF variant to exercise the second netlist format
-    blif_path = out_dir / "c17.blif"
-    blif_path.write_text(write_blif(BENCHMARKS["c17"]()))
-    print(f"wrote {blif_path}")
 
 
 if __name__ == "__main__":

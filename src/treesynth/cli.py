@@ -137,6 +137,7 @@ def cmd_approximate(args) -> int:
         "max_sub_inputs": args.max_sub_inputs,
         "max_sub_outputs": args.max_sub_outputs,
         "initial_parts": args.initial_parts,
+        "node_limit": args.node_limit, "time_limit": args.time_limit,
         "whole_circuit": args.whole_circuit, "depth": args.depth,
         "out": args.out, "format": args.format,
     }
@@ -184,8 +185,8 @@ def cmd_approximate(args) -> int:
         _write_netlist(result.circuit, args.out, args.format)
     if args.trace:
         Path(args.trace).write_text(
-            "\n".join(json.dumps(rec.as_dict(), sort_keys=True)
-                      for rec in result.trace) + "\n")
+            "".join(json.dumps(rec.as_dict(), sort_keys=True) + "\n"
+                    for rec in result.trace))
     _emit_report(report, args, started)
     return EXIT_BUDGET_EXCEEDED if result.budget_exceeded else EXIT_OK
 

@@ -32,10 +32,6 @@ from dataclasses import dataclass
 
 from .dataset import Dataset
 
-# Finished unbudgeted fits kept per process (least recently used evicted).
-# lru_cache reads this once, at import.
-FIT_MEMO_SIZE = 512
-
 
 class OdtError(Exception):
     """Invalid learning request (empty data, guard violation, ...)."""
@@ -49,10 +45,6 @@ class Leaf:
     def depth(self) -> int:
         return 0
 
-    @property
-    def node_count(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -63,10 +55,6 @@ class Branch:
     @property
     def depth(self) -> int:
         return 1 + max(self.low.depth, self.high.depth)
-
-    @property
-    def node_count(self) -> int:
-        return 1 + self.low.node_count + self.high.node_count
 
 
 TreeNode = Leaf | Branch
@@ -269,7 +257,8 @@ def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     return _fit(data, budget)
 
 
-@functools.lru_cache(maxsize=FIT_MEMO_SIZE)
+# Finished unbudgeted fits kept per process (least recently used evicted).
+@functools.lru_cache(maxsize=512)
 def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
     return _fit(data, SearchBudget(max_depth=max_depth))
 

@@ -3,13 +3,11 @@
 Cells are kept in a global order such that every signal between cells
 flows forward, so the cell quotient graph is acyclic by construction and
 substitution can never create a combinational loop.  FM is deterministic,
-so ``partition`` is a pure function of its arguments and is memoized per
-process.
+so ``partition`` is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 
@@ -304,26 +302,16 @@ def _acyclic_repair(net: _Netlist, part_a: list[int],
     return sorted(set_a), sorted(set_b)
 
 
-# Distinct (circuit, config) decompositions kept per process.
-# lru_cache reads this once, at import.
-PARTITION_MEMO_SIZE = 16
-
-
 def partition(circuit: Aig, config: PartitionConfig) -> list[SubCircuit]:
     """Decompose into cells with <= k boundary inputs and <= m outputs.
 
     The returned list is ordered so that all inter-cell signals flow from
     earlier to later cells.  Each call returns a new list.
     """
-    return list(_partition(circuit, config))
-
-
-@functools.lru_cache(maxsize=PARTITION_MEMO_SIZE)
-def _partition(circuit: Aig, config: PartitionConfig) -> tuple[SubCircuit, ...]:
     circuit = cleanup(circuit)
     net = _Netlist(circuit)
     if not net.nodes:
-        return ()
+        return []
     parts: list[list[int]] = [list(net.nodes)]
 
     def split(index: int) -> bool:
@@ -353,7 +341,7 @@ def _partition(circuit: Aig, config: PartitionConfig) -> tuple[SubCircuit, ...]:
         if within_limits(parts[i]) or not split(i):
             i += 1
 
-    return tuple(_extract(net, group, pid) for pid, group in enumerate(parts))
+    return [_extract(net, group, pid) for pid, group in enumerate(parts)]
 
 
 def partition_report(circuit: Aig, parts: list[SubCircuit]) -> dict:

@@ -118,6 +118,8 @@ def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
 def sample_input_words(num_inputs: int, samples: int,
                        seed: int) -> tuple[list[int], int]:
     """Packed uniform random vectors (with replacement) from a seeded PCG64."""
+    if seed < 0:
+        raise AigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     mask = (1 << samples) - 1
     words = []

@@ -4,13 +4,11 @@ import pytest
 
 from treesynth.aig import Aig, AigBuilder
 from treesynth.odt import _fit_unbudgeted
-from treesynth.partition import _partition
 
 
 def clear_memos() -> None:
-    """Empty the per-process fit and partition memos."""
+    """Empty the per-process fit memo, the only cache kept across calls."""
     _fit_unbudgeted.cache_clear()
-    _partition.cache_clear()
 
 
 @pytest.fixture(autouse=True)

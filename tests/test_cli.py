@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from treesynth.aiger import parse_aiger
-from treesynth.cli import build_parser, main
+from treesynth.aiger import parse_aiger, write_aiger
+from treesynth.cli import _exploration_config, build_parser, main
+from treesynth.explore import replay
 
 from conftest import clear_memos
 
@@ -93,6 +94,38 @@ def test_approximate_budget_exit_code(capsys):
     selected = json.loads(out)["selected"]
     assert selected["budget_exceeded"]
     assert selected["qor"] <= 0.1
+
+
+def test_empty_trace_is_an_empty_file(tmp_path, capsys):
+    # threshold 0 on c17 accepts nothing: no records, so no lines at all
+    trace_file = tmp_path / "trace.jsonl"
+    code, out = run(capsys, "approximate", str(BENCH / "c17.aag"),
+                    "--threshold", "0", "--trace", str(trace_file),
+                    "--no-timing")
+    assert code == 0
+    assert json.loads(out)["results"] == []
+    assert trace_file.read_text() == ""
+
+
+def test_budgeted_report_replays_to_written_netlist(tmp_path, capsys):
+    # the echoed config holds every setting explore read, node_limit
+    # included, so it and the substitutions rebuild the written netlist
+    out_file = tmp_path / "mul7u_approx.aag"
+    code, out = run(capsys, "approximate", str(BENCH / "mul7u.aag"),
+                    "--threshold", "0.1", "--initial-parts", "10",
+                    "--node-limit", "200", "--out", str(out_file),
+                    "--no-timing")
+    assert code == 3
+    report = json.loads(out)
+    assert report["config"]["node_limit"] == 200
+    assert report["config"]["time_limit"] is None
+    cfg = _exploration_config(
+        argparse.Namespace(**report["config"], seed=report["seed"]))
+    circuit = parse_aiger((BENCH / "mul7u.aag").read_text())
+    substitutions = [tuple(s) for s in report["selected"]["substitutions"]]
+    assert substitutions
+    rebuilt = replay(circuit, cfg, substitutions)
+    assert write_aiger(rebuilt) == out_file.read_text()
 
 
 def test_whole_circuit_node_limit_exit_code(tmp_path, capsys):

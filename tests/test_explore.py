@@ -249,6 +249,23 @@ def test_final_qor_matches_fresh_measure():
     assert untouched
 
 
+def test_negative_seed_is_aig_error():
+    # c432 has more inputs than max_inputs, so the search draws vectors
+    cfg = ExplorationConfig(
+        seed=-1, partition=PartitionConfig(initial_parts=10, max_inputs=8))
+    with pytest.raises(AigError, match="seed"):
+        explore(BENCHMARKS["c432"](), cfg)
+
+
+def test_exhaustive_search_over_input_cap_is_aig_error(rng):
+    # 21 inputs fit max_inputs=22, but an exhaustive search stops at 20
+    c = random_circuit(rng, 21, 40, 2)
+    cfg = ExplorationConfig(
+        partition=PartitionConfig(initial_parts=2, max_inputs=22))
+    with pytest.raises(AigError, match="exhaustive cap"):
+        explore(c, cfg)
+
+
 def test_replay_rejects_unknown_part_id():
     cfg = ExplorationConfig(
         partition=PartitionConfig(initial_parts=2, max_inputs=3))

@@ -8,7 +8,8 @@ import pytest
 from treesynth.aig import (Aig, AigBuilder, AigError, lit_not, simulate_words,
                            truth_table_input_words)
 from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, mismatched_bits,
-                           qor_exhaustive, qor_monte_carlo, sample_input_words)
+                           monte_carlo_testbench, qor_exhaustive,
+                           qor_monte_carlo, sample_input_words)
 
 from conftest import random_circuit
 
@@ -129,6 +130,14 @@ def test_sample_words_shape():
     assert len(words) == 4
     assert mask == (1 << 100) - 1
     assert all(w & ~mask == 0 for w in words)
+
+
+def test_negative_seed_is_aig_error():
+    c = wire(3)
+    with pytest.raises(AigError, match="seed"):
+        qor_monte_carlo(c, c, 100, -1)
+    with pytest.raises(AigError, match="seed"):
+        monte_carlo_testbench(c, 100, -1)
 
 
 def test_report_json_roundtrip(rng):
