@@ -75,13 +75,7 @@ def mul7u() -> Aig:
     for j in range(n):
         row = [CONST0] * j + [b.and_(x, ys[j]) for x in xs]
         row += [CONST0] * (2 * n - len(row))
-        carry = CONST0
-        nxt = []
-        for a, r in zip(acc, row):
-            p = b.xor_(a, r)
-            nxt.append(b.xor_(p, carry))
-            carry = b.or_(b.and_(a, r), b.and_(p, carry))
-        acc = nxt
+        acc = _ripple_add(b, acc, row)[:2 * n]
     for s in acc:
         b.add_output(s)
     names = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]

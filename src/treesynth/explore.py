@@ -9,23 +9,25 @@ realized depth when it is exact); a budget below 2 freezes the cell.  An
 approximation is cached only under the depth it was fitted at, which is
 also the trace's ``md`` and the substitution's depth.
 
+Candidates are scored on the search testbench, the truth table up to
+``max_inputs`` inputs and ``qor_samples`` vectors drawn with the seed
+beyond; a new best is re-measured on the final testbench, which is the
+same ``qor.Testbench`` when the search is exhaustive (``_final_measure``).
+
 A candidate is scored without composing it.  Each beam state is built once
 per iteration: a structurally hashed builder holding all its cells in flow
-order, the builder literal of every boundary node, and the search-vector
-word of every builder node.  A candidate inlines its replacement on the
-state's boundary literals and re-inlines only the later cells that read a
-literal that changed.  Its area is the number of AND nodes reachable from
-its outputs; its error counts the bits in which its output words, from
-simulating only the appended nodes, differ from the original circuit's,
-simulated once per run.  The builder and its words are then rolled back.
-Structural hashing makes node identity the same as term identity, so area
-and error equal those of the composed candidate exactly; only a candidate
-that becomes the new best is composed.
+order, the builder literal of every boundary node, and the word of every
+builder node on each search chunk.  A candidate inlines its replacement on
+the state's boundary literals and re-inlines only the later cells that read
+a literal that changed.  Its area is the number of AND nodes reachable from
+its outputs; its error is the search testbench's ``report`` on its output
+words, from simulating only the appended nodes.  The builder and its words
+are then rolled back.  Structural hashing makes node identity the same as
+term identity, so area and error equal those of the composed candidate
+exactly; only a candidate that becomes the new best is composed.
 
 The per-node words of one beam state are held at a time, which bounds the
-search's memory: (AND nodes of the state) x (search vectors) bits, where
-the vectors are the whole truth table when the circuit has at most
-``max_inputs`` inputs and ``qor_samples`` random vectors otherwise.
+search's memory: (AND nodes of the state) x (search vectors) bits.
 
 A tree search that runs out of its node or time limit leaves the best tree
 it found for that cell; the run goes on with it and reports
@@ -38,12 +40,10 @@ import math
 from dataclasses import dataclass, field
 
 from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
-                  extend_words, literal_words, simulate_words,
-                  truth_table_input_words)
+                  extend_words, literal_words)
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
-                  exhaustive_testbench, mismatched_bits,
-                  monte_carlo_testbench, sample_input_words)
+                  exhaustive_testbench, monte_carlo_testbench)
 # perfbench's tracer wraps these here
 from .qor import qor_exhaustive, qor_monte_carlo, qor_on_words  # noqa: F401
 from .synth import ApproxSubCircuit, approx_sub_circuit
@@ -123,9 +123,9 @@ def loss(candidate_area: int, original_area: int, candidate_qor: float) -> float
 
 
 def _final_measure(testbench: Testbench, approx: Aig) -> QorReport:
-    """The reported error of ``approx``, re-measured independently of the
-    search: exhaustive up to ``EXHAUSTIVE_INPUT_CAP`` inputs, otherwise on
-    ``qor_samples`` vectors drawn with seed + 1."""
+    """The reported error of ``approx``: on the search testbench when the
+    search is exhaustive, else independently of it, exhaustive up to
+    ``EXHAUSTIVE_INPUT_CAP`` inputs and on vectors drawn with seed + 1."""
     return testbench.measure(approx)
 
 
@@ -134,9 +134,9 @@ class _BeamState:
 
     ``builder`` holds every cell of the state inlined in flow order,
     ``lits`` the builder literal of node 0, of each primary input and of
-    each boundary output node, and ``words`` the search-vector word of each
-    builder node.  ``substitute`` appends a candidate's nodes and
-    ``rollback`` drops them and their words again.
+    each boundary output node, and ``words[i]`` the word of each builder
+    node on chunk ``i`` of the search testbench.  ``substitute`` appends a
+    candidate's nodes and ``rollback`` drops them and their words again.
     """
 
     def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
@@ -148,9 +148,9 @@ class _BeamState:
                                                   replacements)
         self.size = len(self.builder.ands)
         self.first_and = original.num_inputs + 1
-        self.mask = explorer.search_mask
-        self.words = [0, *explorer.search_words]
-        extend_words(self.words, self.builder.ands, self.first_and, self.mask)
+        self.chunks = explorer.search_bench.chunks
+        self.words = [[0, *words] for words, _ in self.chunks]
+        self.output_words(())  # simulate the state's own nodes
 
     def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
         """Build the candidate that replaces cell ``part_id`` by ``cell``.
@@ -178,16 +178,19 @@ class _BeamState:
                    for o in self.outputs]
         return len(builder.reachable(outputs)), outputs
 
-    def output_words(self, outputs: list[int]) -> list[int]:
-        """Words of ``outputs``, simulating only the nodes not yet
-        simulated."""
-        extend_words(self.words, self.builder.ands, self.first_and, self.mask)
-        return literal_words(self.words, outputs, self.mask)
+    def output_words(self, outputs: list[int]) -> list[list[int]]:
+        """Words of ``outputs`` on each chunk, simulating only the nodes
+        not yet simulated."""
+        for values, (_, mask) in zip(self.words, self.chunks):
+            extend_words(values, self.builder.ands, self.first_and, mask)
+        return [literal_words(values, outputs, mask)
+                for values, (_, mask) in zip(self.words, self.chunks)]
 
     def rollback(self) -> None:
         """Drop the nodes and words of the last candidate."""
         self.builder.rollback(self.size)
-        del self.words[self.first_and + self.size:]
+        for values in self.words:
+            del values[self.first_and + self.size:]
 
 
 class _Explorer:
@@ -200,23 +203,16 @@ class _Explorer:
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
         n = self.original.num_inputs
         if n <= config.partition.max_inputs:
-            if n > EXHAUSTIVE_INPUT_CAP:
-                raise AigError(f"{n} inputs exceed the exhaustive cap of "
-                               f"{EXHAUSTIVE_INPUT_CAP}")
-            vectors = 1 << n
-            self.search_words = truth_table_input_words(n)
-            self.search_mask = (1 << vectors) - 1
+            self.search_bench = self.final_bench = exhaustive_testbench(
+                self.original)
         else:
-            vectors = config.qor_samples
-            self.search_words, self.search_mask = sample_input_words(
-                n, vectors, config.seed)
-        self.search_bits = vectors * max(self.original.num_outputs, 1)
-        self.reference_words = simulate_words(
-            self.original, self.search_words, self.search_mask)
-        self.final_bench = (
-            exhaustive_testbench(self.original) if n <= EXHAUSTIVE_INPUT_CAP
-            else monte_carlo_testbench(self.original, config.qor_samples,
-                                       config.seed + 1))
+            self.search_bench = monte_carlo_testbench(
+                self.original, config.qor_samples, config.seed)
+            self.final_bench = (
+                exhaustive_testbench(self.original)
+                if n <= EXHAUSTIVE_INPUT_CAP
+                else monte_carlo_testbench(self.original, config.qor_samples,
+                                           config.seed + 1))
 
     def approx(self, part: SubCircuit, md: int) -> ApproxSubCircuit:
         key = (part.id, md)
@@ -259,9 +255,7 @@ class _Explorer:
     def search_qor(self, state: _BeamState, outputs: list[int]) -> float:
         """Search error of the candidate ``state`` holds, with output
         literals ``outputs``."""
-        return (mismatched_bits(self.reference_words,
-                                state.output_words(outputs))
-                / self.search_bits)
+        return self.search_bench.report(state.output_words(outputs)).error
 
     def score_state(self, stream_idx: int, md_stream: tuple[int, ...],
                    state_applied: tuple[int | None, ...]) -> list[tuple]:

@@ -115,15 +115,13 @@ def _fm_bipartition(net: _Netlist,
     """Balanced min-cut bipartition of a member set.
 
     Starts from the topological (node-id) halving and improves it with
-    Fiduccia-Mattheyses passes; fully deterministic.
+    Fiduccia-Mattheyses passes; fully deterministic.  Neither side is ever
+    empty: no move takes a side below one vertex.
     """
     members = sorted(members)
     side = _fm_passes(members, *_member_nets(net, members))
     part_a = [v for v in members if side[v] == 0]
     part_b = [v for v in members if side[v] == 1]
-    if not part_a or not part_b:
-        half = len(members) // 2
-        part_a, part_b = members[:half], members[half:]
     return _acyclic_repair(net, part_a, part_b)
 
 
@@ -306,7 +304,9 @@ def partition(circuit: Aig, config: PartitionConfig) -> list[SubCircuit]:
     """Decompose into cells with <= k boundary inputs and <= m outputs.
 
     The returned list is ordered so that all inter-cell signals flow from
-    earlier to later cells.  Each call returns a new list.
+    earlier to later cells.  Node ids in the cells refer to
+    ``cleanup(circuit)``, not to ``circuit``: compose and measure against
+    the cleaned circuit.  Each call returns a new list.
     """
     circuit = cleanup(circuit)
     net = _Netlist(circuit)

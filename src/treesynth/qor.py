@@ -51,23 +51,28 @@ def mismatched_bits(reference: list[int], candidate: list[int]) -> int:
 class Testbench:
     """Input vectors and the original circuit's output words on them.
 
-    The original is simulated once, when the testbench is built; ``measure``
-    simulates only the circuit it is given.  ``chunks`` are (input words,
-    mask) pairs of ``samples`` vectors in total.
+    ``chunks`` are (input words, mask) pairs; the vectors are counted from
+    the masks.  The original is simulated once, when the testbench is
+    built.  ``report`` turns output words on each chunk into an error;
+    ``measure`` simulates the circuit it is given and reports on it.
     """
 
     def __init__(self, original: Aig, chunks: list[tuple[list[int], int]],
-                 estimator: str, samples: int, seed: int):
+                 estimator: str, seed: int):
         self.original = original
         self.chunks = chunks
         self.reference = [simulate_words(original, words, mask)
                           for words, mask in chunks]
         self.estimator = estimator
-        self.samples = samples
+        self.samples = sum(mask.bit_count() for _, mask in chunks)
         self.seed = seed
-        self.total_bits = samples * original.num_outputs
+        self.total_bits = self.samples * original.num_outputs
 
-    def _report(self, mismatched: int) -> QorReport:
+    def report(self, outputs_per_chunk: list[list[int]]) -> QorReport:
+        """Error of a circuit whose output words on chunk ``i`` are
+        ``outputs_per_chunk[i]``."""
+        mismatched = sum(map(mismatched_bits, self.reference,
+                             outputs_per_chunk))
         total = self.total_bits
         return QorReport(error=mismatched / total if total else 0.0,
                          estimator=self.estimator, samples=self.samples,
@@ -76,14 +81,12 @@ class Testbench:
 
     def measure(self, approx: Aig) -> QorReport:
         """Error of ``approx`` against the original; the original itself
-        differs in no bit and is not simulated."""
+        is not simulated again."""
         _check_arity(self.original, approx)
         if approx is self.original:
-            return self._report(0)
-        return self._report(sum(
-            mismatched_bits(reference, simulate_words(approx, words, mask))
-            for reference, (words, mask) in zip(self.reference,
-                                                self.chunks)))
+            return self.report(self.reference)
+        return self.report([simulate_words(approx, words, mask)
+                            for words, mask in self.chunks])
 
 
 def exhaustive_testbench(original: Aig) -> Testbench:
@@ -97,7 +100,7 @@ def exhaustive_testbench(original: Aig) -> Testbench:
     mask = (1 << chunk) - 1
     chunks = [(truth_table_input_words(n, base, chunk), mask)
               for base in range(0, rows, chunk)]
-    return Testbench(original, chunks, "exhaustive", rows, 0)
+    return Testbench(original, chunks, "exhaustive", 0)
 
 
 def monte_carlo_testbench(original: Aig, samples: int,
@@ -106,7 +109,7 @@ def monte_carlo_testbench(original: Aig, samples: int,
     if samples < 1:
         raise AigError("samples must be >= 1")
     words, mask = sample_input_words(original.num_inputs, samples, seed)
-    return Testbench(original, [(words, mask)], "monte_carlo", samples, seed)
+    return Testbench(original, [(words, mask)], "monte_carlo", seed)
 
 
 def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
@@ -139,6 +142,10 @@ def qor_monte_carlo(original: Aig, approx: Aig, samples: int = 10_000,
 
 def qor_on_words(original: Aig, approx: Aig, words: list[int], mask: int,
                  samples: int, seed: int) -> QorReport:
-    """Monte Carlo estimate over an already-packed testbench."""
-    return Testbench(original, [(words, mask)], "monte_carlo", samples,
+    """Monte Carlo estimate over an already-packed testbench of ``samples``
+    vectors, the set bits of ``mask``."""
+    if samples != mask.bit_count():
+        raise AigError(f"samples is {samples}, but the mask holds "
+                       f"{mask.bit_count()} vectors")
+    return Testbench(original, [(words, mask)], "monte_carlo",
                      seed).measure(approx)

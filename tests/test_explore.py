@@ -10,8 +10,7 @@ from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
 from treesynth.partition import PartitionConfig
-from treesynth.qor import (qor_exhaustive, qor_monte_carlo, qor_on_words,
-                           sample_input_words)
+from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
 
@@ -249,6 +248,29 @@ def test_final_qor_matches_fresh_measure():
     assert untouched
 
 
+def bench_policy(bench):
+    return bench.estimator, bench.samples, bench.seed
+
+
+def test_testbench_policy():
+    # an exhaustive search shares its testbench with the final measure
+    mul = _Explorer(mul7u(), ExplorationConfig(
+        partition=PartitionConfig(initial_parts=10)))
+    assert mul.final_bench is mul.search_bench
+    assert bench_policy(mul.search_bench) == ("exhaustive", 1 << 14, 0)
+    # 16 inputs: sampled search, exhaustive final measure
+    add = _Explorer(add8u(), ExplorationConfig(
+        partition=PartitionConfig(initial_parts=10)))
+    assert bench_policy(add.search_bench) == ("monte_carlo", 10_000, 0)
+    assert bench_policy(add.final_bench) == ("exhaustive", 1 << 16, 0)
+    # over the exhaustive cap: sampled at seed and at seed + 1
+    wide = _Explorer(BENCHMARKS["c432"](), ExplorationConfig(
+        qor_samples=300, seed=4,
+        partition=PartitionConfig(initial_parts=10, max_inputs=8)))
+    assert bench_policy(wide.search_bench) == ("monte_carlo", 300, 4)
+    assert bench_policy(wide.final_bench) == ("monte_carlo", 300, 5)
+
+
 def test_negative_seed_is_aig_error():
     # c432 has more inputs than max_inputs, so the search draws vectors
     cfg = ExplorationConfig(
@@ -285,8 +307,6 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
     the QoR module, and check that rollback restores each state."""
     explorer = _Explorer(circuit, config)
     original, parts = explorer.original, explorer.parts
-    n = original.num_inputs
-    exhaustive = n <= config.partition.max_inputs
 
     def random_cell(part):
         if rng.random() < 0.2:
@@ -294,23 +314,19 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
         return explorer.approx(part, rng.randint(1, max_depth)).circuit
 
     def check(state, replacements, part, cell):
-        snapshot = (list(state.builder.ands), dict(state.builder._strash),
-                    list(state.words))
+        def snapshot():
+            # each chunk's word list is copied, not only the outer list
+            return (list(state.builder.ands), dict(state.builder._strash),
+                    [list(words) for words in state.words])
+
+        before = snapshot()
         area, outputs = state.substitute(part.id, cell)
         error = explorer.search_qor(state, outputs)
         state.rollback()
-        assert snapshot == (list(state.builder.ands),
-                            dict(state.builder._strash), list(state.words))
+        assert snapshot() == before
         composed = compose(original, parts, {**replacements, part.id: cell})
         assert area == and_count(composed)
-        if exhaustive:
-            want = qor_exhaustive(original, composed)
-        else:
-            words, mask = sample_input_words(n, config.qor_samples,
-                                             config.seed)
-            want = qor_on_words(original, composed, words, mask,
-                                config.qor_samples, config.seed)
-        assert error == want.error
+        assert error == explorer.search_bench.measure(composed).error
         return outputs
 
     # a cell that drives an output, folded to constant 1

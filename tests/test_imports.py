@@ -1,0 +1,55 @@
+"""Every module of the package uses each name it imports.
+
+No linter is required to run the tests, so this is the unused-import check:
+a name an import binds must be read somewhere in its module, or be listed
+in the module's ``__all__``.  An import statement with ``# noqa: F401`` on
+one of its lines is exempt, as are ``__future__`` imports.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treesynth"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(
+        imported.items(), key=lambda item: item[1]) if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from math import inf, pi  # noqa: F401\n"
+              "from json import dumps\n"
+              "__all__ = ['dumps']\n"
+              "print(sys.argv)\n")
+    assert unused_imports(source) == ["line 2: os"]
+
+
+def test_package_has_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {path.name: unused_imports(path.read_text())
+             for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -7,9 +7,11 @@ import pytest
 
 from treesynth.aig import (Aig, AigBuilder, AigError, lit_not, simulate_words,
                            truth_table_input_words)
+from treesynth import qor
+from treesynth.bench import c17
 from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, mismatched_bits,
                            monte_carlo_testbench, qor_exhaustive,
-                           qor_monte_carlo, sample_input_words)
+                           qor_monte_carlo, qor_on_words, sample_input_words)
 
 from conftest import random_circuit
 
@@ -138,6 +140,32 @@ def test_negative_seed_is_aig_error():
         qor_monte_carlo(c, c, 100, -1)
     with pytest.raises(AigError, match="seed"):
         monte_carlo_testbench(c, 100, -1)
+
+
+def test_on_words_sample_count_must_match_mask():
+    # 100 vectors reported as 5 gave an error rate of 10.2
+    c = c17()
+    approx = Aig(num_inputs=5, ands=(), outputs=(1, 0))
+    words, mask = sample_input_words(5, 100, 0)
+    with pytest.raises(AigError, match="samples"):
+        qor_on_words(c, approx, words, mask, samples=5, seed=0)
+    r = qor_on_words(c, approx, words, mask, samples=100, seed=0)
+    assert (r.samples, r.total_bits) == (100, 200)
+    assert 0.0 <= r.error <= 1.0
+    assert r == qor_monte_carlo(c, approx, samples=100, seed=0)
+
+
+def test_testbench_counts_vectors_from_masks(rng):
+    c = random_circuit(rng, 6, 25, 2)
+    b = random_circuit(rng, 6, 25, 2)
+    chunks = [(truth_table_input_words(6, base, 16), (1 << 16) - 1)
+              for base in range(0, 64, 16)]
+    bench = qor.Testbench(c, chunks, "exhaustive", 0)
+    assert (bench.samples, bench.total_bits) == (64, 128)
+    assert bench.measure(b) == qor_exhaustive(c, b)
+    assert bench.report([simulate_words(b, words, mask)
+                         for words, mask in chunks]) == bench.measure(b)
+    assert bench.measure(c).mismatched_bits == 0
 
 
 def test_report_json_roundtrip(rng):
