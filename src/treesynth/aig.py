@@ -260,17 +260,9 @@ class AigBuilder:
         return self.or_(self.and_(a, lit_not(b)), self.and_(lit_not(a), b))
 
     def mux(self, sel: int, high: int, low: int) -> int:
-        """If sel then high else low, with constant propagation."""
+        """If sel then high else low; ``and_`` folds constant operands."""
         if high == low:
             return high
-        if sel == CONST1:
-            return high
-        if sel == CONST0:
-            return low
-        if high == CONST1 and low == CONST0:
-            return sel
-        if high == CONST0 and low == CONST1:
-            return lit_not(sel)
         return self.or_(self.and_(sel, high), self.and_(lit_not(sel), low))
 
     def inline(self, cell: Aig, inputs: list[int]) -> list[int]:

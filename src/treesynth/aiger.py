@@ -39,9 +39,9 @@ def parse_aiger(text: str) -> Aig:
             literal = int(line)
         except ValueError as exc:
             raise AigError(f"bad input literal: {line!r}") from exc
-        if literal & 1 or literal == 0:
-            raise AigError(f"input literal {literal} must be even, nonzero")
         var = literal >> 1
+        if literal & 1 or not 0 < var <= m:
+            raise AigError(f"input literal {literal} must be even in 2..2M")
         if var in var_to_input:
             raise AigError(f"duplicate input definition for variable {var}")
         var_to_input[var] = idx
@@ -61,9 +61,9 @@ def parse_aiger(text: str) -> Aig:
             lhs, rhs0, rhs1 = (int(x) for x in fields)
         except ValueError as exc:
             raise AigError(f"bad AND line: {' '.join(fields)!r}") from exc
-        if lhs & 1 or lhs == 0:
-            raise AigError(f"AND lhs {lhs} must be even, nonzero")
         var = lhs >> 1
+        if lhs & 1 or not 0 < var <= m:
+            raise AigError(f"AND lhs {lhs} must be even in 2..2M")
         if var in var_to_input or var in and_defs:
             raise AigError(f"duplicate definition for variable {var}")
         and_defs[var] = (rhs0, rhs1)
@@ -92,8 +92,7 @@ def parse_aiger(text: str) -> Aig:
 
     def check_ref(literal: int) -> None:
         var = literal >> 1
-        if var > m or (var != 0 and var not in var_to_input
-                       and var not in and_defs):
+        if var != 0 and var not in var_to_input and var not in and_defs:
             raise AigError(f"reference to undefined literal {literal}")
 
     for var, (rhs0, rhs1) in and_defs.items():

@@ -141,7 +141,7 @@ def _logical_lines(text: str) -> list[str]:
     return out
 
 
-def write_blif(circuit: Aig, model: str = "top") -> str:
+def write_blif(circuit: Aig) -> str:
     """Serialize the cleaned circuit; one two-input .names table per AND.
 
     Internal nodes get names no input or output uses; an output named like
@@ -152,7 +152,7 @@ def write_blif(circuit: Aig, model: str = "top") -> str:
         f"x{k}" for k in range(c.num_inputs)]
     out_names = list(c.output_names) if c.output_names else [
         f"y{k}" for k in range(c.num_outputs)]
-    lines = [f".model {model}"]
+    lines = [".model top"]
     if in_names:
         lines.append(".inputs " + " ".join(in_names))
     lines.append(".outputs " + " ".join(out_names))

@@ -168,6 +168,8 @@ def cmd_approximate(args) -> int:
             if args.out:
                 _write_netlist(approx.circuit,
                                f"{args.out}.md{depth}", args.format)
+        if args.trace:  # no candidate enters a beam in this mode
+            Path(args.trace).write_text("")
         _emit_report(report, args, started)
         return EXIT_OK if proven else EXIT_BUDGET_EXCEEDED
 

@@ -5,7 +5,8 @@ DL8.5 style: subproblems are row subsets reached by a path of feature
 conditions, memoized so that equivalent paths share work.  Subproblem
 results are cached only when solved to proven optimality, which keeps the
 cache sound regardless of bounding.  ``fit_bruteforce`` is a deliberately
-naive enumerator kept as an independent oracle.
+naive enumerator kept as an independent oracle.  Both split a leaf only when
+that is strictly better, so no fitted branch has two equal leaves.
 
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
@@ -135,7 +136,7 @@ def count_errors(tree: DecisionTree, data: Dataset) -> int:
 
 
 def collapse(node: TreeNode) -> TreeNode:
-    """Bottom-up merge of branches whose children are identical leaves."""
+    """Merge equal sibling leaves bottom-up; a test oracle (fits have none)."""
     if isinstance(node, Leaf):
         return node
     low = collapse(node.low)
@@ -257,7 +258,6 @@ def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     return _fit(data, budget)
 
 
-# Finished unbudgeted fits kept per process (least recently used evicted).
 @functools.lru_cache(maxsize=512)
 def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
     return _fit(data, SearchBudget(max_depth=max_depth))
@@ -266,7 +266,6 @@ def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
 def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.solve(data.row_mask, budget.max_depth)
-    root = collapse(root)
     return DecisionTree(root=root, train_error=err, realized_depth=root.depth,
                         proven_optimal=not search.exhausted)
 
@@ -301,5 +300,4 @@ def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
         return err, node
 
     err, root = best_tree(rows, budget.max_depth)
-    root = collapse(root)
     return DecisionTree(root=root, train_error=err, realized_depth=root.depth)

@@ -283,8 +283,6 @@ def _acyclic_repair(net: _Netlist, part_a: list[int],
     # into A, or everything in A reachable from B into B; pick the smaller.
     b_to_a_tails = {v for v in set_b
                     if any(c in set_a for c in net.consumers[v])}
-    if not b_to_a_tails:
-        return sorted(set_a), sorted(set_b)
     reach_a = {v for v in closure(b_to_a_tails, forward=False) if v in set_b}
     from_b = {v for v in closure(b_to_a_tails, forward=True) if v in set_a}
     if len(reach_a) <= len(from_b):

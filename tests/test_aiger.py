@@ -87,3 +87,12 @@ def test_non_integer_and_tokens_rejected():
     for line in ("6 2i 4", "6 2 x", "6 2", "6 2 4 4"):
         with pytest.raises(AigError):
             parse_aiger(f"aag 3 2 0 1 1\n2\n4\n6\n{line}\n")
+
+
+def test_variables_outside_header_range_rejected():
+    # M bounds every variable: an AND or an input above it, or a negative
+    # input literal, used to parse
+    for text in ("aag 2 1 0 1 1\n2\n2\n8 2 3\n", "aag 1 1 0 0 0\n4\n",
+                 "aag 1 1 0 0 0\n-2\n"):
+        with pytest.raises(AigError, match=r"must be even in 2\.\.2M"):
+            parse_aiger(text)

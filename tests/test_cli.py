@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import argparse
+import inspect
 import json
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 
 from treesynth.aiger import parse_aiger, write_aiger
 from treesynth.cli import _exploration_config, build_parser, main
-from treesynth.explore import replay
+from treesynth.explore import ExplorationConfig, replay
+from treesynth.qor import qor_monte_carlo
 
 from conftest import clear_memos
 
@@ -105,6 +107,28 @@ def test_empty_trace_is_an_empty_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["results"] == []
     assert trace_file.read_text() == ""
+
+
+def test_whole_circuit_trace_is_an_empty_file(tmp_path, capsys):
+    # no candidate enters a beam without partitioning; the file still appears
+    trace_file = tmp_path / "trace.jsonl"
+    code, _ = run(capsys, "approximate", str(BENCH / "c17.aag"),
+                  "--whole-circuit", "--depth", "1", "--trace",
+                  str(trace_file))
+    assert code == 0
+    assert trace_file.read_text() == ""
+
+
+def test_defaults_match_the_library():
+    # the CLI repeats the library's defaults; these must not drift apart
+    parser = build_parser()
+    approximate = parser.parse_args(["approximate", "x"])
+    assert _exploration_config(approximate) == ExplorationConfig()
+    assert approximate.jobs == ExplorationConfig().jobs
+    evaluation = parser.parse_args(["eval", "x", "y"])
+    defaults = inspect.signature(qor_monte_carlo).parameters
+    assert (evaluation.samples, evaluation.seed) == (
+        defaults["samples"].default, defaults["seed"].default)
 
 
 def test_budgeted_report_replays_to_written_netlist(tmp_path, capsys):

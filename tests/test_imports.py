@@ -1,9 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports or defines privately.
 
 No linter is required to run the tests, so this is the unused-import check:
 a name an import binds must be read somewhere in its module, or be listed
 in the module's ``__all__``.  An import statement with ``# noqa: F401`` on
-one of its lines is exempt, as are ``__future__`` imports.
+one of its lines is exempt, as are ``__future__`` imports.  It is also the
+dead-code check: a module-level ``def _x`` or ``class _X`` must be named
+somewhere in its own module, or nothing in the package calls it.
 """
 
 import ast
@@ -51,5 +53,32 @@ def test_package_has_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {path.name: unused_imports(path.read_text())
+             for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_private_definitions(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {node.lineno}: {node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+
+
+def test_dead_private_definitions_are_found():
+    source = ("def _used():\n    return 1\n"
+              "def _helper():\n    return 2\n"
+              "class _Unused:\n    pass\n"
+              "def __getattr__(name):\n    return _used()\n")
+    assert dead_private_definitions(source) == ["line 3: _helper",
+                                                "line 5: _Unused"]
+
+
+def test_package_has_no_dead_private_definitions():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {path.name: dead_private_definitions(path.read_text())
              for path in modules}
     assert {name: names for name, names in found.items() if names} == {}

@@ -95,6 +95,20 @@ def test_collapse():
     assert collapse(node) == Leaf(1)
 
 
+def test_fitted_trees_are_irreducible():
+    # a split replaces the majority leaf only when strictly better, so no
+    # fitted branch has two equal leaves and collapse changes no fitted tree
+    rng = random.Random(37)
+    for _ in range(300):
+        d = make_dataset(rng, rng.randint(1, 6), rng.randint(1, 24),
+                         weighted=rng.random() < 0.3)
+        depth = rng.randint(0, 3)
+        node_limit = rng.choice((None, rng.randint(0, 20)))
+        for tree in (fit_optimal(d, SearchBudget(depth, node_limit)),
+                     fit_bruteforce(d, SearchBudget(depth))):
+            assert collapse(tree.root) == tree.root, to_sexpr(tree.root)
+
+
 def test_to_sexpr():
     assert to_sexpr(Branch(2, Leaf(0), Leaf(1))) == "(x2 (leaf 0) (leaf 1))"
 
