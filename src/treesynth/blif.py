@@ -43,16 +43,16 @@ def parse_blif(text: str) -> Aig:
             raise AigError(f"unsupported BLIF construct: {key}")
 
     defined: set[str] = set()
-    for _, out, _ in tables:
-        if out in defined or out in inputs:
-            raise AigError(f"duplicate definition for signal {out}")
-        defined.add(out)
-    for fanins, out, _ in tables:
+    for name in [*inputs, *(out for _, out, _ in tables)]:
+        if name in defined:
+            raise AigError(f"duplicate definition for signal {name}")
+        defined.add(name)
+    for fanins, _, _ in tables:
         for sig in fanins:
-            if sig not in defined and sig not in inputs:
+            if sig not in defined:
                 raise AigError(f"undefined signal reference: {sig}")
     for sig in outputs:
-        if sig not in defined and sig not in inputs:
+        if sig not in defined:
             raise AigError(f"undefined output signal: {sig}")
 
     builder = AigBuilder(len(inputs))
@@ -146,10 +146,13 @@ def write_blif(circuit: Aig) -> str:
 
     Internal nodes get names no input or output uses; an output named like
     an input or an earlier output must carry its literal (else AigError).
+    Two inputs may not share a name (AigError): BLIF names are signals.
     """
     c = cleanup(circuit)
     in_names = list(c.input_names) if c.input_names else [
         f"x{k}" for k in range(c.num_inputs)]
+    if len(set(in_names)) < len(in_names):
+        raise AigError("two inputs share a name, which BLIF cannot express")
     out_names = list(c.output_names) if c.output_names else [
         f"y{k}" for k in range(c.num_outputs)]
     lines = [".model top"]

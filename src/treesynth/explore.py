@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
                   extend_words, literal_words)
+from .odt import SearchBudget
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
                   exhaustive_testbench, monte_carlo_testbench)
@@ -73,6 +74,8 @@ class ExplorationConfig:
             raise AigError("beam_width must be >= 1")
         if self.qor_samples < 1:
             raise AigError("qor_samples must be >= 1")
+        # the tree search's own limit checks (OdtError), before any search
+        SearchBudget(self.initial_max_depth, self.node_limit, self.time_limit)
 
 
 @dataclass(frozen=True)

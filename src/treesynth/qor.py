@@ -8,9 +8,8 @@ evaluated vectors and lies in [0, 1].
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .aig import Aig, AigError, simulate_words, truth_table_input_words
 
@@ -117,16 +116,14 @@ def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
 
 def sample_input_words(num_inputs: int, samples: int,
                        seed: int) -> tuple[list[int], int]:
-    """Packed uniform random vectors (with replacement) from a seeded PCG64."""
+    """Packed uniform random vectors (with replacement): one
+    ``getrandbits(samples)`` word per input from ``random.Random(seed)``
+    (Mersenne Twister); bit ``j`` of each word is vector ``j``."""
     if seed < 0:
         raise AigError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     mask = (1 << samples) - 1
-    words = []
-    for _ in range(num_inputs):
-        bits = rng.integers(0, 2, size=samples, dtype=np.uint8)
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        words.append(int.from_bytes(packed, "little"))
+    words = [rng.getrandbits(samples) for _ in range(num_inputs)]
     return words, mask
 
 

@@ -3,6 +3,9 @@
 import argparse
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,6 +286,38 @@ def test_negative_limit_or_sample_count_is_input_error(capsys):
         assert out == ""
         assert "Traceback" not in err and err.startswith("error:")
         assert flag[2:].replace("-", "_") in err, err
+
+
+def test_bad_limits_rejected_without_cells(tmp_path, capsys):
+    # a netlist with no AND nodes fits no tree; the bad limits used to be
+    # accepted, echoed and exit 0
+    wire = tmp_path / "wire.aag"
+    wire.write_text("aag 1 1 0 1 0\n2\n2\n")
+    code = main(["approximate", str(wire), "--node-limit", "-5",
+                 "--time-limit", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("error:")
+
+
+def test_results_do_not_depend_on_the_hash_seed(tmp_path):
+    # c432 has 36 inputs, so this runs the Monte Carlo search; both runs
+    # write to the same paths, which the report echoes
+    out, trace = tmp_path / "out.aag", tmp_path / "trace.jsonl"
+    runs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "treesynth.cli", "approximate",
+             str(BENCH / "c432.aag"), "--max-sub-inputs", "8",
+             "--initial-parts", "10", "--no-timing", "--out", str(out),
+             "--trace", str(trace)],
+            env=env, capture_output=True, timeout=120, check=True)
+        runs.append((done.stdout, out.read_bytes(), trace.read_bytes()))
+    assert runs[0][2]  # candidates were scored
+    assert runs[0] == runs[1]
 
 
 def test_flags_a_subcommand_does_not_read_are_rejected(capsys):

@@ -9,6 +9,7 @@ from treesynth.aig import Aig, AigError, and_count, compose, simulate
 from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
+from treesynth.odt import OdtError
 from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
@@ -41,6 +42,13 @@ def test_config_validation():
     for samples in (0, -1):
         with pytest.raises(AigError):
             ExplorationConfig(qor_samples=samples)
+    # the limits are SearchBudget's: checked when the config is built
+    for limits in ({"node_limit": -3}, {"time_limit": -1.0},
+                   {"time_limit": float("nan")},
+                   {"node_limit": -3, "time_limit": float("nan")}):
+        with pytest.raises(OdtError):
+            ExplorationConfig(**limits)
+    ExplorationConfig(node_limit=0, time_limit=0.0)  # zero is valid
 
 
 def test_zero_threshold_returns_equivalent_circuit(rng):

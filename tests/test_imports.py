@@ -5,10 +5,13 @@ a name an import binds must be read somewhere in its module, or be listed
 in the module's ``__all__``.  An import statement with ``# noqa: F401`` on
 one of its lines is exempt, as are ``__future__`` imports.  It is also the
 dead-code check: a module-level ``def _x`` or ``class _X`` must be named
-somewhere in its own module, or nothing in the package calls it.
+somewhere in its own module, or nothing in the package calls it.  And it
+is the dependency check: every absolute import names a module of the
+standard library, so the package runs with no third-party package.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treesynth"
@@ -80,5 +83,37 @@ def test_package_has_no_dead_private_definitions():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     found = {path.name: dead_private_definitions(path.read_text())
+             for path in modules}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def third_party_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+def test_third_party_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import json, os.path\n"
+              "import numpy as np\n"
+              "from .aig import Aig\n"
+              "from scipy.sparse import csr_matrix\n")
+    assert third_party_imports(source) == ["line 3: numpy",
+                                           "line 5: scipy.sparse"]
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {path.name: third_party_imports(path.read_text())
              for path in modules}
     assert {name: names for name, names in found.items() if names} == {}

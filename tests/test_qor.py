@@ -1,5 +1,6 @@
 """Error measurement between original and approximated circuits."""
 
+import hashlib
 import json
 import math
 
@@ -132,6 +133,12 @@ def test_sample_words_shape():
     assert len(words) == 4
     assert mask == (1 << 100) - 1
     assert all(w & ~mask == 0 for w in words)
+    # the stream is pinned: a change to it must edit this digest
+    words, _ = sample_input_words(5, 1000, 7)
+    packed = b"".join(w.to_bytes(125, "little") for w in words)
+    assert hashlib.sha256(packed).hexdigest() == (
+        "ffe15ca938c371f6b952058865649c3f0bad0c84011a8305434609b07044908f")
+    assert sample_input_words(5, 1000, 8)[0] != words
 
 
 def test_negative_seed_is_aig_error():
