@@ -36,8 +36,8 @@ def sample_case(circuit, output_index: int, seed: int):
         features = pack_vectors(vectors, circuit.num_inputs)
         labels = simulate_words(circuit, features,
                                 (1 << count) - 1)[output_index]
-        out[split] = Dataset(num_features=circuit.num_inputs, num_rows=count,
-                             features=tuple(features), labels=labels)
+        out[split] = Dataset(num_rows=count, features=tuple(features),
+                             labels=labels)
     return out
 
 

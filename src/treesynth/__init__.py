@@ -6,9 +6,8 @@ cell output over the cell's full truth table, resynthesize the trees into
 logic, and greedily substitute cells under a global error budget.
 """
 
-from .aig import (Aig, AigBuilder, AigError, CircuitMetrics, and_count,
-                  cleanup, compose, metrics, simulate, simulate_words,
-                  strash)
+from .aig import (Aig, AigBuilder, AigError, and_count, cleanup, compose,
+                  simulate, simulate_words)
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import (Dataset, DatasetError, PlaTriple, parse_pla,
@@ -25,8 +24,8 @@ from .synth import ApproxSubCircuit, approx_sub_circuit, tree_to_aig, trees_to_a
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aig", "AigBuilder", "AigError", "CircuitMetrics", "and_count",
-    "cleanup", "compose", "metrics", "simulate", "simulate_words", "strash",
+    "Aig", "AigBuilder", "AigError", "and_count", "cleanup", "compose",
+    "simulate", "simulate_words",
     "parse_aiger", "write_aiger", "parse_blif", "write_blif",
     "Dataset", "DatasetError", "PlaTriple", "parse_pla", "truth_tables",
     "write_pla", "ExplorationConfig", "ExplorationResult", "TraceRecord",

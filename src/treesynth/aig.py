@@ -35,14 +35,6 @@ CONST1 = 1
 
 
 @dataclass(frozen=True)
-class CircuitMetrics:
-    and_count: int
-    level_depth: int
-    num_inputs: int
-    num_outputs: int
-
-
-@dataclass(frozen=True)
 class Aig:
     """Immutable combinational AIG.
 
@@ -57,14 +49,18 @@ class Aig:
     output_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        if self.num_inputs < 0:
+            raise AigError("num_inputs must be >= 0")
         first_and = self.num_inputs + 1
         for i, (a, b) in enumerate(self.ands):
-            node = first_and + i
-            if lit_node(a) >= node or lit_node(b) >= node:
-                raise AigError(f"AND node {node} has non-topological fanin")
+            end = 2 * (first_and + i)  # first literal of this node
+            if not (0 <= a < end and 0 <= b < end):
+                raise AigError(f"AND node {first_and + i} has a negative or "
+                               "non-topological fanin")
+        end = 2 * (first_and + len(self.ands))
         for o in self.outputs:
-            if lit_node(o) > self.num_inputs + len(self.ands):
-                raise AigError(f"output literal {o} references undefined node")
+            if not 0 <= o < end:
+                raise AigError(f"output literal {o} references no node")
         if self.input_names is not None and \
                 len(self.input_names) != self.num_inputs:
             raise AigError("input name count does not match input count")
@@ -75,10 +71,6 @@ class Aig:
     @property
     def num_outputs(self) -> int:
         return len(self.outputs)
-
-    @property
-    def num_nodes(self) -> int:
-        return 1 + self.num_inputs + len(self.ands)
 
 
 def simulate_words(circuit: Aig, input_words: list[int], mask: int) -> list[int]:
@@ -193,26 +185,6 @@ def _reachable(ands, first_and: int, literals) -> set[int]:
     return seen
 
 
-def metrics(circuit: Aig) -> CircuitMetrics:
-    reach = reachable_nodes(circuit)
-    first_and = circuit.num_inputs + 1
-    level = {0: 0}
-    for i in range(circuit.num_inputs):
-        level[1 + i] = 0
-    depth = 0
-    for node in sorted(reach):
-        a, b = circuit.ands[node - first_and]
-        level[node] = 1 + max(level[lit_node(a)], level[lit_node(b)])
-    for o in circuit.outputs:
-        depth = max(depth, level.get(lit_node(o), 0))
-    return CircuitMetrics(
-        and_count=len(reach),
-        level_depth=depth,
-        num_inputs=circuit.num_inputs,
-        num_outputs=circuit.num_outputs,
-    )
-
-
 def and_count(circuit: Aig) -> int:
     return len(reachable_nodes(circuit))
 
@@ -304,9 +276,10 @@ class AigBuilder:
         )
 
 
-def _rebuild(circuit: Aig, keep_only_reachable: bool) -> Aig:
+def _rebuild(circuit: Aig) -> Aig:
+    """Rebuild the nodes reachable from the outputs on a fresh builder."""
     builder = AigBuilder(circuit.num_inputs)
-    keep = reachable_nodes(circuit) if keep_only_reachable else None
+    keep = reachable_nodes(circuit)
     first_and = circuit.num_inputs + 1
     mapping: dict[int, int] = {0: CONST0}
     for i in range(circuit.num_inputs):
@@ -318,7 +291,7 @@ def _rebuild(circuit: Aig, keep_only_reachable: bool) -> Aig:
 
     for i, (a, b) in enumerate(circuit.ands):
         node = first_and + i
-        if keep is not None and node not in keep:
+        if node not in keep:
             continue
         mapping[node] = builder.and_(mapped(a), mapped(b))
     for o in circuit.outputs:
@@ -326,21 +299,17 @@ def _rebuild(circuit: Aig, keep_only_reachable: bool) -> Aig:
     return builder.build(circuit.input_names, circuit.output_names)
 
 
-def strash(circuit: Aig) -> Aig:
-    """Structurally hash and constant-fold; simulation-equivalent result."""
-    return _rebuild(circuit, keep_only_reachable=False)
-
-
 def cleanup(circuit: Aig) -> Aig:
-    """Drop AND nodes unreachable from the outputs, then strash.
+    """Drop AND nodes unreachable from the outputs, structurally hash and
+    constant-fold the rest; the result is simulation-equivalent.
 
     Constant folding can orphan a kept node (``n6 = n5 & !n5`` leaves
     ``n5`` unread); a second pass then drops it, so that cleaning a
     cleaned circuit returns it unchanged.
     """
-    cleaned = _rebuild(circuit, keep_only_reachable=True)
+    cleaned = _rebuild(circuit)
     if and_count(cleaned) < len(cleaned.ands):
-        cleaned = _rebuild(cleaned, keep_only_reachable=True)
+        cleaned = _rebuild(cleaned)
     return cleaned
 
 

@@ -8,7 +8,7 @@ import sys
 import time
 from pathlib import Path
 
-from .aig import Aig, AigError, and_count, metrics
+from .aig import Aig, AigError, and_count
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import Dataset, DatasetError, load_pla_triple
@@ -215,9 +215,9 @@ def cmd_partition(args) -> int:
         "max_inputs": config.max_inputs, "max_outputs": config.max_outputs,
         "initial_parts": config.initial_parts,
     }
-    m = metrics(circuit)
-    out["circuit"] = {"inputs": m.num_inputs, "outputs": m.num_outputs,
-                      "and_count": m.and_count}
+    out["circuit"] = {"inputs": circuit.num_inputs,
+                      "outputs": circuit.num_outputs,
+                      "and_count": and_count(circuit)}
     sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 

@@ -21,15 +21,20 @@ class DatasetError(Exception):
 
 @dataclass(frozen=True)
 class Dataset:
-    num_features: int
+    """Rows of binary features with one binary label each.
+
+    Derived values: ``num_features`` is ``len(features)``, and
+    ``row_mask`` has one set bit per row.
+    """
+
     num_rows: int
     features: tuple[int, ...]  # one row-bitset per feature
     labels: int                # row-bitset of the single label column
     weights: tuple[int, ...] | None = None  # positive per-row multiplicities
 
     def __post_init__(self):
-        if len(self.features) != self.num_features:
-            raise DatasetError("feature column count mismatch")
+        if self.num_rows < 0:
+            raise DatasetError("num_rows must be >= 0")
         mask = self.row_mask
         if self.labels & ~mask or any(f & ~mask for f in self.features):
             raise DatasetError("column has bits beyond num_rows")
@@ -38,6 +43,10 @@ class Dataset:
                 raise DatasetError("weight count mismatch")
             if any(w <= 0 for w in self.weights):
                 raise DatasetError("row weights must be positive")
+
+    @property
+    def num_features(self) -> int:
+        return len(self.features)
 
     @property
     def row_mask(self) -> int:
@@ -67,8 +76,8 @@ def truth_tables(circuit: Aig,
     rows = 1 << n
     words = truth_table_input_words(n)
     outs = simulate_words(circuit, words, (1 << rows) - 1)
-    return [Dataset(num_features=n, num_rows=rows,
-                    features=tuple(words), labels=o) for o in outs]
+    return [Dataset(num_rows=rows, features=tuple(words), labels=o)
+            for o in outs]
 
 
 @dataclass(frozen=True)
@@ -142,8 +151,8 @@ def parse_pla(text: str) -> Dataset:
             labels |= 1 << r
         elif out_bit != "0":
             raise DatasetError(f"bad PLA output bit: {out_bit!r}")
-    return Dataset(num_features=num_in, num_rows=len(rows),
-                   features=tuple(features), labels=labels)
+    return Dataset(num_rows=len(rows), features=tuple(features),
+                   labels=labels)
 
 
 def write_pla(data: Dataset) -> str:
@@ -151,14 +160,6 @@ def write_pla(data: Dataset) -> str:
     for bits, label in data.rows():
         lines.append("".join(str(b) for b in bits) + f" {label}")
     lines.append(".e")
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(data: Dataset) -> str:
-    header = ",".join(f"x{i}" for i in range(data.num_features)) + ",label"
-    lines = [header]
-    for bits, label in data.rows():
-        lines.append(",".join(str(b) for b in bits) + f",{label}")
     return "\n".join(lines) + "\n"
 
 

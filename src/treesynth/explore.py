@@ -126,9 +126,9 @@ def loss(candidate_area: int, original_area: int, candidate_qor: float) -> float
 
 
 def _final_measure(testbench: Testbench, approx: Aig) -> QorReport:
-    """The reported error of ``approx``: on the search testbench when the
-    search is exhaustive, else independently of it, exhaustive up to
-    ``EXHAUSTIVE_INPUT_CAP`` inputs and on vectors drawn with seed + 1."""
+    """The final re-measure: the reported error of ``approx`` on the final
+    testbench, which ``_Explorer.__init__`` chooses.  A module function,
+    because perfbench's ``qor.final`` span wraps it by this name."""
     return testbench.measure(approx)
 
 
@@ -204,6 +204,9 @@ class _Explorer:
         self.original_area = and_count(self.original)
         # (part id, depth an approximation was fitted at) -> approximation
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
+        # The final testbench is the search's when that is exhaustive, else
+        # independent of it: exhaustive up to EXHAUSTIVE_INPUT_CAP inputs,
+        # else vectors drawn with seed + 1.
         n = self.original.num_inputs
         if n <= config.partition.max_inputs:
             self.search_bench = self.final_bench = exhaustive_testbench(

@@ -81,10 +81,18 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class DecisionTree:
+    """A fitted tree and its weighted training error.
+
+    The depth is derived: ``realized_depth`` is ``root.depth``.
+    """
+
     root: TreeNode
     train_error: int
-    realized_depth: int
     proven_optimal: bool = True
+
+    @property
+    def realized_depth(self) -> int:
+        return self.root.depth
 
 
 def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
@@ -266,7 +274,7 @@ def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
 def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.solve(data.row_mask, budget.max_depth)
-    return DecisionTree(root=root, train_error=err, realized_depth=root.depth,
+    return DecisionTree(root=root, train_error=err,
                         proven_optimal=not search.exhausted)
 
 
@@ -300,4 +308,4 @@ def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
         return err, node
 
     err, root = best_tree(rows, budget.max_depth)
-    return DecisionTree(root=root, train_error=err, realized_depth=root.depth)
+    return DecisionTree(root=root, train_error=err)

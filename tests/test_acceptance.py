@@ -69,7 +69,7 @@ def test_criterion_2_odt_oracle(capsys):
     for _ in range(200):
         n = rng.randint(2, 8)
         rows = rng.randint(4, 128)
-        d = Dataset(num_features=n, num_rows=rows,
+        d = Dataset(num_rows=rows,
                     features=tuple(rng.getrandbits(rows) for _ in range(n)),
                     labels=rng.getrandbits(rows),
                     weights=(tuple(rng.randint(1, 3) for _ in range(rows))

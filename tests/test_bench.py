@@ -3,16 +3,16 @@
 import itertools
 import random
 
-from treesynth.aig import metrics, simulate
+from treesynth.aig import and_count, simulate
 from treesynth.bench import (BENCHMARKS, add8u, c17, c17_nand_reference,
                              c432_profile, c432_profile_reference, mul7u)
 
 
 def test_c17_shape():
-    m = metrics(c17())
-    assert m.num_inputs == 5
-    assert m.num_outputs == 2
-    assert m.and_count == 6  # the classic 6-NAND netlist
+    c = c17()
+    assert c.num_inputs == 5
+    assert c.num_outputs == 2
+    assert and_count(c) == 6  # the classic 6-NAND netlist
 
 
 def test_c17_against_nand_reference():

@@ -4,8 +4,7 @@ import pytest
 
 from treesynth.aig import Aig, AigBuilder
 from treesynth.dataset import (Dataset, DatasetError, load_pla_triple,
-                               parse_pla, truth_tables, write_csv,
-                               write_pla)
+                               parse_pla, truth_tables, write_pla)
 
 from conftest import random_circuit
 
@@ -18,8 +17,7 @@ def xor_circuit():
 
 def test_dataset_rows():
     # rows: (0,0)->0 (1,0)->1 (0,1)->1 (1,1)->0
-    d = Dataset(num_features=2, num_rows=4,
-                features=(0b1010, 0b1100), labels=0b0110)
+    d = Dataset(num_rows=4, features=(0b1010, 0b1100), labels=0b0110)
     assert list(d.rows()) == [((0, 0), 0), ((1, 0), 1),
                               ((0, 1), 1), ((1, 1), 0)]
     assert d.row_mask == 0b1111
@@ -27,12 +25,11 @@ def test_dataset_rows():
 
 def test_dataset_validation():
     with pytest.raises(DatasetError):
-        Dataset(num_features=2, num_rows=2, features=(0,), labels=0)
+        Dataset(num_rows=-1, features=(0,), labels=0)
     with pytest.raises(DatasetError):
-        Dataset(num_features=1, num_rows=2, features=(0b100,), labels=0)
+        Dataset(num_rows=2, features=(0b100,), labels=0)
     with pytest.raises(DatasetError):
-        Dataset(num_features=1, num_rows=2, features=(0b01,), labels=0,
-                weights=(1, 0))
+        Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1, 0))
 
 
 def test_truth_table_xor():
@@ -125,8 +122,3 @@ def test_load_pla_triple_width_check():
     load_pla_triple(one, one, one)
     with pytest.raises(DatasetError):
         load_pla_triple(one, two, one)
-
-
-def test_write_csv():
-    d = parse_pla(".i 2\n.o 1\n01 1\n.e\n")
-    assert write_csv(d) == "x0,x1,label\n0,1,1\n"

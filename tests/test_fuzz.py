@@ -2,7 +2,9 @@
 
 Each reader gets its own well-formed seed text, mutated at the character
 and line level.  Whatever comes out, a reader may only raise the library's
-own error types.  Every subcommand gets malformed and valid flags on small
+own error types.  The ``Aig`` constructor gets small arbitrary integers; a
+circuit it accepts may only raise ``AigError`` when cleaned, written or
+simulated.  Every subcommand gets malformed and valid flags on small
 inputs; it may only exit 0 or 3, or exit 2 with an ``error:`` line.
 """
 
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from treesynth.aig import AigError
-from treesynth.aiger import parse_aiger
-from treesynth.blif import parse_blif
+from treesynth.aig import Aig, AigError, cleanup, simulate_words
+from treesynth.aiger import parse_aiger, write_aiger
+from treesynth.blif import parse_blif, write_blif
 from treesynth.cli import main
 from treesynth.dataset import DatasetError, parse_pla
 
@@ -88,6 +90,29 @@ def test_random_inputs_raise_only_library_errors(fmt, text):
         reader(text)
     except (AigError, DatasetError):
         pass
+
+
+# negative and out-of-range node counts and literals included
+small_ints = st.integers(min_value=-3, max_value=12)
+
+
+@FUZZ
+@given(num_inputs=small_ints,
+       ands=st.lists(st.tuples(small_ints, small_ints), max_size=5),
+       outputs=st.lists(small_ints, max_size=4))
+def test_constructed_circuits_raise_only_aig_errors(num_inputs, ands,
+                                                     outputs):
+    try:
+        circuit = Aig(num_inputs=num_inputs, ands=tuple(ands),
+                      outputs=tuple(outputs))
+    except AigError:
+        return
+    for use in (cleanup, write_aiger, write_blif,
+                lambda c: simulate_words(c, [0] * c.num_inputs, 0)):
+        try:
+            use(circuit)
+        except AigError:
+            pass
 
 
 # input files of the CLI fuzz; learn reads PLA files, the others netlists

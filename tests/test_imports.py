@@ -7,12 +7,17 @@ one of its lines is exempt, as are ``__future__`` imports.  It is also the
 dead-code check: a module-level ``def _x`` or ``class _X`` must be named
 somewhere in its own module, or nothing in the package calls it.  And it
 is the dependency check: every absolute import names a module of the
-standard library, so the package runs with no third-party package.
+standard library, so the package runs with no third-party package.  And
+every name in the package's ``__all__`` must be bound by the package, so
+``from treesynth import *`` cannot fail on a name that was deleted.
 """
 
 import ast
 import sys
+import types
 from pathlib import Path
+
+import treesynth
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treesynth"
 
@@ -117,3 +122,19 @@ def test_package_imports_only_the_standard_library():
     found = {path.name: third_party_imports(path.read_text())
              for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unbound_exports(module) -> list[str]:
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+def test_unbound_exports_are_found():
+    module = types.ModuleType("fake")
+    module.present = 1
+    module.__all__ = ["present", "gone"]
+    assert unbound_exports(module) == ["gone"]
+
+
+def test_package_exports_only_bound_names():
+    assert treesynth.__all__
+    assert unbound_exports(treesynth) == []

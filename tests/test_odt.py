@@ -16,13 +16,12 @@ def make_dataset(rng: random.Random, num_features: int, num_rows: int,
     labels = rng.getrandbits(num_rows)
     weights = (tuple(rng.randint(1, 4) for _ in range(num_rows))
                if weighted else None)
-    return Dataset(num_features=num_features, num_rows=num_rows,
-                   features=features, labels=labels, weights=weights)
+    return Dataset(num_rows=num_rows, features=features, labels=labels,
+                   weights=weights)
 
 
 def xor_dataset():
-    return Dataset(num_features=2, num_rows=4,
-                   features=(0b1010, 0b1100), labels=0b0110)
+    return Dataset(num_rows=4, features=(0b1010, 0b1100), labels=0b0110)
 
 
 def test_predict():
@@ -83,7 +82,7 @@ def test_depth_monotone():
 
 def test_weighted_errors():
     # one heavy disagreeing row should dominate the majority choice
-    d = Dataset(num_features=1, num_rows=3, features=(0b000,),
+    d = Dataset(num_rows=3, features=(0b000,),
                 labels=0b100, weights=(1, 1, 5))
     t = fit_optimal(d, SearchBudget(max_depth=0))
     assert t.root == Leaf(1)
@@ -114,7 +113,7 @@ def test_to_sexpr():
 
 
 def test_empty_dataset_rejected():
-    d = Dataset(num_features=1, num_rows=0, features=(0,), labels=0)
+    d = Dataset(num_rows=0, features=(0,), labels=0)
     with pytest.raises(OdtError):
         fit_optimal(d, SearchBudget(max_depth=1))
 
@@ -153,9 +152,8 @@ def test_memo_hit_matches_fresh_search():
         budget = SearchBudget(max_depth=rng.randint(0, 3))
         first = fit_optimal(d, budget)
         # an equal dataset built anew is answered from the memo
-        twin = Dataset(num_features=d.num_features, num_rows=d.num_rows,
-                       features=d.features, labels=d.labels,
-                       weights=d.weights)
+        twin = Dataset(num_rows=d.num_rows, features=d.features,
+                       labels=d.labels, weights=d.weights)
         hit = fit_optimal(twin, budget)
         assert hit is first
         # a node limit bypasses the memo, so this is a fresh search
@@ -167,8 +165,7 @@ def test_memo_hit_matches_fresh_search():
 
 def test_depth_one_fit_respects_node_limit():
     # the closed-form depth-1 step still checks the budget before a feature
-    d = Dataset(num_features=2, num_rows=4, features=(0b1010, 0b1100),
-                labels=0b1010)
+    d = Dataset(num_rows=4, features=(0b1010, 0b1100), labels=0b1010)
     assert fit_optimal(d, SearchBudget(max_depth=1)).root == \
         Branch(0, Leaf(0), Leaf(1))
     partial = fit_optimal(d, SearchBudget(max_depth=1, node_limit=1))
@@ -215,7 +212,7 @@ def test_count_errors_matches_row_by_row():
         d = make_dataset(rng, rng.randint(1, 6), rng.randint(1, 50),
                          weighted=rng.random() < 0.5)
         tree = DecisionTree(root=random_tree(rng, d.num_features, 5),
-                            train_error=0, realized_depth=0)
+                            train_error=0)
         expected = sum(d.weights[r] if d.weights else 1
                        for r, (bits, label) in enumerate(d.rows())
                        if predict(tree, bits) != label)
@@ -224,8 +221,7 @@ def test_count_errors_matches_row_by_row():
 
 def test_count_errors_rejects_out_of_range_feature():
     d = xor_dataset()
-    tree = DecisionTree(root=Branch(2, Leaf(0), Leaf(1)), train_error=0,
-                        realized_depth=1)
+    tree = DecisionTree(root=Branch(2, Leaf(0), Leaf(1)), train_error=0)
     with pytest.raises(OdtError):
         count_errors(tree, d)
 

@@ -150,13 +150,12 @@ def test_negative_seed_is_aig_error():
 
 
 def test_on_words_sample_count_must_match_mask():
-    # 100 vectors reported as 5 gave an error rate of 10.2
+    # 100 vectors reported as 5 gave an error rate of 10.2; the count
+    # now comes from the mask
     c = c17()
     approx = Aig(num_inputs=5, ands=(), outputs=(1, 0))
     words, mask = sample_input_words(5, 100, 0)
-    with pytest.raises(AigError, match="samples"):
-        qor_on_words(c, approx, words, mask, samples=5, seed=0)
-    r = qor_on_words(c, approx, words, mask, samples=100, seed=0)
+    r = qor_on_words(c, approx, words, mask, seed=0)
     assert (r.samples, r.total_bits) == (100, 200)
     assert 0.0 <= r.error <= 1.0
     assert r == qor_monte_carlo(c, approx, samples=100, seed=0)

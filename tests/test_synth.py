@@ -18,7 +18,7 @@ from conftest import clear_memos, random_circuit
 
 
 def make_tree(root) -> DecisionTree:
-    return DecisionTree(root=root, train_error=0, realized_depth=root.depth)
+    return DecisionTree(root=root, train_error=0)
 
 
 def test_leaf_trees_are_constants():
@@ -38,7 +38,7 @@ def test_tree_circuit_agrees_with_predict():
     rng = random.Random(23)
     for _ in range(30):
         n = rng.randint(2, 5)
-        d = Dataset(num_features=n, num_rows=1 << n,
+        d = Dataset(num_rows=1 << n,
                     features=tuple(rng.getrandbits(1 << n) for _ in range(n)),
                     labels=rng.getrandbits(1 << n))
         tree = fit_optimal(d, SearchBudget(max_depth=rng.randint(1, 3)))
