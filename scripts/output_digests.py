@@ -3,8 +3,9 @@
 
 The runs cover every search path: the six criterion-7 ``approximate``
 runs (exhaustive search), ``c432`` with 8-input cells (search on
-Monte-Carlo vectors), a ``--whole-circuit`` depth sweep of ``c17``,
-``learn`` on both PLA triples, ``partition`` of three wide circuits, and
+Monte-Carlo vectors), a ``--whole-circuit`` depth sweep of ``c17``
+written as AIGER and one read and written as BLIF, ``learn`` on both PLA
+triples, ``partition`` of three wide circuits and of ``c17.blif``, and
 ``eval`` of the ``mul7u`` 0.10 netlist with and without ``--exhaustive``.
 Each runs in-process in one temporary directory, on copies of the inputs
 under ``benchmarks/``.  Stdout gets one ``name sha256`` line per run,
@@ -31,8 +32,8 @@ from pathlib import Path
 import treesynth.cli
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
-INPUTS = ("add8u.aag", "mul7u.aag", "c17.aag", "c432.aag", "c880.aag",
-          "c1908.aag", *(f"pla/{case}_{split}.pla"
+INPUTS = ("add8u.aag", "mul7u.aag", "c17.aag", "c17.blif", "c432.aag",
+          "c880.aag", "c1908.aag", *(f"pla/{case}_{split}.pla"
                          for case in ("add8u_cout", "mul7u_p12")
                          for split in ("train", "valid", "test")))
 
@@ -55,6 +56,10 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
         "approximate", f"{tmp}/c17.aag", "--whole-circuit", "--depth",
         "1..4", "--no-timing", "--out", f"{tmp}/c17_whole", "--trace",
         f"{tmp}/c17_whole.trace"]))
+    out.append(("approximate_c17_whole_blif", [
+        "approximate", f"{tmp}/c17.blif", "--whole-circuit", "--depth",
+        "1..4", "--no-timing", "--format", "blif", "--out",
+        f"{tmp}/c17_whole_blif"]))
     for case in ("add8u_cout", "mul7u_p12"):
         out.append((f"learn_{case}", [
             "learn", *(f"{tmp}/pla/{case}_{split}.pla"
@@ -63,6 +68,7 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
             f"{tmp}/learn_{case}.aag"]))
     for name in ("c432", "c880", "c1908"):
         out.append((f"partition_{name}", ["partition", f"{tmp}/{name}.aag"]))
+    out.append(("partition_c17_blif", ["partition", f"{tmp}/c17.blif"]))
     evaluated = ["eval", f"{tmp}/mul7u.aag", f"{tmp}/mul7u_0.10.aag"]
     out.append(("eval_mul7u_0.10", evaluated))
     out.append(("eval_mul7u_0.10_exhaustive", [*evaluated, "--exhaustive"]))

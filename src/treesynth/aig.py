@@ -189,6 +189,34 @@ def and_count(circuit: Aig) -> int:
     return len(reachable_nodes(circuit))
 
 
+def definition_order(definitions, roots, known) -> list:
+    """The definitions that the sequence ``roots`` reaches, each after
+    the names it reads.
+
+    ``definitions`` maps a name to the names it reads; a name in ``known``
+    (a constant or an input) needs no definition.  The walk is depth-first
+    from each root in turn and follows a definition's names last to first.
+    Raises AigError on a reference to an undefined name and on a loop.
+    """
+    order = []
+    state = {}  # name -> 1 while on the walk's path, 2 once ordered
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        name, finished = stack.pop()
+        if finished:
+            state[name] = 2
+            order.append(name)
+        elif name not in known and state.get(name) != 2:
+            if name not in definitions:
+                raise AigError(f"reference to undefined signal {name}")
+            if name in state:
+                raise AigError(f"combinational loop through signal {name}")
+            state[name] = 1
+            stack.append((name, True))
+            stack.extend((dep, False) for dep in definitions[name])
+    return order
+
+
 class AigBuilder:
     """Mutable AIG constructor with structural hashing and constant folding."""
 
@@ -249,6 +277,18 @@ class AigBuilder:
                                    local[b >> 1] ^ (b & 1)))
         return [local[o >> 1] ^ (o & 1) for o in cell.outputs]
 
+    def copy(self, circuit: Aig, nodes, mapping: dict[int, int]) -> None:
+        """Build the AND nodes ``nodes`` of ``circuit``, in node order.
+
+        ``mapping`` holds the builder literal of every node they read from
+        outside the set; it gains the builder literal of each copied node.
+        """
+        ands, first_and = circuit.ands, circuit.num_inputs + 1
+        for node in sorted(nodes):
+            a, b = ands[node - first_and]
+            mapping[node] = self.and_(mapping[a >> 1] ^ (a & 1),
+                                      mapping[b >> 1] ^ (b & 1))
+
     def reachable(self, literals) -> set[int]:
         """AND nodes reachable from ``literals``."""
         return _reachable(self.ands, self.num_inputs + 1, literals)
@@ -279,23 +319,10 @@ class AigBuilder:
 def _rebuild(circuit: Aig) -> Aig:
     """Rebuild the nodes reachable from the outputs on a fresh builder."""
     builder = AigBuilder(circuit.num_inputs)
-    keep = reachable_nodes(circuit)
-    first_and = circuit.num_inputs + 1
-    mapping: dict[int, int] = {0: CONST0}
-    for i in range(circuit.num_inputs):
-        mapping[1 + i] = builder.input_lit(i)
-
-    def mapped(literal: int) -> int:
-        m = mapping[lit_node(literal)]
-        return lit_not(m) if lit_negated(literal) else m
-
-    for i, (a, b) in enumerate(circuit.ands):
-        node = first_and + i
-        if node not in keep:
-            continue
-        mapping[node] = builder.and_(mapped(a), mapped(b))
+    mapping = {n: lit(n) for n in range(circuit.num_inputs + 1)}
+    builder.copy(circuit, reachable_nodes(circuit), mapping)
     for o in circuit.outputs:
-        builder.add_output(mapped(o))
+        builder.add_output(mapping[o >> 1] ^ (o & 1))
     return builder.build(circuit.input_names, circuit.output_names)
 
 

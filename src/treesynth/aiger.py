@@ -1,8 +1,15 @@
-"""ASCII AIGER ("aag") reader and writer, combinational subset."""
+"""ASCII AIGER ("aag") reader and writer, combinational subset.
+
+AND lines may come in any order: ``aig.definition_order`` walks from the
+ANDs in variable order, so the node order depends on the variables alone,
+and rejects an undefined literal or a loop whether an output reads it or
+not.
+"""
 
 from __future__ import annotations
 
-from .aig import Aig, AigError, cleanup, lit, lit_negated
+from .aig import (Aig, AigError, cleanup, definition_order, lit,
+                  lit_negated)
 
 
 def parse_aiger(text: str) -> Aig:
@@ -90,43 +97,11 @@ def parse_aiger(text: str) -> Aig:
             raise AigError(f"symbol index out of range: {line!r}")
         table[idx] = name
 
-    def check_ref(literal: int) -> None:
-        var = literal >> 1
-        if var != 0 and var not in var_to_input and var not in and_defs:
-            raise AigError(f"reference to undefined literal {literal}")
-
-    for var, (rhs0, rhs1) in and_defs.items():
-        check_ref(rhs0)
-        check_ref(rhs1)
-    for literal in output_literals:
-        check_ref(literal)
-
-    # Topologically order AND definitions (file order is not guaranteed).
-    order: list[int] = []
-    state: dict[int, int] = {}
-
-    def visit(var: int) -> None:
-        stack = [var]
-        while stack:
-            v = stack[-1]
-            if v not in and_defs or state.get(v) == 2:
-                stack.pop()
-                continue
-            if state.get(v) == 1:
-                state[v] = 2
-                order.append(v)
-                stack.pop()
-                continue
-            state[v] = 1
-            for rhs in and_defs[v]:
-                dep = rhs >> 1
-                if dep in and_defs and state.get(dep) != 2:
-                    if state.get(dep) == 1:
-                        raise AigError("combinational loop in AND definitions")
-                    stack.append(dep)
-
-    for var in and_defs:
-        visit(var)
+    # a file whose ANDs ascend keeps its order; a shuffle of it reads equal
+    order = definition_order(
+        {var: (a >> 1, b >> 1) for var, (a, b) in and_defs.items()},
+        [*sorted(and_defs), *(x >> 1 for x in output_literals)],
+        {0, *var_to_input})
 
     node_of_var = {0: 0}
     for var, idx in var_to_input.items():

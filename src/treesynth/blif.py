@@ -1,9 +1,14 @@
-"""BLIF reader/writer for combinational .names netlists."""
+"""BLIF reader/writer for combinational .names netlists.
+
+Tables may come in any order, sorted by ``aig.definition_order``.  An
+undefined signal, a loop or a malformed cover is an AigError also in a
+table no output reads.  The writer rejects a name BLIF cannot express.
+"""
 
 from __future__ import annotations
 
 from .aig import (Aig, AigBuilder, AigError, CONST0, CONST1, cleanup,
-                  lit_negated, lit_node, lit_not)
+                  definition_order, lit_negated, lit_node, lit_not)
 
 
 def parse_blif(text: str) -> Aig:
@@ -11,7 +16,7 @@ def parse_blif(text: str) -> Aig:
     model = None
     inputs: list[str] = []
     outputs: list[str] = []
-    tables: list[tuple[list[str], str, list[str]]] = []  # (fanins, out, cubes)
+    tables: dict[str, tuple[list[str], list[str]]] = {}  # out: fanins, cubes
 
     idx = 0
     while idx < len(statements):
@@ -32,60 +37,38 @@ def parse_blif(text: str) -> Aig:
             if len(tokens) < 2:
                 raise AigError(".names needs at least an output signal")
             fanins, out = tokens[1:-1], tokens[-1]
+            if out in tables:
+                raise AigError(f"duplicate definition for signal {out}")
             cubes = []
             while idx < len(statements) and not statements[idx].startswith("."):
                 cubes.append(statements[idx])
                 idx += 1
-            tables.append((fanins, out, cubes))
+            tables[out] = (fanins, cubes)
         elif key == ".end":
             break
         else:
             raise AigError(f"unsupported BLIF construct: {key}")
 
-    defined: set[str] = set()
-    for name in [*inputs, *(out for _, out, _ in tables)]:
-        if name in defined:
+    known: set[str] = set()
+    for name in inputs:
+        if name in known or name in tables:
             raise AigError(f"duplicate definition for signal {name}")
-        defined.add(name)
-    for fanins, _, _ in tables:
-        for sig in fanins:
-            if sig not in defined:
-                raise AigError(f"undefined signal reference: {sig}")
-    for sig in outputs:
-        if sig not in defined:
-            raise AigError(f"undefined output signal: {sig}")
+        known.add(name)
+    # Outputs first, so their cones keep their node order; then every
+    # table, so that logic no output reads is checked as well.
+    order = definition_order(
+        {out: fanins for out, (fanins, _) in tables.items()},
+        [*outputs, *tables], known)
 
     builder = AigBuilder(len(inputs))
     signal: dict[str, int] = {
         name: builder.input_lit(k) for k, name in enumerate(inputs)}
-
-    table_of = {out: (fanins, cubes) for fanins, out, cubes in tables}
-    building: set[str] = set()
-
-    def build_signal(root: str) -> int:
-        stack = [root]
-        while stack:
-            name = stack[-1]
-            if name in signal:
-                stack.pop()
-                continue
-            fanins, cubes = table_of[name]
-            missing = [f for f in fanins if f not in signal]
-            if missing:
-                for f in missing:
-                    if f in building:
-                        raise AigError(f"combinational loop through signal {f}")
-                building.add(name)
-                stack.extend(missing)
-                continue
-            signal[name] = _cover_to_aig(
-                builder, [signal[f] for f in fanins], cubes)
-            building.discard(name)
-            stack.pop()
-        return signal[root]
-
+    for name in order:
+        fanins, cubes = tables[name]
+        signal[name] = _cover_to_aig(
+            builder, [signal[f] for f in fanins], cubes)
     for name in outputs:
-        builder.add_output(build_signal(name))
+        builder.add_output(signal[name])
     return cleanup(builder.build(inputs, outputs))
 
 
@@ -99,7 +82,7 @@ def _cover_to_aig(builder: AigBuilder, fanins: list[int],
     for cube in cubes:
         fields = cube.split()
         if len(fanins) == 0:
-            if len(fields) != 1 or fields[0] not in "01":
+            if len(fields) != 1 or fields[0] not in ("0", "1"):
                 raise AigError(f"bad constant cube: {cube!r}")
             mask_part, out_part = "", fields[0]
         else:
@@ -108,7 +91,7 @@ def _cover_to_aig(builder: AigBuilder, fanins: list[int],
             mask_part, out_part = fields
         if len(mask_part) != len(fanins):
             raise AigError(f"cube width mismatch: {cube!r}")
-        if out_part not in "01":
+        if out_part not in ("0", "1"):
             raise AigError(f"bad cube output value: {cube!r}")
         if on_value is None:
             on_value = out_part
@@ -147,6 +130,8 @@ def write_blif(circuit: Aig) -> str:
     Internal nodes get names no input or output uses; an output named like
     an input or an earlier output must carry its literal (else AigError).
     Two inputs may not share a name (AigError): BLIF names are signals.
+    A name must be one token without ``#`` or a trailing backslash
+    (AigError), which the reader would split, cut or join.
     """
     c = cleanup(circuit)
     in_names = list(c.input_names) if c.input_names else [
@@ -155,6 +140,11 @@ def write_blif(circuit: Aig) -> str:
         raise AigError("two inputs share a name, which BLIF cannot express")
     out_names = list(c.output_names) if c.output_names else [
         f"y{k}" for k in range(c.num_outputs)]
+    for name in (*in_names, *out_names):
+        if name.split() != [name] or "#" in name or name.endswith("\\"):
+            raise AigError(f"name {name!r} is empty or has whitespace, '#' "
+                           "or a trailing backslash, which BLIF cannot "
+                           "express")
     lines = [".model top"]
     if in_names:
         lines.append(".inputs " + " ".join(in_names))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .aig import Aig, AigBuilder, AigError, cleanup, lit_negated, lit_node
+from .aig import Aig, AigBuilder, AigError, cleanup, lit_node
 
 # FM keeps each side of a bipartition within (0.5 +- BALANCE) of the cells,
 # and stops after MAX_FM_PASSES improvement passes.
@@ -88,7 +88,6 @@ def extract(circuit: Aig, members, part_id: int = 0) -> SubCircuit:
 
 
 def _extract(net: _Netlist, members, part_id: int) -> SubCircuit:
-    circuit = net.circuit
     member_set = frozenset(members)
     for n in member_set:
         if n not in net.fanins:
@@ -98,11 +97,7 @@ def _extract(net: _Netlist, members, part_id: int) -> SubCircuit:
     mapping = {0: 0}
     for slot, src in enumerate(ins):
         mapping[src] = builder.input_lit(slot)
-    for n in sorted(member_set):
-        a, b = circuit.ands[n - net.first_and]
-        fa = mapping[lit_node(a)] ^ (1 if lit_negated(a) else 0)
-        fb = mapping[lit_node(b)] ^ (1 if lit_negated(b) else 0)
-        mapping[n] = builder.and_(fa, fb)
+    builder.copy(net.circuit, member_set, mapping)
     for n in outs:
         builder.add_output(mapping[n])
     return SubCircuit(id=part_id, member_nodes=member_set,

@@ -42,6 +42,10 @@ def test_topological_validation():
         Aig(num_inputs=1, ands=(), outputs=(-1,))  # negative output
     with pytest.raises(AigError):
         Aig(num_inputs=-1, ands=(), outputs=())
+    with pytest.raises(AigError):  # two names for one input
+        Aig(num_inputs=1, ands=(), outputs=(2,), input_names=("a", "b"))
+    with pytest.raises(AigError):  # no name for the output
+        Aig(num_inputs=1, ands=(), outputs=(2,), output_names=())
 
 
 def test_builder_constant_folding():
@@ -197,3 +201,8 @@ def test_simulate_words_wrong_arity():
     c = Aig(num_inputs=2, ands=(), outputs=(2,))
     with pytest.raises(AigError):
         simulate_words(c, [0], 1)
+    with pytest.raises(AigError):  # a vector of one bit for two inputs
+        simulate(c, [(0, 1), (1,)])
+    for index in (-1, 2):
+        with pytest.raises(AigError):
+            AigBuilder(2).input_lit(index)

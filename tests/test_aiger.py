@@ -1,6 +1,8 @@
 """ASCII AIGER reading and writing."""
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,8 @@ from treesynth.aiger import parse_aiger, write_aiger
 from treesynth.bench import BENCHMARKS, c17
 
 from conftest import random_circuit
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 AND_GATE = """aag 3 2 0 1 1
 2
@@ -71,9 +75,34 @@ def test_latches_rejected():
 
 
 def test_cyclic_definitions_rejected():
-    # two ANDs defined in terms of each other
-    with pytest.raises(AigError):
-        parse_aiger("aag 3 1 0 1 2\n2\n4\n4 6 2\n6 4 2\n")
+    # two ANDs defined in terms of each other, read by the output or not
+    for output in ("4", "2"):
+        with pytest.raises(AigError):
+            parse_aiger(f"aag 3 1 0 1 2\n2\n{output}\n4 6 2\n6 4 2\n")
+
+
+def test_shuffled_and_lines_parse_equal():
+    # AND lines may come in any order; the node order follows the
+    # variables, so a shuffle of a file reads as the file itself
+    for path in sorted(BENCH.glob("*.aag")):
+        lines = path.read_text().splitlines()
+        _, _, i, _, o, a = lines[0].split()
+        first = 1 + int(i) + int(o)
+        ands = lines[first:first + int(a)]
+        expected = parse_aiger("\n".join(lines) + "\n")
+        for seed in range(3):
+            random.Random(seed).shuffle(ands)
+            text = "\n".join(
+                [*lines[:first], *ands, *lines[first + int(a):]]) + "\n"
+            assert parse_aiger(text) == expected, (path.name, seed)
+
+
+def test_undefined_literal_rejected():
+    # variable 3 is in range but never defined, read by an AND or an output
+    for text in ("aag 3 1 0 1 1\n2\n4\n4 2 6\n",
+                 "aag 3 1 0 1 1\n2\n7\n4 2 2\n"):
+        with pytest.raises(AigError, match="undefined"):
+            parse_aiger(text)
 
 
 def test_bad_header_rejected():
@@ -81,6 +110,17 @@ def test_bad_header_rejected():
         parse_aiger("aig 1 1 0 1 0\n2\n2\n")
     with pytest.raises(AigError):
         parse_aiger("aag 1 1 0 1\n2\n2\n")
+    # the header promises more lines than the file holds
+    for text in ("aag 1 1 0 0 0\n", "aag 1 1 0 1 0\n2\n",
+                 "aag 3 2 0 1 1\n2\n4\n6\n"):
+        with pytest.raises(AigError, match="end of file"):
+            parse_aiger(text)
+
+
+def test_bad_symbol_table_rejected():
+    for line in ("l0 q", "i0", "ix a", "i2 a", "o1 y", "i-1 a"):
+        with pytest.raises(AigError):
+            parse_aiger(AND_GATE.replace("i1 b", line))
 
 
 def test_non_integer_and_tokens_rejected():

@@ -1,16 +1,20 @@
 """BLIF reading and writing (combinational subset)."""
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
 from treesynth.aig import Aig, AigError, simulate
 from treesynth.aiger import parse_aiger
-from treesynth.bench import c17
+from treesynth.bench import BENCHMARKS, c17
 from treesynth.blif import parse_blif, write_blif
 from treesynth.qor import qor_exhaustive
 
 from conftest import random_circuit
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
 FULL_ADDER = """# a one-bit full adder
 .model fa
@@ -104,6 +108,23 @@ def test_output_named_like_an_input_but_driven_otherwise_rejected():
         write_blif(c)
 
 
+def test_malformed_tables_rejected():
+    # each table but the first defines output y; "01" as an output value
+    # was read as an off-set cube
+    for table in (".names\n",                    # no signal at all
+                  ".names y\n1 1\n",             # constant cube with a mask
+                  ".names y\n2\n",               # constant cube value
+                  ".names y\n01\n",              # constant cube value
+                  ".names x y\n1\n",             # no output column
+                  ".names x y\n11 1\n",          # cube width
+                  ".names x y\n1 2\n",           # cube output value
+                  ".names x y\n1 01\n",          # cube output value
+                  ".names x y\n1 1\n0 0\n",      # on-set and off-set
+                  ".names x y\nx 1\n"):          # cube character
+        with pytest.raises(AigError):
+            parse_blif(f".model t\n.inputs x\n.outputs y\n{table}.end\n")
+
+
 def test_latch_rejected():
     with pytest.raises(AigError):
         parse_blif(".model t\n.inputs x\n.outputs y\n"
@@ -129,10 +150,56 @@ def test_inputs_sharing_a_name_not_written():
         write_blif(c)
 
 
+def test_names_blif_cannot_express_not_written():
+    # each was written, and parse_blif rejected the file: "a b" as a cube
+    # width mismatch, "a#x" as a second definition of a, and "y\" as an
+    # unsupported construct
+    for symbols in ("i0 a b\ni1 c\no0 y\n", "i0 a#x\ni1 b\no0 y\n",
+                    "i0 a\ni1 b\no0 y\\\n"):
+        c = parse_aiger(f"aag 3 2 0 1 1\n2\n4\n6\n6 2 5\n{symbols}")
+        with pytest.raises(AigError, match="BLIF cannot express"):
+            write_blif(c)
+    for names in ({"input_names": ("",)}, {"output_names": ("y z",)}):
+        with pytest.raises(AigError, match="BLIF cannot express"):
+            write_blif(Aig(num_inputs=1, ands=(), outputs=(2,), **names))
+
+
 def test_combinational_loop_rejected():
     with pytest.raises(AigError):
         parse_blif(".model t\n.inputs x\n.outputs z\n"
                    ".names z w\n1 1\n.names w z\n1 1\n.end\n")
+
+
+def test_faulty_logic_no_output_reads_rejected():
+    # a loop and a mixed on-set/off-set cover, neither read by output y,
+    # used to parse: tables outside the output cones went unchecked
+    for dead in (".names p q\n1 1\n.names q p\n1 1\n",
+                 ".names x p\n1 1\n0 0\n"):
+        with pytest.raises(AigError):
+            parse_blif(".model t\n.inputs x\n.outputs y\n"
+                       f".names x y\n1 1\n{dead}.end\n")
+
+
+def test_shuffled_tables_parse_equal():
+    # .names blocks may come in any order; the output cones are built in
+    # the order of a walk from the outputs, so a shuffle reads the same
+    texts = [(BENCH / "c17.blif").read_text(),
+             *(write_blif(BENCHMARKS[name]()) for name in ("c432", "add8u"))]
+    for text in texts:
+        lines = text.splitlines()
+        head = [x for x in lines if x.startswith((".model", ".inputs",
+                                                  ".outputs"))]
+        blocks = []
+        for line in lines:
+            if line.startswith(".names"):
+                blocks.append([line])
+            elif not line.startswith("."):
+                blocks[-1].append(line)
+        expected = parse_blif(text)
+        for seed in range(3):
+            random.Random(seed).shuffle(blocks)
+            shuffled = [*head, *(x for block in blocks for x in block), ".end"]
+            assert parse_blif("\n".join(shuffled) + "\n") == expected
 
 
 def test_undefined_signal_rejected():

@@ -92,13 +92,15 @@ def test_approximate_explore(tmp_path, capsys):
 
 
 def test_approximate_budget_exit_code(capsys):
-    # an unsatisfiable node budget yields a partial result and exit code 3
-    code, out = run(capsys, "approximate", str(BENCH / "add8u.aag"),
-                    "--threshold", "0.1", "--node-limit", "1", "--no-timing")
-    assert code == 3
-    selected = json.loads(out)["selected"]
-    assert selected["budget_exceeded"]
-    assert selected["qor"] <= 0.1
+    # an unsatisfiable node or time budget yields a partial result and
+    # exit code 3
+    for limit in (("--node-limit", "1"), ("--time-limit", "0")):
+        code, out = run(capsys, "approximate", str(BENCH / "add8u.aag"),
+                        "--threshold", "0.1", *limit, "--no-timing")
+        assert code == 3
+        selected = json.loads(out)["selected"]
+        assert selected["budget_exceeded"]
+        assert selected["qor"] <= 0.1
 
 
 def test_empty_trace_is_an_empty_file(tmp_path, capsys):

@@ -30,6 +30,8 @@ def test_dataset_validation():
         Dataset(num_rows=2, features=(0b100,), labels=0)
     with pytest.raises(DatasetError):
         Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1, 0))
+    with pytest.raises(DatasetError):  # one weight for two rows
+        Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1,))
 
 
 def test_truth_table_xor():
@@ -86,8 +88,9 @@ def test_parse_pla_comments_and_names():
 
 
 def test_parse_pla_rejects_dont_cares():
-    with pytest.raises(DatasetError):
-        parse_pla(".i 2\n.o 1\n1- 1\n.e\n")
+    for row in ("1- 1", "10 -"):
+        with pytest.raises(DatasetError):
+            parse_pla(f".i 2\n.o 1\n{row}\n.e\n")
 
 
 def test_parse_pla_rejects_multi_output():

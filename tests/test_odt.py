@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from treesynth.dataset import Dataset
+from treesynth.bench import c17
+from treesynth.dataset import Dataset, truth_tables
 from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
                            _Search, collapse, count_errors, fit_bruteforce,
                            fit_optimal, predict, to_sexpr)
@@ -114,15 +115,16 @@ def test_to_sexpr():
 
 def test_empty_dataset_rejected():
     d = Dataset(num_rows=0, features=(0,), labels=0)
-    with pytest.raises(OdtError):
-        fit_optimal(d, SearchBudget(max_depth=1))
+    for fit in (fit_optimal, fit_bruteforce):
+        with pytest.raises(OdtError):
+            fit(d, SearchBudget(max_depth=1))
 
 
 def test_negative_budget_rejected():
-    for limits in ({"node_limit": -5}, {"time_limit": -1.0},
-                   {"time_limit": float("nan")}):
+    for limits in ({"max_depth": -1}, {"node_limit": -5},
+                   {"time_limit": -1.0}, {"time_limit": float("nan")}):
         with pytest.raises(OdtError):
-            SearchBudget(max_depth=1, **limits)
+            SearchBudget(**{"max_depth": 1, **limits})
     SearchBudget(max_depth=1, node_limit=0, time_limit=0.0)  # zero is valid
 
 
@@ -132,6 +134,11 @@ def test_node_limit_returns_unproven_tree():
     partial = fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
     assert not partial.proven_optimal
     assert count_errors(partial, d) == partial.train_error
+    # a time limit of zero has passed by the first check of the deadline
+    for data in truth_tables(c17()):
+        partial = fit_optimal(data, SearchBudget(max_depth=3, time_limit=0.0))
+        assert not partial.proven_optimal
+        assert count_errors(partial, data) == partial.train_error
 
 
 def test_budgeted_fit_bypasses_memo():
@@ -224,6 +231,8 @@ def test_count_errors_rejects_out_of_range_feature():
     tree = DecisionTree(root=Branch(2, Leaf(0), Leaf(1)), train_error=0)
     with pytest.raises(OdtError):
         count_errors(tree, d)
+    with pytest.raises(OdtError):
+        predict(tree, (0, 1))
 
 
 def test_bruteforce_guard():

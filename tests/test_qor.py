@@ -104,6 +104,8 @@ def test_exhaustive_input_cap():
 def test_arity_checked():
     with pytest.raises(AigError):
         qor_exhaustive(wire(2), wire(3))
+    with pytest.raises(AigError):  # one output against none
+        qor_exhaustive(wire(2), Aig(num_inputs=2, ands=(), outputs=()))
 
 
 def test_monte_carlo_seeded_and_deterministic(rng):
@@ -147,6 +149,12 @@ def test_negative_seed_is_aig_error():
         qor_monte_carlo(c, c, 100, -1)
     with pytest.raises(AigError, match="seed"):
         monte_carlo_testbench(c, 100, -1)
+
+
+def test_no_samples_is_aig_error():
+    c = wire(3)
+    with pytest.raises(AigError, match="samples"):
+        qor_monte_carlo(c, c, 0)
 
 
 def test_on_words_sample_count_must_match_mask():
