@@ -4,9 +4,11 @@
 The runs cover every search path: the six criterion-7 ``approximate``
 runs (exhaustive search), ``c432`` with 8-input cells (search on
 Monte-Carlo vectors), a ``--whole-circuit`` depth sweep of ``c17``
-written as AIGER and one read and written as BLIF, ``learn`` on both PLA
-triples, ``partition`` of three wide circuits and of ``c17.blif``, and
-``eval`` of the ``mul7u`` 0.10 netlist with and without ``--exhaustive``.
+written as AIGER, one read and written as BLIF and one of ``add8u`` (a
+16-input truth table), ``learn`` on both PLA triples, ``partition`` of
+three wide circuits and of ``c17.blif``, and ``eval`` of the ``mul7u``
+0.10 netlist exhaustively, on the default 10 000 sampled vectors and on
+40 000 (more than one simulation slice).
 Each runs in-process in one temporary directory, on copies of the inputs
 under ``benchmarks/``.  Stdout gets one ``name sha256`` line per run,
 over its exit code, stdout and stderr, then one per file the runs wrote.
@@ -60,6 +62,9 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
         "approximate", f"{tmp}/c17.blif", "--whole-circuit", "--depth",
         "1..4", "--no-timing", "--format", "blif", "--out",
         f"{tmp}/c17_whole_blif"]))
+    out.append(("approximate_add8u_whole", [
+        "approximate", f"{tmp}/add8u.aag", "--whole-circuit", "--depth",
+        "1..3", "--max-sub-inputs", "16", "--no-timing"]))
     for case in ("add8u_cout", "mul7u_p12"):
         out.append((f"learn_{case}", [
             "learn", *(f"{tmp}/pla/{case}_{split}.pla"
@@ -72,6 +77,8 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
     evaluated = ["eval", f"{tmp}/mul7u.aag", f"{tmp}/mul7u_0.10.aag"]
     out.append(("eval_mul7u_0.10", evaluated))
     out.append(("eval_mul7u_0.10_exhaustive", [*evaluated, "--exhaustive"]))
+    out.append(("eval_mul7u_0.10_samples40000",
+                [*evaluated, "--samples", "40000"]))
     return out
 
 

@@ -134,30 +134,22 @@ def simulate(circuit: Aig, vectors: list[tuple[int, ...]]) -> list[tuple[int, ..
     return [tuple((w >> r) & 1 for w in out_words) for r in range(n)]
 
 
-def truth_table_input_words(num_inputs: int, base: int = 0,
-                            count: int | None = None) -> list[int]:
-    """Packed input words for rows base..base+count-1 of the full truth table.
+def truth_table_input_words(num_inputs: int) -> list[int]:
+    """Packed input words of the full truth table, one bit per row.
 
-    Row r assigns bit i of r to input i (input 0 is the LSB).  ``count``
-    must be a power of two and ``base`` a multiple of it.
+    Row r assigns bit i of r to input i (input 0 is the LSB).
     """
-    if count is None:
-        count = 1 << num_inputs
-    if count & (count - 1) or base % count:
-        raise AigError("truth table chunk must be an aligned power of two")
+    rows = 1 << num_inputs
     words = []
     for i in range(num_inputs):
         period = 1 << i
-        if period >= count:
-            words.append(((1 << count) - 1) if ((base >> i) & 1) else 0)
-        else:
-            # one 0^period 1^period block, doubled until it fills count bits
-            pattern = ((1 << period) - 1) << period
-            width = 2 * period
-            while width < count:
-                pattern |= pattern << width
-                width *= 2
-            words.append(pattern)
+        # one 0^period 1^period block, doubled until it fills every row
+        pattern = ((1 << period) - 1) << period
+        width = 2 * period
+        while width < rows:
+            pattern |= pattern << width
+            width *= 2
+        words.append(pattern)
     return words
 
 

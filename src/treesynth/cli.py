@@ -15,7 +15,7 @@ from .dataset import Dataset, DatasetError, load_pla_triple
 from .explore import ExplorationConfig, explore
 from .odt import OdtError, SearchBudget, count_errors, fit_optimal
 from .partition import PartitionConfig, partition, partition_report
-from .qor import qor_exhaustive, qor_monte_carlo
+from .qor import exhaustive_testbench, qor_exhaustive, qor_monte_carlo
 from .synth import approx_sub_circuit, tree_to_aig
 
 EXIT_OK = 0
@@ -147,14 +147,14 @@ def cmd_approximate(args) -> int:
     if args.whole_circuit:
         # one approximation per depth over the whole circuit's truth tables
         depths = _parse_depth_range(args.depth or str(args.initial_depth))
+        bench = exhaustive_testbench(circuit)
         proven = True
         for depth in depths:
             approx = approx_sub_circuit(
                 circuit, depth, node_limit=args.node_limit,
-                time_limit=args.time_limit,
-                max_table_inputs=args.max_sub_inputs)
+                time_limit=args.time_limit)
             proven = proven and approx.proven
-            q = qor_exhaustive(circuit, approx.circuit)
+            q = bench.measure(approx.circuit)
             trees = approx.per_output_trees
             d_avg = (sum(t.realized_depth for t in trees) / len(trees)
                      if trees else 0.0)
@@ -230,7 +230,9 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool,
                    help="accepted and ignored; kept for compatibility "
                         "(every run is single-threaded)")
     if seed:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="seeds the sampled QoR vectors of approximate "
+                            "and eval; learn draws none and only echoes it")
     if report:
         p.add_argument("--format", choices=["aiger", "blif"],
                        default="aiger")

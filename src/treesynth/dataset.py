@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aig import Aig, simulate_words, truth_table_input_words
-from .qor import EXHAUSTIVE_INPUT_CAP
-
-MAX_TABLE_INPUTS = 14
+from .aig import Aig
+from .qor import EXHAUSTIVE_INPUT_CAP, exhaustive_testbench
 
 
 class DatasetError(Exception):
@@ -63,21 +61,19 @@ class Dataset:
             yield self.row(r), self.label(r)
 
 
-def truth_tables(circuit: Aig,
-                 max_table_inputs: int = MAX_TABLE_INPUTS) -> list[Dataset]:
-    """One exhaustive dataset per output, sharing a single simulation pass;
-    at most ``max_table_inputs`` and never over ``EXHAUSTIVE_INPUT_CAP``."""
+def truth_tables(circuit: Aig) -> list[Dataset]:
+    """One dataset per output over the exhaustive testbench's vectors, so
+    every output shares one simulation; at most ``EXHAUSTIVE_INPUT_CAP``
+    inputs."""
     n = circuit.num_inputs
-    cap = min(max_table_inputs, EXHAUSTIVE_INPUT_CAP)
-    if n > cap:
+    if n > EXHAUSTIVE_INPUT_CAP:
         raise DatasetError(
-            f"{n} inputs exceed the truth-table cap of {cap}; "
-            "partition the circuit first")
-    rows = 1 << n
-    words = truth_table_input_words(n)
-    outs = simulate_words(circuit, words, (1 << rows) - 1)
-    return [Dataset(num_rows=rows, features=tuple(words), labels=o)
-            for o in outs]
+            f"{n} inputs exceed the truth-table cap of {EXHAUSTIVE_INPUT_CAP}"
+            "; partition the circuit first")
+    bench = exhaustive_testbench(circuit)
+    features = tuple(bench.words)
+    return [Dataset(num_rows=bench.samples, features=features, labels=o)
+            for o in bench.reference]
 
 
 @dataclass(frozen=True)

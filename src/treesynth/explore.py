@@ -17,7 +17,7 @@ same ``qor.Testbench`` when the search is exhaustive (``_final_measure``).
 A candidate is scored without composing it.  Each beam state is built once
 per iteration: a structurally hashed builder holding all its cells in flow
 order, the builder literal of every boundary node, and the word of every
-builder node on each search chunk.  A candidate inlines its replacement on
+builder node on the search vectors.  A candidate inlines its replacement on
 the state's boundary literals and re-inlines only the later cells that read
 a literal that changed.  Its area is the number of AND nodes reachable from
 its outputs; its error is the search testbench's ``report`` on its output
@@ -137,9 +137,9 @@ class _BeamState:
 
     ``builder`` holds every cell of the state inlined in flow order,
     ``lits`` the builder literal of node 0, of each primary input and of
-    each boundary output node, and ``words[i]`` the word of each builder
-    node on chunk ``i`` of the search testbench.  ``substitute`` appends a
-    candidate's nodes and ``rollback`` drops them and their words again.
+    each boundary output node, and ``words`` the word of each builder node
+    on the search testbench.  ``substitute`` appends a candidate's nodes
+    and ``rollback`` drops them and their words again.
     """
 
     def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
@@ -151,8 +151,8 @@ class _BeamState:
                                                   replacements)
         self.size = len(self.builder.ands)
         self.first_and = original.num_inputs + 1
-        self.chunks = explorer.search_bench.chunks
-        self.words = [[0, *words] for words, _ in self.chunks]
+        self.mask = explorer.search_bench.mask
+        self.words = [0, *explorer.search_bench.words]
         self.output_words(())  # simulate the state's own nodes
 
     def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
@@ -181,19 +181,16 @@ class _BeamState:
                    for o in self.outputs]
         return len(builder.reachable(outputs)), outputs
 
-    def output_words(self, outputs: list[int]) -> list[list[int]]:
-        """Words of ``outputs`` on each chunk, simulating only the nodes
-        not yet simulated."""
-        for values, (_, mask) in zip(self.words, self.chunks):
-            extend_words(values, self.builder.ands, self.first_and, mask)
-        return [literal_words(values, outputs, mask)
-                for values, (_, mask) in zip(self.words, self.chunks)]
+    def output_words(self, outputs: list[int]) -> list[int]:
+        """Words of ``outputs``, simulating only the nodes not yet
+        simulated."""
+        extend_words(self.words, self.builder.ands, self.first_and, self.mask)
+        return literal_words(self.words, outputs, self.mask)
 
     def rollback(self) -> None:
         """Drop the nodes and words of the last candidate."""
         self.builder.rollback(self.size)
-        for values in self.words:
-            del values[self.first_and + self.size:]
+        del self.words[self.first_and + self.size:]
 
 
 class _Explorer:
@@ -227,8 +224,7 @@ class _Explorer:
             hit = self.cache[key] = approx_sub_circuit(
                 part.extracted, md,
                 node_limit=self.config.node_limit,
-                time_limit=self.config.time_limit,
-                max_table_inputs=self.config.partition.max_inputs)
+                time_limit=self.config.time_limit)
         return hit
 
     def normalize_md(self, part: SubCircuit, md: int) -> int:

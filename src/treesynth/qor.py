@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 from .aig import Aig, AigError, simulate_words, truth_table_input_words
 
 EXHAUSTIVE_INPUT_CAP = 20
-_CHUNK_BITS = 1 << 14
+_SLICE_BITS = 1 << 14
+_SLICE_MASK = (1 << _SLICE_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -47,31 +48,42 @@ def mismatched_bits(reference: list[int], candidate: list[int]) -> int:
     return sum((wa ^ wb).bit_count() for wa, wb in zip(reference, candidate))
 
 
+def _simulate(circuit: Aig, words: list[int], mask: int) -> list[int]:
+    """``simulate_words`` in slices of at most 2**14 vectors, whose output
+    words are ORed back together, so only one slice's word per node is
+    held at a time."""
+    outputs = [0] * circuit.num_outputs
+    for base in range(0, mask.bit_length(), _SLICE_BITS):
+        part = (mask >> base) & _SLICE_MASK
+        sliced = simulate_words(circuit, [(w >> base) & part for w in words],
+                                part)
+        outputs = [o | w << base for o, w in zip(outputs, sliced)]
+    return outputs
+
+
 class Testbench:
     """Input vectors and the original circuit's output words on them.
 
-    ``chunks`` are (input words, mask) pairs; the vectors are counted from
-    the masks.  The original is simulated once, when the testbench is
-    built.  ``report`` turns output words on each chunk into an error;
-    ``measure`` simulates the circuit it is given and reports on it.
+    ``words`` holds one packed word per input and ``mask`` one set bit per
+    vector.  The original is simulated once, when the testbench is built.
+    ``report`` turns a circuit's output words into an error; ``measure``
+    simulates the circuit it is given and reports on it.
     """
 
-    def __init__(self, original: Aig, chunks: list[tuple[list[int], int]],
+    def __init__(self, original: Aig, words: list[int], mask: int,
                  estimator: str, seed: int):
         self.original = original
-        self.chunks = chunks
-        self.reference = [simulate_words(original, words, mask)
-                          for words, mask in chunks]
+        self.words = words
+        self.mask = mask
+        self.reference = _simulate(original, words, mask)
         self.estimator = estimator
-        self.samples = sum(mask.bit_count() for _, mask in chunks)
+        self.samples = mask.bit_count()
         self.seed = seed
         self.total_bits = self.samples * original.num_outputs
 
-    def report(self, outputs_per_chunk: list[list[int]]) -> QorReport:
-        """Error of a circuit whose output words on chunk ``i`` are
-        ``outputs_per_chunk[i]``."""
-        mismatched = sum(map(mismatched_bits, self.reference,
-                             outputs_per_chunk))
+    def report(self, outputs: list[int]) -> QorReport:
+        """Error of a circuit whose output words are ``outputs``."""
+        mismatched = mismatched_bits(self.reference, outputs)
         total = self.total_bits
         return QorReport(error=mismatched / total if total else 0.0,
                          estimator=self.estimator, samples=self.samples,
@@ -81,22 +93,18 @@ class Testbench:
     def measure(self, approx: Aig) -> QorReport:
         """Error of ``approx`` against the original."""
         _check_arity(self.original, approx)
-        return self.report([simulate_words(approx, words, mask)
-                            for words, mask in self.chunks])
+        return self.report(_simulate(approx, self.words, self.mask))
 
 
 def exhaustive_testbench(original: Aig) -> Testbench:
-    """The full input space, in aligned chunks of at most 2**14 rows."""
+    """The full input space: row ``r`` assigns bit ``i`` of ``r`` to
+    input ``i``."""
     n = original.num_inputs
     if n > EXHAUSTIVE_INPUT_CAP:
         raise AigError(
             f"{n} inputs exceed the exhaustive cap of {EXHAUSTIVE_INPUT_CAP}")
-    rows = 1 << n
-    chunk = min(rows, _CHUNK_BITS)
-    mask = (1 << chunk) - 1
-    chunks = [(truth_table_input_words(n, base, chunk), mask)
-              for base in range(0, rows, chunk)]
-    return Testbench(original, chunks, "exhaustive", 0)
+    return Testbench(original, truth_table_input_words(n),
+                     (1 << (1 << n)) - 1, "exhaustive", 0)
 
 
 def monte_carlo_testbench(original: Aig, samples: int,
@@ -105,7 +113,7 @@ def monte_carlo_testbench(original: Aig, samples: int,
     if samples < 1:
         raise AigError("samples must be >= 1")
     words, mask = sample_input_words(original.num_inputs, samples, seed)
-    return Testbench(original, [(words, mask)], "monte_carlo", seed)
+    return Testbench(original, words, mask, "monte_carlo", seed)
 
 
 def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:
@@ -138,5 +146,5 @@ def qor_on_words(original: Aig, approx: Aig, words: list[int], mask: int,
                  seed: int) -> QorReport:
     """Monte Carlo estimate over already-packed vectors, one per set bit
     of ``mask``; ``seed`` is echoed in the report."""
-    return Testbench(original, [(words, mask)], "monte_carlo",
+    return Testbench(original, words, mask, "monte_carlo",
                      seed).measure(approx)

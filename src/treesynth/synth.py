@@ -50,8 +50,7 @@ class ApproxSubCircuit:
 
 
 def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
-                       time_limit: float | None = None,
-                       max_table_inputs: int = 14) -> ApproxSubCircuit:
+                       time_limit: float | None = None) -> ApproxSubCircuit:
     """Learn one depth-bounded optimal tree per output of ``circuit`` (a
     partition cell's extracted circuit, or a whole netlist) and reassemble
     them into a replacement circuit.
@@ -63,7 +62,7 @@ def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
     """
     if md < 1:
         raise OdtError("maximum depth must be >= 1")
-    datasets = truth_tables(circuit, max_table_inputs=max_table_inputs)
+    datasets = truth_tables(circuit)
     budget = SearchBudget(max_depth=md, node_limit=node_limit,
                           time_limit=time_limit)
     trees = [fit_optimal(d, budget) for d in datasets]

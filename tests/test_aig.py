@@ -135,28 +135,11 @@ def test_truth_table_words_full_range():
         assert bits == ((r >> 0) & 1, (r >> 1) & 1, (r >> 2) & 1)
 
 
-def test_truth_table_words_chunked():
-    full = truth_table_input_words(5)
-    for base in range(0, 32, 8):
-        chunk = truth_table_input_words(5, base=base, count=8)
-        for i in range(5):
-            assert chunk[i] == (full[i] >> base) & 0xFF
-    # every aligned chunk against a row-by-row reference
+def test_truth_table_words_row_by_row():
     for n in range(13):
-        count = 1
-        while count <= 1 << n:
-            for base in range(0, 1 << n, count):
-                expected = [sum((((base + r) >> i) & 1) << r
-                                for r in range(count)) for i in range(n)]
-                assert truth_table_input_words(n, base, count) == expected
-            count *= 2
-
-
-def test_truth_table_words_alignment_checked():
-    with pytest.raises(AigError):
-        truth_table_input_words(4, base=3, count=4)
-    with pytest.raises(AigError):
-        truth_table_input_words(4, base=0, count=6)
+        expected = [sum(((r >> i) & 1) << r for r in range(1 << n))
+                    for i in range(n)]
+        assert truth_table_input_words(n) == expected
 
 
 def test_cleanup_drops_dead_logic():

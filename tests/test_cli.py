@@ -254,7 +254,7 @@ def test_whole_circuit_without_outputs(tmp_path, capsys):
 
 
 def test_whole_circuit_over_table_cap_is_input_error(capsys):
-    # c432 has 36 inputs, over the 14-input truth-table cap
+    # c432 has 36 inputs, over the 20-input truth-table cap
     code = main(["approximate", str(BENCH / "c432.aag"),
                  "--whole-circuit", "--depth", "1"])
     out, err = capsys.readouterr()
@@ -273,6 +273,24 @@ def test_whole_circuit_over_exhaustive_cap_is_input_error(capsys):
     assert out == ""
     assert "Traceback" not in err and err.startswith("error:")
     assert "cap of 20" in err
+
+
+def test_whole_circuit_on_16_inputs_runs(capsys):
+    # add8u has 16 inputs, within the 20-input truth-table cap; the
+    # whole-circuit table does not read --max-sub-inputs
+    code, out = run(capsys, "approximate", str(BENCH / "add8u.aag"),
+                    "--whole-circuit", "--depth", "1", "--max-sub-inputs",
+                    "2", "--no-timing")
+    assert code == 0
+    (row,) = json.loads(out)["results"]
+    assert row["depth"] == 1 and 0.0 < row["qor"] <= 1.0
+
+
+def test_seed_help_says_learn_only_echoes_it(capsys):
+    with pytest.raises(SystemExit):
+        main(["learn", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "learn draws none and only echoes it" in help_text
 
 
 def test_negative_limit_or_sample_count_is_input_error(capsys):

@@ -57,12 +57,13 @@ def test_truth_tables_match_single(rng):
 
 
 def test_truth_table_input_cap():
-    c = AigBuilder(15).build()
-    with pytest.raises(DatasetError):
-        truth_tables(c)
-    truth_tables(c, max_table_inputs=15)  # explicit override works
+    b = AigBuilder(15)
+    b.add_output(b.input_lit(14))
+    (table,) = truth_tables(b.build())
+    assert table.num_rows == 1 << 15
+    assert table.labels == table.features[14]
     with pytest.raises(DatasetError, match="cap of 20"):
-        truth_tables(AigBuilder(21).build(), max_table_inputs=30)
+        truth_tables(AigBuilder(21).build())
 
 
 def test_truth_table_bad_output_index():

@@ -323,9 +323,8 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
 
     def check(state, replacements, part, cell):
         def snapshot():
-            # each chunk's word list is copied, not only the outer list
             return (list(state.builder.ands), dict(state.builder._strash),
-                    [list(words) for words in state.words])
+                    list(state.words))
 
         before = snapshot()
         area, outputs = state.substitute(part.id, cell)
@@ -366,9 +365,9 @@ def deep_circuit(rng, num_inputs: int, num_ands: int,
 
 
 @pytest.mark.parametrize("num_inputs,max_inputs", [
-    (6, 14),   # exhaustive search, one chunk
+    (6, 14),   # exhaustive search
     (9, 4),    # Monte-Carlo search
-    (15, 15),  # exhaustive search over two 2**14-row chunks
+    (15, 15),  # exhaustive search over 2**15 rows, measured in two slices
 ])
 def test_scorer_matches_compose_and_qor(rng, num_inputs, max_inputs):
     for _ in range(3):

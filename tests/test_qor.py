@@ -84,7 +84,7 @@ def test_mismatched_bits_is_the_reported_count(rng):
 
 
 def test_exhaustive_chunking_consistent(rng):
-    # 15 inputs crosses the internal chunk size of 2^14 rows
+    # 15 inputs cross the simulation's slice size of 2^14 vectors
     b = AigBuilder(15)
     acc = b.input_lit(0)
     for i in range(1, 15):
@@ -172,14 +172,43 @@ def test_on_words_sample_count_must_match_mask():
 def test_testbench_counts_vectors_from_masks(rng):
     c = random_circuit(rng, 6, 25, 2)
     b = random_circuit(rng, 6, 25, 2)
-    chunks = [(truth_table_input_words(6, base, 16), (1 << 16) - 1)
-              for base in range(0, 64, 16)]
-    bench = qor.Testbench(c, chunks, "exhaustive", 0)
+    words, mask = truth_table_input_words(6), (1 << 64) - 1
+    bench = qor.Testbench(c, words, mask, "exhaustive", 0)
     assert (bench.samples, bench.total_bits) == (64, 128)
     assert bench.measure(b) == qor_exhaustive(c, b)
-    assert bench.report([simulate_words(b, words, mask)
-                         for words, mask in chunks]) == bench.measure(b)
+    assert bench.report(simulate_words(b, words, mask)) == bench.measure(b)
     assert bench.measure(c).mismatched_bits == 0
+    even_rows = int("01" * 32, 2)
+    bench = qor.Testbench(c, words, even_rows, "exhaustive", 0)
+    assert (bench.samples, bench.total_bits) == (32, 64)
+    assert bench.measure(b) == bench.report(
+        simulate_words(b, words, even_rows))
+
+
+def test_testbench_simulates_in_slices(rng, monkeypatch):
+    """``reference`` and ``measure`` simulate at most 2**14 vectors at a
+    time and agree with one unsliced simulation."""
+    masks = []
+
+    def recording(circuit, words, mask):
+        masks.append(mask)
+        return simulate_words(circuit, words, mask)
+
+    monkeypatch.setattr(qor, "simulate_words", recording)
+    a = random_circuit(rng, 16, 60, 3)
+    b = random_circuit(rng, 16, 60, 3)
+    for bench in (qor.exhaustive_testbench(a),
+                  monte_carlo_testbench(a, 40_000, 3)):
+        report = bench.measure(b)
+        reference = simulate_words(a, bench.words, bench.mask)
+        mismatched = mismatched_bits(
+            reference, simulate_words(b, bench.words, bench.mask))
+        assert bench.reference == reference
+        assert report.mismatched_bits == mismatched
+        assert report.error == mismatched / (bench.samples * 3)
+    # 2**16 rows and 40 000 vectors: 4 and 3 slices, each simulated twice
+    assert len(masks) == 2 * (4 + 3)
+    assert max(m.bit_length() for m in masks) <= 1 << 14
 
 
 def test_report_json_roundtrip(rng):
