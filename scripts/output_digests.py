@@ -5,7 +5,8 @@ The runs cover every search path: the six criterion-7 ``approximate``
 runs (exhaustive search), ``c432`` with 8-input cells (search on
 Monte-Carlo vectors), a ``--whole-circuit`` depth sweep of ``c17``
 written as AIGER, one read and written as BLIF and one of ``add8u`` (a
-16-input truth table), ``learn`` on both PLA triples, ``partition`` of
+16-input truth table), ``learn`` on both PLA triples and on one from
+depth 0 with a CSV report and a BLIF netlist, ``partition`` of
 three wide circuits and of ``c17.blif``, and ``eval`` of the ``mul7u``
 0.10 netlist exhaustively, on the default 10 000 sampled vectors and on
 40 000 (more than one simulation slice).
@@ -64,13 +65,18 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
         f"{tmp}/c17_whole_blif"]))
     out.append(("approximate_add8u_whole", [
         "approximate", f"{tmp}/add8u.aag", "--whole-circuit", "--depth",
-        "1..3", "--max-sub-inputs", "16", "--no-timing"]))
+        "1..3", "--no-timing"]))
     for case in ("add8u_cout", "mul7u_p12"):
         out.append((f"learn_{case}", [
             "learn", *(f"{tmp}/pla/{case}_{split}.pla"
                        for split in ("train", "valid", "test")),
             "--depths", "2..6", "--no-timing", "--out",
             f"{tmp}/learn_{case}.aag"]))
+    out.append(("learn_add8u_cout_csv_blif", [
+        "learn", *(f"{tmp}/pla/add8u_cout_{split}.pla"
+                   for split in ("train", "valid", "test")),
+        "--depths", "0..3", "--report", "csv", "--format", "blif", "--out",
+        f"{tmp}/learn_add8u_cout.blif"]))
     for name in ("c432", "c880", "c1908"):
         out.append((f"partition_{name}", ["partition", f"{tmp}/{name}.aag"]))
     out.append(("partition_c17_blif", ["partition", f"{tmp}/c17.blif"]))

@@ -8,14 +8,15 @@ import sys
 import time
 from pathlib import Path
 
-from .aig import Aig, AigError, and_count
+from .aig import Aig, AigError, and_count, simulate_words
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import Dataset, DatasetError, load_pla_triple
 from .explore import ExplorationConfig, explore
-from .odt import OdtError, SearchBudget, count_errors, fit_optimal
+from .odt import OdtError, SearchBudget, fit_optimal
 from .partition import PartitionConfig, partition, partition_report
-from .qor import exhaustive_testbench, qor_exhaustive, qor_monte_carlo
+from .qor import (exhaustive_testbench, mismatched_bits, qor_exhaustive,
+                  qor_monte_carlo)
 from .synth import approx_sub_circuit, tree_to_aig
 
 EXIT_OK = 0
@@ -52,8 +53,10 @@ def _parse_depth_range(text: str) -> list[int]:
     return list(depths)
 
 
-def _accuracy(tree, data: Dataset) -> float:
-    return 1.0 - count_errors(tree, data) / data.num_rows
+def _accuracy(circuit: Aig, data: Dataset) -> float:
+    """Share of the rows of ``data`` on which ``circuit`` outputs the label."""
+    predicted = simulate_words(circuit, list(data.features), data.row_mask)
+    return 1.0 - mismatched_bits([data.labels], predicted) / data.num_rows
 
 
 def _emit_report(report: dict, args, started: float) -> None:
@@ -93,9 +96,9 @@ def cmd_learn(args) -> int:
         row = {
             "depth": depth,
             "realized_depth": tree.realized_depth,
-            "train_accuracy": _accuracy(tree, triple.train),
-            "validation_accuracy": _accuracy(tree, triple.validation),
-            "test_accuracy": _accuracy(tree, triple.test),
+            "train_accuracy": _accuracy(circuit, triple.train),
+            "validation_accuracy": _accuracy(circuit, triple.validation),
+            "test_accuracy": _accuracy(circuit, triple.test),
             "and_count": and_count(circuit),
         }
         report["results"].append(row)
@@ -111,6 +114,12 @@ def cmd_learn(args) -> int:
     return EXIT_OK
 
 
+def _partition_config(args) -> PartitionConfig:
+    return PartitionConfig(max_inputs=args.max_sub_inputs,
+                           max_outputs=args.max_sub_outputs,
+                           initial_parts=args.initial_parts)
+
+
 def _exploration_config(args) -> ExplorationConfig:
     return ExplorationConfig(
         error_threshold=args.threshold,
@@ -119,10 +128,7 @@ def _exploration_config(args) -> ExplorationConfig:
         beam_width=args.beam,
         qor_samples=args.samples,
         seed=args.seed,
-        partition=PartitionConfig(
-            max_inputs=args.max_sub_inputs,
-            max_outputs=args.max_sub_outputs,
-            initial_parts=args.initial_parts),
+        partition=_partition_config(args),
         node_limit=args.node_limit,
         time_limit=args.time_limit)
 
@@ -206,9 +212,7 @@ def cmd_eval(args) -> int:
 
 def cmd_partition(args) -> int:
     circuit = _read_netlist(args.netlist)
-    config = PartitionConfig(
-        max_inputs=args.max_sub_inputs, max_outputs=args.max_sub_outputs,
-        initial_parts=args.initial_parts)
+    config = _partition_config(args)
     parts = partition(circuit, config)
     out = partition_report(circuit, parts)
     out["config"] = {

@@ -105,42 +105,14 @@ def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
     return node.label
 
 
-def _weighted_count(mask: int, weights: tuple[int, ...] | None) -> int:
-    """Total weight of the rows in mask (their number when unweighted)."""
-    if weights is None:
-        return mask.bit_count()
+def _weighted_count(mask: int, weights: tuple[int, ...]) -> int:
+    """Total weight of the rows in mask."""
     total = 0
     while mask:
         low = mask & -mask
         total += weights[low.bit_length() - 1]
         mask ^= low
     return total
-
-
-def _predicted_ones(node: TreeNode, mask: int,
-                    features: tuple[int, ...]) -> int:
-    """Rows of mask that the subtree at node labels 1."""
-    if not mask:
-        return 0
-    if isinstance(node, Leaf):
-        return mask if node.label else 0
-    if node.feature >= len(features):
-        raise OdtError(
-            f"feature {node.feature} out of range for width {len(features)}")
-    column = features[node.feature]
-    return (_predicted_ones(node.low, mask & ~column, features)
-            | _predicted_ones(node.high, mask & column, features))
-
-
-def count_errors(tree: DecisionTree, data: Dataset) -> int:
-    """Weighted misclassification count of the tree on the dataset.
-
-    Bit-parallel: each root-to-leaf path selects its rows by ANDing the
-    column bitsets along it, so the whole dataset is evaluated at once.
-    """
-    predicted = _predicted_ones(tree.root, data.row_mask, data.features)
-    return _weighted_count((predicted ^ data.labels) & data.row_mask,
-                           data.weights)
 
 
 def collapse(node: TreeNode) -> TreeNode:
@@ -152,12 +124,6 @@ def collapse(node: TreeNode) -> TreeNode:
     if isinstance(low, Leaf) and isinstance(high, Leaf) and low.label == high.label:
         return low
     return Branch(node.feature, low, high)
-
-
-def to_sexpr(node: TreeNode) -> str:
-    if isinstance(node, Leaf):
-        return f"(leaf {node.label})"
-    return f"(x{node.feature} {to_sexpr(node.low)} {to_sexpr(node.high)})"
 
 
 class _Search:

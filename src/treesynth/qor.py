@@ -43,7 +43,7 @@ def mismatched_bits(reference: list[int], candidate: list[int]) -> int:
 
     The one error counter: every error rate of this module, and the
     explorer's search error, is this count over the number of bits
-    compared.
+    compared; each accuracy ``learn`` reports is one minus such a rate.
     """
     return sum((wa ^ wb).bit_count() for wa, wb in zip(reference, candidate))
 

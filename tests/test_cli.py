@@ -10,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from treesynth.aig import simulate_words
 from treesynth.aiger import parse_aiger, write_aiger
+from treesynth.blif import parse_blif
 from treesynth.cli import _exploration_config, build_parser, main
+from treesynth.dataset import parse_pla
 from treesynth.explore import ExplorationConfig, replay
 from treesynth.qor import qor_monte_carlo
 
@@ -72,6 +75,17 @@ def test_approximate_whole_circuit(tmp_path, capsys):
     assert [r["qor"] for r in rows] == [0.25, 0.125, 0.0625, 0.0]
     for depth in range(1, 5):
         parse_aiger(Path(f"{out_file}.md{depth}").read_text())
+
+
+def test_whole_circuit_depth_zero_runs(capsys):
+    # depth 0 fits one constant per output, as learn --depths 0.. does
+    code, out = run(capsys, "approximate", str(BENCH / "c17.aag"),
+                    "--whole-circuit", "--depth", "0..1", "--no-timing")
+    assert code == 0
+    zero, one = json.loads(out)["results"]
+    assert zero["depth"] == 0 and zero["and_count"] == 0
+    assert zero["d_avg"] == 0.0 and zero["qor"] == 0.4375
+    assert one["depth"] == 1 and one["qor"] == 0.25
 
 
 def test_approximate_explore(tmp_path, capsys):
@@ -183,18 +197,36 @@ def test_learn_command(tmp_path, capsys):
     assert selected["d_avg"] <= 4
     learned = parse_aiger(out_file.read_text())
     assert learned.num_inputs == 16
+    # the reported accuracies are those of the netlist written to --out
+    for part, split in (("train", "train"), ("validation", "valid"),
+                        ("test", "test")):
+        data = parse_pla((PLA / f"add8u_cout_{split}.pla").read_text())
+        (word,) = simulate_words(learned, list(data.features), data.row_mask)
+        accuracy = 1.0 - (word ^ data.labels).bit_count() / data.num_rows
+        assert accuracy == selected[f"{part}_accuracy"]
 
 
-def test_learn_csv_report(capsys):
+def test_learn_csv_report(tmp_path, capsys):
+    out_file = tmp_path / "learned.blif"
     code, out = run(capsys, "learn",
                     str(PLA / "mul7u_p12_train.pla"),
                     str(PLA / "mul7u_p12_valid.pla"),
                     str(PLA / "mul7u_p12_test.pla"),
-                    "--depths", "2", "--report", "csv")
+                    "--depths", "0..2", "--report", "csv", "--format", "blif",
+                    "--out", str(out_file))
     assert code == 0
-    header, row = out.strip().splitlines()
+    header, *lines = out.strip().splitlines()
     assert "train_accuracy" in header
-    assert len(row.split(",")) == len(header.split(","))
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+    assert [r["depth"] for r in rows] == ["0", "1", "2"]
+    # depth 0 is the training majority as a constant netlist
+    assert rows[0]["and_count"] == "0"
+    train = parse_pla((PLA / "mul7u_p12_train.pla").read_text())
+    ones = train.labels.bit_count()
+    wrong = min(ones, train.num_rows - ones)
+    assert float(rows[0]["train_accuracy"]) == 1.0 - wrong / train.num_rows
+    assert parse_blif(out_file.read_text()).num_inputs == train.num_features
 
 
 def test_missing_file_is_input_error(capsys):

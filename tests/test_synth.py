@@ -136,7 +136,15 @@ def test_whole_circuit_approximation(rng):
     assert simulate(approx.circuit, vecs) == simulate(c, vecs)
 
 
-def test_depth_zero_rejected(rng):
-    c = random_circuit(rng, 3, 5, 1)
+def test_depth_zero_gives_majority_constants(rng):
+    c = random_circuit(rng, 3, 5, 2)
+    approx = approx_sub_circuit(c, md=0)
+    assert and_count(approx.circuit) == 0
+    vecs = list(itertools.product((0, 1), repeat=3))
+    majorities = tuple(int(2 * sum(column) > len(column))  # ties to 0
+                       for column in zip(*simulate(c, vecs)))
+    assert [t.root for t in approx.per_output_trees] == \
+        [Leaf(m) for m in majorities]
+    assert simulate(approx.circuit, vecs) == [majorities] * len(vecs)
     with pytest.raises(OdtError):
-        approx_sub_circuit(c, md=0)
+        approx_sub_circuit(c, md=-1)
