@@ -6,9 +6,10 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-from .aig import Aig, AigError, and_count, simulate_words
+from .aig import Aig, AigError, and_count, cleanup, simulate_words
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import Dataset, DatasetError, load_pla_triple
@@ -211,14 +212,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    circuit = _read_netlist(args.netlist)
+    # partition cuts the cleaned circuit, so that is the one reported
+    circuit = cleanup(_read_netlist(args.netlist))
     config = _partition_config(args)
     parts = partition(circuit, config)
     out = partition_report(circuit, parts)
-    out["config"] = {
-        "max_inputs": config.max_inputs, "max_outputs": config.max_outputs,
-        "initial_parts": config.initial_parts,
-    }
+    out["config"] = asdict(config)
     out["circuit"] = {"inputs": circuit.num_inputs,
                       "outputs": circuit.num_outputs,
                       "and_count": and_count(circuit)}

@@ -37,7 +37,7 @@ it found for that cell; the run goes on with it and reports
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
                   extend_words, literal_words)
@@ -89,15 +89,8 @@ class TraceRecord:
     qor: float
 
     def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "stream": self.stream,
-            "part": self.part,
-            "md": self.md,
-            "loss": None if math.isinf(self.loss) else self.loss,
-            "area": self.area,
-            "qor": self.qor,
-        }
+        return {**asdict(self),
+                "loss": None if math.isinf(self.loss) else self.loss}
 
 
 @dataclass(frozen=True)
@@ -313,8 +306,6 @@ class _Explorer:
             for stream_idx, (md_stream, state_applied) in enumerate(beam):
                 candidates += self.score_state(stream_idx, md_stream,
                                                state_applied)
-            if not candidates:
-                break
             candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
             next_beam = []

@@ -2,20 +2,22 @@
 
 ``fit_optimal`` is a dynamic-programming branch-and-bound learner in the
 DL8.5 style: subproblems are row subsets reached by a path of feature
-conditions, memoized so that equivalent paths share work.  Subproblem
-results are cached only when solved to proven optimality, which keeps the
-cache sound regardless of bounding.  ``fit_bruteforce`` is a deliberately
-naive enumerator kept as an independent oracle.  Both split a leaf only when
-that is strictly better, so no fitted branch has two equal leaves.
+conditions, memoized so that equivalent paths share work.  The memo holds
+exactly the subproblems the search expanded and solved to proven
+optimality, which keeps it sound regardless of bounding; a pure or depth-0
+subproblem is its majority leaf, which two counts recompute, so it gets no
+entry.  After an unbudgeted search, memo entries equal expansions.
+``fit_bruteforce`` is a deliberately naive enumerator kept as an
+independent oracle.  Both split a leaf only when that is strictly better,
+so no fitted branch has two equal leaves.
 
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
 the positive weight of its high side; the low side follows by subtraction
-from the totals of the subproblem.  No depth-0 subproblem is created or
-memoized below the root.  Only a search with a node or time limit checks
-its budget inside the feature loops; an unbudgeted search never can run
-out, so it skips those checks, and unweighted data is counted with
-``int.bit_count``.
+from the totals of the subproblem.  No depth-0 subproblem is created below
+the root.  Only a search with a node or time limit checks its budget inside
+the feature loops; an unbudgeted search never can run out, so it skips
+those checks, and unweighted data is counted with ``int.bit_count``.
 
 A node or time limit makes the search anytime: when the budget runs out it
 returns the best tree found so far with ``proven_optimal`` false, so the
@@ -167,7 +169,6 @@ class _Search:
         else:
             best_err, best = ones, LEAF_0
         if depth == 0 or best_err == 0:
-            self.cache[key] = (best_err, best)
             return best_err, best
         self.expansions += 1
         limited = self.limited

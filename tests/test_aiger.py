@@ -123,6 +123,12 @@ def test_bad_symbol_table_rejected():
             parse_aiger(AND_GATE.replace("i1 b", line))
 
 
+def test_blank_symbol_table_lines_skipped():
+    spaced = AND_GATE.replace("i1 b\n", "\ni1 b\n\n   \n")
+    assert parse_aiger(spaced) == parse_aiger(AND_GATE)
+    assert parse_aiger(spaced).input_names == ("a", "b")
+
+
 def test_non_integer_and_tokens_rejected():
     for line in ("6 2i 4", "6 2 x", "6 2", "6 2 4 4"):
         with pytest.raises(AigError):

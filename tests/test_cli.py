@@ -40,6 +40,19 @@ def test_partition_command(capsys):
         assert p["inputs"] <= 14 and p["outputs"] <= 5
 
 
+def test_partition_reports_the_circuit_it_cut(tmp_path, capsys):
+    # n8 repeats n6 and n10 = n6 & n8 folds to n6, so partition cuts one
+    # AND; the report's and_count is that circuit's, not the file's 3
+    path = tmp_path / "unstrashed.aag"
+    path.write_text("aag 5 2 0 2 3\n2\n4\n8\n10\n6 2 4\n8 4 2\n10 6 8\n")
+    code, out = run(capsys, "partition", str(path), "--max-sub-inputs", "2",
+                    "--max-sub-outputs", "1", "--initial-parts", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert sum(p["size"] for p in data["parts"]) == \
+        data["circuit"]["and_count"] == 1
+
+
 def test_eval_command_exhaustive(capsys):
     code, out = run(capsys, "eval", str(BENCH / "c17.aag"),
                     str(BENCH / "c17.aag"), "--exhaustive")

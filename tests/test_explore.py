@@ -2,10 +2,12 @@
 
 import math
 import random
+import sys
 
 import pytest
 
-from treesynth.aig import Aig, AigError, and_count, compose, simulate
+from treesynth.aig import (Aig, AigError, and_count, compose, simulate,
+                           simulate_words)
 from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
@@ -382,3 +384,46 @@ def test_scorer_matches_compose_and_qor_on_benchmarks(rng):
         initial_parts=2, max_inputs=3)), rng, max_depth=2)
     check_scorer(mul7u(), ExplorationConfig(partition=PartitionConfig(
         initial_parts=10)), rng, max_depth=3, states=2)
+
+
+class ComposingState:
+    """``_BeamState``'s interface, computed the slow way: each candidate is
+    composed, which cleans it, and simulated whole on the search vectors."""
+
+    def __init__(self, explorer, replacements):
+        self.original, self.parts = explorer.original, explorer.parts
+        self.bench = explorer.search_bench
+        self.replacements = replacements
+
+    def substitute(self, part_id, cell):
+        candidate = compose(self.original, self.parts,
+                            {**self.replacements, part_id: cell})
+        return and_count(candidate), candidate
+
+    def output_words(self, candidate):
+        return simulate_words(candidate, self.bench.words, self.bench.mask)
+
+    def rollback(self):
+        pass
+
+
+def test_whole_runs_match_composing_scorer(monkeypatch):
+    # every run scored through compose returns the same result, trace
+    # included; c432 at max_inputs=8 takes the Monte-Carlo search path
+    rng = random.Random(5)
+    runs = [(c17(), small_config(0.15, initial_parts=2)),
+            (add8u(), small_config(0.05, initial_parts=10)),
+            (BENCHMARKS["c432"](), ExplorationConfig(partition=PartitionConfig(
+                initial_parts=10, max_inputs=8)))]
+    while len(runs) < 8:
+        c = random_circuit(rng, 6, 40, 3)
+        cfg = small_config(rng.choice((0.05, 0.15, 0.3)))
+        if explore(c, cfg).trace:
+            runs.append((c, cfg))
+    for c, cfg in runs:
+        fast = explore(c, cfg)
+        with monkeypatch.context() as patch:
+            # the package's ``explore`` attribute is the function
+            patch.setattr(sys.modules["treesynth.explore"], "_BeamState",
+                          ComposingState)
+            assert explore(c, cfg) == fast

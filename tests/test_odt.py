@@ -1,14 +1,18 @@
 """Optimal decision tree learning."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from treesynth.bench import c17
-from treesynth.dataset import Dataset, truth_tables
+from treesynth.bench import add8u, c17, mul7u
+from treesynth.dataset import Dataset, parse_pla, truth_tables
 from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
                            _Search, collapse, fit_bruteforce, fit_optimal,
                            predict)
+from treesynth.partition import PartitionConfig, partition
+
+PLA = Path(__file__).resolve().parents[1] / "benchmarks" / "pla"
 
 
 def make_dataset(rng: random.Random, num_features: int, num_rows: int,
@@ -205,6 +209,23 @@ def test_expansions_pinned():
     err, _ = search.solve(d.row_mask, 6)
     assert err == 11
     assert search.expansions == 11225
+
+
+def test_memo_holds_only_expanded_subproblems():
+    # a pure or depth-0 subproblem is its majority leaf and gets no entry,
+    # so an unbudgeted search ends with one memo entry per expansion
+    fits = []
+    for make in (c17, add8u, mul7u):
+        for part in partition(make(), PartitionConfig(initial_parts=10)):
+            fits += [(data, depth) for data in truth_tables(part.extracted)
+                     for depth in (1, 2, 3)]
+    for name in ("add8u_cout", "mul7u_p12"):
+        data = parse_pla((PLA / f"{name}_train.pla").read_text())
+        fits += [(data, depth) for depth in (2, 3, 4)]
+    for data, depth in fits:
+        search = _Search(data, SearchBudget(max_depth=depth))
+        search.solve(data.row_mask, depth)
+        assert len(search.cache) == search.expansions, depth
 
 
 def test_predict_rejects_out_of_range_feature():
