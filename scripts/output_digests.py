@@ -3,11 +3,12 @@
 
 The runs cover every search path: the six criterion-7 ``approximate``
 runs (exhaustive search), ``c432`` with 8-input cells (search on
-Monte-Carlo vectors), a ``--whole-circuit`` depth sweep of ``c17``
-written as AIGER, one read and written as BLIF and one of ``add8u`` (a
-16-input truth table), ``learn`` on both PLA triples and on one from
-depth 0 with a CSV report and a BLIF netlist, ``partition`` of
-three wide circuits and of ``c17.blif``, and ``eval`` of the ``mul7u``
+Monte-Carlo vectors), ``c1908`` with 33-input cells (an input error: a
+cell's truth table has at most 20 inputs), a ``--whole-circuit`` depth
+sweep of ``c17`` written as AIGER, one read and written as BLIF and one
+of ``add8u`` (a 16-input truth table), ``learn`` on both PLA triples and
+on one from depth 0 with a CSV report and a BLIF netlist, ``partition``
+of three wide circuits and of ``c17.blif``, and ``eval`` of the ``mul7u``
 0.10 netlist exhaustively, on the default 10 000 sampled vectors and on
 40 000 (more than one simulation slice).
 Each runs in-process in one temporary directory, on copies of the inputs
@@ -55,6 +56,8 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
         "approximate", f"{tmp}/c432.aag", "--threshold", "0.05",
         "--max-sub-inputs", "8", "--no-timing", "--out",
         f"{tmp}/c432_0.05.aag", "--trace", f"{tmp}/c432_0.05.trace"]))
+    out.append(("approximate_c1908_cells33", [
+        "approximate", f"{tmp}/c1908.aag", "--max-sub-inputs", "33"]))
     out.append(("approximate_c17_whole", [
         "approximate", f"{tmp}/c17.aag", "--whole-circuit", "--depth",
         "1..4", "--no-timing", "--out", f"{tmp}/c17_whole", "--trace",

@@ -62,14 +62,15 @@ def _accuracy(circuit: Aig, data: Dataset) -> float:
 
 def _emit_report(report: dict, args, started: float) -> None:
     """Print ``report`` as JSON, with ``wall_clock_s`` unless --no-timing,
-    or its ``results`` rows as CSV."""
+    or its ``results`` rows as CSV, where ``None`` and a missing key are
+    empty cells."""
     if args.report == "csv":
         rows = report["results"]
         if rows:
             keys = sorted({k for row in rows for k in row})
             lines = [",".join(keys)]
-            lines += [",".join(str(row.get(k, "")) for k in keys)
-                      for row in rows]
+            lines += [",".join("" if row.get(k) is None else str(row[k])
+                               for k in keys) for row in rows]
             sys.stdout.write("\n".join(lines) + "\n")
         return
     if not args.no_timing:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aig import Aig
-from .qor import EXHAUSTIVE_INPUT_CAP, exhaustive_testbench
+from .qor import exhaustive_testbench
 
 
 class DatasetError(Exception):
@@ -63,13 +63,8 @@ class Dataset:
 
 def truth_tables(circuit: Aig) -> list[Dataset]:
     """One dataset per output over the exhaustive testbench's vectors, so
-    every output shares one simulation; at most ``EXHAUSTIVE_INPUT_CAP``
-    inputs."""
-    n = circuit.num_inputs
-    if n > EXHAUSTIVE_INPUT_CAP:
-        raise DatasetError(
-            f"{n} inputs exceed the truth-table cap of {EXHAUSTIVE_INPUT_CAP}"
-            "; partition the circuit first")
+    every output shares one simulation; a circuit over that testbench's
+    input cap is an ``AigError``."""
     bench = exhaustive_testbench(circuit)
     features = tuple(bench.words)
     return [Dataset(num_rows=bench.samples, features=features, labels=o)

@@ -9,10 +9,13 @@ realized depth when it is exact); a budget below 2 freezes the cell.  An
 approximation is cached only under the depth it was fitted at, which is
 also the trace's ``md`` and the substitution's depth.
 
-Candidates are scored on the search testbench, the truth table up to
-``max_inputs`` inputs and ``qor_samples`` vectors drawn with the seed
-beyond; a new best is re-measured on the final testbench, which is the
-same ``qor.Testbench`` when the search is exhaustive (``_final_measure``).
+Every cell is fitted on its whole truth table, so ``max_inputs`` may not
+exceed ``EXHAUSTIVE_INPUT_CAP``.  The final testbench is the circuit's
+truth table up to that cap and ``qor_samples`` vectors drawn with seed + 1
+beyond.  Candidates are scored on the search testbench: the final one when
+the circuit has at most ``max_inputs`` inputs, else ``qor_samples``
+vectors drawn with the seed.  A new best is re-measured on the final
+testbench (``_final_measure``).
 
 A candidate is scored without composing it.  Each beam state is built once
 per iteration: a structurally hashed builder holding all its cells in flow
@@ -74,6 +77,11 @@ class ExplorationConfig:
             raise AigError("beam_width must be >= 1")
         if self.qor_samples < 1:
             raise AigError("qor_samples must be >= 1")
+        if self.partition.max_inputs > EXHAUSTIVE_INPUT_CAP:
+            raise AigError(
+                f"max_inputs {self.partition.max_inputs} exceeds the "
+                f"exhaustive cap of {EXHAUSTIVE_INPUT_CAP}: every cell is "
+                "fitted on its whole truth table")
         # the tree search's own limit checks (OdtError), before any search
         SearchBudget(self.initial_max_depth, self.node_limit, self.time_limit)
 
@@ -194,21 +202,15 @@ class _Explorer:
         self.original_area = and_count(self.original)
         # (part id, depth an approximation was fitted at) -> approximation
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
-        # The final testbench is the search's when that is exhaustive, else
-        # independent of it: exhaustive up to EXHAUSTIVE_INPUT_CAP inputs,
-        # else vectors drawn with seed + 1.
         n = self.original.num_inputs
-        if n <= config.partition.max_inputs:
-            self.search_bench = self.final_bench = exhaustive_testbench(
-                self.original)
-        else:
-            self.search_bench = monte_carlo_testbench(
-                self.original, config.qor_samples, config.seed)
-            self.final_bench = (
-                exhaustive_testbench(self.original)
-                if n <= EXHAUSTIVE_INPUT_CAP
-                else monte_carlo_testbench(self.original, config.qor_samples,
-                                           config.seed + 1))
+        self.final_bench = (
+            exhaustive_testbench(self.original) if n <= EXHAUSTIVE_INPUT_CAP
+            else monte_carlo_testbench(self.original, config.qor_samples,
+                                       config.seed + 1))
+        self.search_bench = (
+            self.final_bench if n <= config.partition.max_inputs
+            else monte_carlo_testbench(self.original, config.qor_samples,
+                                       config.seed))
 
     def approx(self, part: SubCircuit, md: int) -> ApproxSubCircuit:
         key = (part.id, md)
@@ -293,7 +295,8 @@ class _Explorer:
         start = (initial_md, (None,) * len(self.parts))
 
         best_circuit, best_area = self.original, self.original_area
-        best_report = _final_measure(self.final_bench, self.original)
+        # the final testbench holds the original's output words already
+        best_report = self.final_bench.report(self.final_bench.reference)
         best_applied = start[1]
         trace: list[TraceRecord] = []
 
@@ -344,9 +347,10 @@ class _Explorer:
 def explore(circuit: Aig, config: ExplorationConfig) -> ExplorationResult:
     """Greedy substitution under a global error budget.
 
-    Returns the smallest-area circuit found whose independently re-measured
-    error stays within the threshold; the original circuit when nothing
-    better was found.
+    Each cell is fitted on its whole truth table, which ``config`` bounds
+    at ``EXHAUSTIVE_INPUT_CAP`` inputs.  Returns the smallest-area circuit
+    found whose independently re-measured error stays within the
+    threshold; the original circuit when nothing better was found.
     """
     return _Explorer(circuit, config).run()
 

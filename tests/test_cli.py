@@ -242,6 +242,24 @@ def test_learn_csv_report(tmp_path, capsys):
     assert parse_blif(out_file.read_text()).num_inputs == train.num_features
 
 
+def test_csv_report_writes_none_as_empty_cell(capsys):
+    # an exact shrinking substitution has infinite loss, JSON null
+    argv = ["approximate", str(BENCH / "add8u.aag"), "--threshold", "0.1",
+            "--initial-parts", "10"]
+    code, out = run(capsys, *argv, "--report", "csv")
+    assert code == 0
+    header, *lines = out.strip().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    _, json_out = run(capsys, *argv, "--no-timing")
+    records = json.loads(json_out)["results"]
+    assert len(rows) == len(records)
+    assert any(rec["loss"] is None for rec in records)
+    for row, rec in zip(rows, records):
+        assert row["loss"] == ("" if rec["loss"] is None
+                               else str(rec["loss"]))
+    assert "None" not in out
+
+
 def test_missing_file_is_input_error(capsys):
     code, _ = run(capsys, "eval", "no_such.aag", "no_such.aag")
     assert code == 2
@@ -329,6 +347,35 @@ def test_whole_circuit_on_16_inputs_runs(capsys):
     assert code == 0
     (row,) = json.loads(out)["results"]
     assert row["depth"] == 1 and 0.0 < row["qor"] <= 1.0
+
+
+def test_cells_over_exhaustive_cap_are_rejected_before_partitioning(
+        capsys, monkeypatch):
+    # a cell is fitted on its whole truth table, so --max-sub-inputs above
+    # 20 is an input error before the circuit is cut
+    def no_partition(*args):
+        raise AssertionError("partitioned")
+    # the package's ``explore`` attribute is the function
+    monkeypatch.setattr(sys.modules["treesynth.explore"], "partition",
+                        no_partition)
+    for name, width in (("c1908", "33"), ("c499", "30")):
+        code = main(["approximate", str(BENCH / f"{name}.aag"),
+                     "--max-sub-inputs", width])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"max_inputs {width}" in err and "cap of 20" in err
+
+
+def test_partition_takes_cells_over_exhaustive_cap(capsys):
+    # partition fits no truth table, so any cell width is valid there
+    code, out = run(capsys, "partition", str(BENCH / "c499.aag"),
+                    "--max-sub-inputs", "30")
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"]["max_inputs"] == 30
+    assert max(p["inputs"] for p in data["parts"]) > 20
 
 
 def test_seed_help_says_learn_only_echoes_it(capsys):

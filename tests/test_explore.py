@@ -1,5 +1,7 @@
 """Greedy exploration of the area-vs-error trade-off."""
 
+import hashlib
+import json
 import math
 import random
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 from treesynth.aig import (Aig, AigError, and_count, compose, simulate,
                            simulate_words)
+from treesynth.aiger import write_aiger
 from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
@@ -290,12 +293,20 @@ def test_negative_seed_is_aig_error():
 
 
 def test_exhaustive_search_over_input_cap_is_aig_error(rng):
-    # 21 inputs fit max_inputs=22, but an exhaustive search stops at 20
+    # 21 inputs fit max_inputs=22, but an exhaustive search stops at 20,
+    # so the config is rejected before any circuit is read
     c = random_circuit(rng, 21, 40, 2)
-    cfg = ExplorationConfig(
-        partition=PartitionConfig(initial_parts=2, max_inputs=22))
     with pytest.raises(AigError, match="exhaustive cap"):
+        cfg = ExplorationConfig(
+            partition=PartitionConfig(initial_parts=2, max_inputs=22))
         explore(c, cfg)
+
+
+def test_max_inputs_over_exhaustive_cap_is_rejected():
+    # a cell is fitted on its whole truth table, at most 20 inputs
+    with pytest.raises(AigError, match="max_inputs 21 .* cap of 20"):
+        ExplorationConfig(partition=PartitionConfig(max_inputs=21))
+    ExplorationConfig(partition=PartitionConfig(max_inputs=20))
 
 
 def test_replay_rejects_unknown_part_id():
@@ -427,3 +438,33 @@ def test_whole_runs_match_composing_scorer(monkeypatch):
             patch.setattr(sys.modules["treesynth.explore"], "_BeamState",
                           ComposingState)
             assert explore(c, cfg) == fast
+
+
+def result_digest(res) -> str:
+    """SHA-256 of a result's netlist, trace, substitutions and final QoR."""
+    text = "\n".join([
+        write_aiger(res.circuit),
+        json.dumps([rec.as_dict() for rec in res.trace], sort_keys=True),
+        json.dumps(res.substitutions), res.final_qor.to_json()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PINNED_RESULTS = [
+    ("c17", ExplorationConfig(error_threshold=0.10),
+     "7836e8d4746508eff14baa3d9e8d9ad4f224e80b438c584a39d1a46b68bee303"),
+    ("add8u", small_config(0.10, initial_parts=10),
+     "257bf2f98db2f2154fe7b1c5ef91a6d0ead7822d0761abaecde0fa6f33c7ab4c"),
+    # c432 and c880 are wider than max_inputs: the Monte-Carlo search path
+    ("c432", ExplorationConfig(partition=PartitionConfig(max_inputs=8)),
+     "274ad163bd36a8fc9f78b0be4fb4470e7452cfec03e4fcad0a7a2f9a5c9743e8"),
+    ("c880", ExplorationConfig(partition=PartitionConfig(
+        initial_parts=10, max_inputs=8)),
+     "7bfab35032298fe637c32ea8718ea6b6e6c4ffba5eb9efb553ee6bd892b60f86"),
+]
+
+
+@pytest.mark.parametrize("name,cfg,digest", PINNED_RESULTS,
+                         ids=[run[0] for run in PINNED_RESULTS])
+def test_results_are_pinned(name, cfg, digest):
+    # a refactor or speed-up must leave every result byte-identical
+    assert result_digest(explore(BENCHMARKS[name](), cfg)) == digest
