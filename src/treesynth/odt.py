@@ -2,7 +2,13 @@
 
 ``fit_optimal`` is a dynamic-programming branch-and-bound learner in the
 DL8.5 style: subproblems are row subsets reached by a path of feature
-conditions, memoized so that equivalent paths share work.  The memo holds
+conditions, memoized so that equivalent paths share work.  On a complete
+unweighted truth table, whose row r sets feature i to bit i of r, every
+subproblem is a cube: its path fixes the features S, and V sums 2^i over
+those fixed to 1.  Its answer depends only on its cofactor, so the memo key
+is ``((mask & labels) >> V, S, depth)`` and cubes with equal cofactors share
+one entry, as ROBDD nodes do (Bryant 1986).  Other data (PLA rows, weighted
+or incomplete tables) is keyed on ``(row mask, depth)``.  The memo holds
 exactly the subproblems the search expanded and solved to proven
 optimality, which keeps it sound regardless of bounding; a pure or depth-0
 subproblem is its majority leaf, which two counts recompute, so it gets no
@@ -33,6 +39,7 @@ import functools
 import time
 from dataclasses import dataclass
 
+from .aig import truth_table_input_words
 from .dataset import Dataset
 
 
@@ -130,7 +137,8 @@ def collapse(node: TreeNode) -> TreeNode:
 
 class _Search:
     def __init__(self, data: Dataset, budget: SearchBudget):
-        self.features = data.features
+        self.splits = tuple((f, column, 1 << f)
+                            for f, column in enumerate(data.features))
         self.labels = data.labels
         self.budget = budget
         self.weight_of = (int.bit_count if data.weights is None
@@ -138,7 +146,10 @@ class _Search:
                                                  weights=data.weights))
         self.limited = (budget.node_limit is not None
                         or budget.time_limit is not None)
-        self.cache: dict[tuple[int, int], tuple[int, TreeNode]] = {}
+        n = len(data.features)
+        self.cube = (data.weights is None and data.num_rows == 1 << n
+                     and list(data.features) == truth_table_input_words(n))
+        self.cache: dict[tuple[int, ...], tuple[int, TreeNode]] = {}
         self.expansions = 0
         self.deadline = (time.monotonic() + budget.time_limit
                          if budget.time_limit is not None else None)
@@ -154,9 +165,12 @@ class _Search:
             self.exhausted = True
         return self.exhausted
 
-    def solve(self, mask: int, depth: int) -> tuple[int, TreeNode]:
-        """Minimum-error tree of depth <= depth for the rows in mask."""
-        key = (mask, depth)
+    def solve(self, mask: int, depth: int, high: int = 0,
+              fixed: int = 0) -> tuple[int, TreeNode]:
+        """Minimum-error tree of depth <= depth for the rows in mask; ``fixed``
+        marks the features split on the way here, ``high`` those taken high."""
+        key = (((mask & self.labels) >> high, fixed, depth) if self.cube
+               else (mask, depth))
         hit = self.cache.get(key)
         if hit is not None:
             return hit
@@ -176,7 +190,7 @@ class _Search:
             # Both children are leaves: their errors follow from the counts
             # of the high side and the totals of mask, without recursion.
             labels = self.labels
-            for f, column in enumerate(self.features):
+            for f, column, _ in self.splits:
                 if limited and self.out_of_budget():
                     break
                 m1 = mask & column
@@ -199,16 +213,16 @@ class _Search:
                         break
         else:
             solve = self.solve
-            for f, column in enumerate(self.features):
+            for f, column, bit in self.splits:
                 if limited and self.out_of_budget():
                     break
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
                     continue  # constant feature here; split can never improve
-                err0, t0 = solve(mask ^ m1, depth - 1)
+                err0, t0 = solve(mask ^ m1, depth - 1, high, fixed | bit)
                 if err0 >= best_err:
                     continue
-                err1, t1 = solve(m1, depth - 1)
+                err1, t1 = solve(m1, depth - 1, high | bit, fixed | bit)
                 if err0 + err1 < best_err:
                     best_err = err0 + err1
                     best = Branch(f, t0, t1)

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from treesynth.bench import add8u, c17, mul7u
+from treesynth.aig import truth_table_input_words
+from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.dataset import Dataset, parse_pla, truth_tables
 from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
                            _Search, collapse, fit_bruteforce, fit_optimal,
                            predict)
 from treesynth.partition import PartitionConfig, partition
+
+from conftest import random_circuit
 
 PLA = Path(__file__).resolve().parents[1] / "benchmarks" / "pla"
 
@@ -226,6 +229,128 @@ def test_memo_holds_only_expanded_subproblems():
         search = _Search(data, SearchBudget(max_depth=depth))
         search.solve(data.row_mask, depth)
         assert len(search.cache) == search.expansions, depth
+
+
+class MaskKeyedSearch(_Search):
+    """The search keyed on ``(row mask, depth)`` on every dataset: the
+    reference for the cofactor key of complete truth tables."""
+
+    def __init__(self, data: Dataset, budget: SearchBudget):
+        super().__init__(data, budget)
+        self.cube = False
+
+
+def cell_tables(circuit) -> list[Dataset]:
+    """The truth table of every cell output at ``initial_parts=10``."""
+    return [data for part in partition(circuit,
+                                       PartitionConfig(initial_parts=10))
+            for data in truth_tables(part.extracted)]
+
+
+def assert_keys_agree(data: Dataset, depth: int) -> tuple[int, int]:
+    """The cofactor and the mask key give one result, and each search ends
+    with one memo entry per expansion; returns both expansion counts."""
+    cofactor = _Search(data, SearchBudget(max_depth=depth))
+    masked = MaskKeyedSearch(data, SearchBudget(max_depth=depth))
+    assert cofactor.cube
+    assert (cofactor.solve(data.row_mask, depth)
+            == masked.solve(data.row_mask, depth))
+    for search in (cofactor, masked):
+        assert len(search.cache) == search.expansions
+    return cofactor.expansions, masked.expansions
+
+
+def test_cofactor_key_matches_mask_key_on_random_tables():
+    rng = random.Random(41)
+    totals = [0, 0]
+    for _ in range(1000):
+        n = rng.randint(1, 9)
+        if rng.random() < 0.5:
+            data = truth_tables(random_circuit(rng, n, rng.randint(1, 4 * n),
+                                               1))[0]
+        else:
+            data = Dataset(num_rows=1 << n,
+                           features=tuple(truth_table_input_words(n)),
+                           labels=rng.getrandbits(1 << n))
+        for i, count in enumerate(assert_keys_agree(data, rng.randint(0, 5))):
+            totals[i] += count
+    assert totals[0] < totals[1]  # equal cofactors share work
+
+
+def test_cofactor_key_matches_mask_key_on_benchmark_cells():
+    for build in BENCHMARKS.values():
+        for data in cell_tables(build()):
+            for depth in (1, 2, 3, 4):
+                assert_keys_agree(data, depth)
+
+
+def test_only_complete_unweighted_tables_take_cofactor_key():
+    # the cofactor key shifts by the row offset of a cube, which is right
+    # only when row r sets feature i to bit i of r and every row weighs 1
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(2, 5)
+        rows = 1 << n
+        words = truth_table_input_words(n)
+        labels = rng.getrandbits(rows)
+        order = list(range(n))
+        while order == sorted(order):
+            rng.shuffle(order)
+        keep = (1 << (rows - 1)) - 1
+        r = rng.randrange(rows)
+        tables = [
+            Dataset(num_rows=rows, features=tuple(words[i] for i in order),
+                    labels=labels),
+            Dataset(num_rows=rows, features=tuple(words), labels=labels,
+                    weights=tuple(rng.randint(1, 3) for _ in range(rows))),
+            Dataset(num_rows=rows - 1,
+                    features=tuple(w & keep for w in words),
+                    labels=labels & keep),
+            Dataset(num_rows=rows + 1,
+                    features=tuple(w | ((w >> r) & 1) << rows for w in words),
+                    labels=labels | ((labels >> r) & 1) << rows),
+        ]
+        for data in tables:
+            for depth in (1, 2, 3):
+                budget = SearchBudget(max_depth=depth)
+                search = _Search(data, budget)
+                assert not search.cube
+                err, root = search.solve(data.row_mask, depth)
+                assert (DecisionTree(root=root, train_error=err)
+                        == fit_bruteforce(data, budget))
+
+
+def test_cofactor_expansions_pinned():
+    # the mask key expands 7 373 subproblems on the same 237 fits
+    total = 0
+    for data in cell_tables(mul7u()):
+        for depth in (1, 2, 3):
+            search = _Search(data, SearchBudget(max_depth=depth))
+            search.solve(data.row_mask, depth)
+            total += search.expansions
+    assert total == 5858
+
+
+def test_budgeted_fit_on_complete_table():
+    # a node limit cuts the cofactor-keyed search of mul7u's hardest cell
+    # table short: the tree is unproven and no better, and the memo keeps
+    # only subproblems it solved to optimality
+    depth = 4
+    runs = []
+    for data in cell_tables(mul7u()):
+        full = _Search(data, SearchBudget(max_depth=depth))
+        runs.append((full.solve(data.row_mask, depth)[0], full, data))
+    best_err, full, data = max(runs, key=lambda run: run[1].expansions)
+    budget = SearchBudget(max_depth=depth, node_limit=full.expansions // 2)
+    tree = fit_optimal(data, budget)
+    assert not tree.proven_optimal
+    assert tree.train_error >= best_err
+    assert row_errors(tree, data) == tree.train_error
+    partial = _Search(data, budget)
+    partial.solve(data.row_mask, depth)
+    assert partial.cube and partial.exhausted
+    assert len(partial.cache) < partial.expansions
+    assert partial.cache.items() <= full.cache.items()
 
 
 def test_predict_rejects_out_of_range_feature():
