@@ -8,14 +8,23 @@ subproblem is a cube: its path fixes the features S, and V sums 2^i over
 those fixed to 1.  Its answer depends only on its cofactor, so the memo key
 is ``((mask & labels) >> V, S, depth)`` and cubes with equal cofactors share
 one entry, as ROBDD nodes do (Bryant 1986).  Other data (PLA rows, weighted
-or incomplete tables) is keyed on ``(row mask, depth)``.  The memo holds
-exactly the subproblems the search expanded and solved to proven
-optimality, which keeps it sound regardless of bounding; a pure or depth-0
-subproblem is its majority leaf, which two counts recompute, so it gets no
-entry.  After an unbudgeted search, memo entries equal expansions.
-``fit_bruteforce`` is a deliberately naive enumerator kept as an
-independent oracle.  Both split a leaf only when that is strictly better,
-so no fitted branch has two equal leaves.
+or incomplete tables) is keyed on the one int ``mask << shift | depth``,
+with ``shift = max_depth.bit_length()``, so a search refuses to expand a
+subproblem deeper than its ``max_depth``.  The memo holds exactly the
+subproblems the search expanded and solved to proven optimality, which
+keeps it sound regardless of bounding; a pure or depth-0 subproblem is its
+majority leaf, which two counts recompute, so it gets no entry.  After an
+unbudgeted search, memo entries equal expansions.  ``fit_bruteforce`` is a
+deliberately naive enumerator kept as an independent oracle.  Both split a
+leaf only when that is strictly better, so no fitted branch has two equal
+leaves.
+
+A memo value is ``(error, node)``, and the search builds no tree objects:
+a node is a label (0 or 1) or a tuple ``(feature, low, high)``, and
+``_fit`` turns the root into ``Leaf``/``Branch`` once, converting each
+shared subtree once.  Its two leaves differ, so a fitted depth-1 split is
+one of 2F stumps ``(f, 1, 0)`` and ``(f, 0, 1)``, built once per search
+and shared by every entry that holds one.
 
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
@@ -47,7 +56,7 @@ class OdtError(Exception):
     """Invalid learning request (empty data, guard violation, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int
 
@@ -56,7 +65,7 @@ class Leaf:
         return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     feature: int
     low: "TreeNode"   # feature = 0 child
@@ -135,9 +144,16 @@ def collapse(node: TreeNode) -> TreeNode:
     return Branch(node.feature, low, high)
 
 
+Node = int | tuple  # a search node: a label or (feature, low, high)
+
+
 class _Search:
     def __init__(self, data: Dataset, budget: SearchBudget):
         self.splits = tuple((f, column, 1 << f)
+                            for f, column in enumerate(data.features))
+        # a fitted depth-1 split has unequal leaves, so it is one of these,
+        # indexed by the high side's label
+        self.stumps = tuple((column, ((f, 1, 0), (f, 0, 1)))
                             for f, column in enumerate(data.features))
         self.labels = data.labels
         self.budget = budget
@@ -149,7 +165,10 @@ class _Search:
         n = len(data.features)
         self.cube = (data.weights is None and data.num_rows == 1 << n
                      and list(data.features) == truth_table_input_words(n))
-        self.cache: dict[tuple[int, ...], tuple[int, TreeNode]] = {}
+        # the row-mask key is the int ``mask << shift | depth``, which needs
+        # every expanded depth to be at most max_depth
+        self.shift = budget.max_depth.bit_length()
+        self.cache: dict[int | tuple[int, int, int], tuple[int, Node]] = {}
         self.expansions = 0
         self.deadline = (time.monotonic() + budget.time_limit
                          if budget.time_limit is not None else None)
@@ -166,11 +185,11 @@ class _Search:
         return self.exhausted
 
     def solve(self, mask: int, depth: int, high: int = 0,
-              fixed: int = 0) -> tuple[int, TreeNode]:
+              fixed: int = 0) -> tuple[int, Node]:
         """Minimum-error tree of depth <= depth for the rows in mask; ``fixed``
         marks the features split on the way here, ``high`` those taken high."""
         key = (((mask & self.labels) >> high, fixed, depth) if self.cube
-               else (mask, depth))
+               else mask << self.shift | depth)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
@@ -179,18 +198,22 @@ class _Search:
         ones = weight_of(mask & self.labels)
         # majority class, ties to 0
         if ones > total - ones:
-            best_err, best = total - ones, LEAF_1
+            best_err, best = total - ones, 1
         else:
-            best_err, best = ones, LEAF_0
+            best_err, best = ones, 0
         if depth == 0 or best_err == 0:
             return best_err, best
+        if depth > self.budget.max_depth:
+            # a too-deep call descends from a too-deep root, which stops
+            # here before the memo holds any entry
+            raise OdtError("solve depth exceeds the budget's max_depth")
         self.expansions += 1
         limited = self.limited
         if depth == 1:
             # Both children are leaves: their errors follow from the counts
             # of the high side and the totals of mask, without recursion.
             labels = self.labels
-            for f, column, _ in self.splits:
+            for column, stumps in self.stumps:
                 if limited and self.out_of_budget():
                     break
                 m1 = mask & column
@@ -207,8 +230,7 @@ class _Search:
                 err1 = z1 if o1 > z1 else o1
                 if err0 + err1 < best_err:
                     best_err = err0 + err1
-                    best = Branch(f, LEAF_1 if o0 > z0 else LEAF_0,
-                                  LEAF_1 if o1 > z1 else LEAF_0)
+                    best = stumps[o1 > z1]
                     if best_err == 0:
                         break
         else:
@@ -225,12 +247,28 @@ class _Search:
                 err1, t1 = solve(m1, depth - 1, high | bit, fixed | bit)
                 if err0 + err1 < best_err:
                     best_err = err0 + err1
-                    best = Branch(f, t0, t1)
+                    best = (f, t0, t1)
                     if best_err == 0:
                         break
         if not self.exhausted:
             self.cache[key] = (best_err, best)
         return best_err, best
+
+
+def _tree(node: Node, built: dict[int, Branch] | None = None) -> TreeNode:
+    """The ``Leaf``/``Branch`` form of a search node; ``built`` maps the id
+    of each tuple converted so far to its branch, so a shared subtree is
+    converted once and stays shared."""
+    if isinstance(node, int):
+        return LEAF_1 if node else LEAF_0
+    if built is None:
+        built = {}
+    branch = built.get(id(node))
+    if branch is None:
+        f, low, high = node
+        branch = built[id(node)] = Branch(f, _tree(low, built),
+                                          _tree(high, built))
+    return branch
 
 
 def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
@@ -255,7 +293,7 @@ def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
 def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.solve(data.row_mask, budget.max_depth)
-    return DecisionTree(root=root, train_error=err,
+    return DecisionTree(root=_tree(root), train_error=err,
                         proven_optimal=not search.exhausted)
 
 

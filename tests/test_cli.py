@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -240,6 +241,33 @@ def test_learn_csv_report(tmp_path, capsys):
     wrong = min(ones, train.num_rows - ones)
     assert float(rows[0]["train_accuracy"]) == 1.0 - wrong / train.num_rows
     assert parse_blif(out_file.read_text()).num_inputs == train.num_features
+
+
+PINNED_LEARN = [
+    ("add8u_cout",
+     "19ff741e5f48adf9bc3505c5cd9d8b7efbd5be150dbbd22002fee9481a194fad",
+     "ba947323259d241bf57141bd420c64fdae82352cbe42aca9fdf445d0e40cf5fb"),
+    ("mul7u_p12",
+     "457845116806e9f1a014e22046269caaccea975c8d6b8516d9d2a1229038d976",
+     "6b988421b44a3edde84969a478ef93bebeecd96cda67beecca3b2c6d14171222"),
+]
+
+
+@pytest.mark.parametrize("case,report,netlist", PINNED_LEARN,
+                         ids=[pin[0] for pin in PINNED_LEARN])
+def test_learn_results_are_pinned(tmp_path, capsys, case, report, netlist):
+    # a refactor or speed-up of the row-mask-keyed tree search must leave
+    # the report and the written netlist byte-identical
+    out_file = tmp_path / "learned.aag"
+    code, out = run(capsys, "learn",
+                    *(str(PLA / f"{case}_{split}.pla")
+                      for split in ("train", "valid", "test")),
+                    "--depths", "2..5", "--out", str(out_file), "--no-timing")
+    assert code == 0
+    # the report echoes its paths; only the rest depends on the program
+    out = out.replace(str(out_file), "OUT").replace(str(PLA), "PLA")
+    assert hashlib.sha256(out.encode()).hexdigest() == report
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == netlist
 
 
 def test_csv_report_writes_none_as_empty_cell(capsys):

@@ -8,9 +8,9 @@ import pytest
 from treesynth.aig import truth_table_input_words
 from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.dataset import Dataset, parse_pla, truth_tables
-from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                           _Search, collapse, fit_bruteforce, fit_optimal,
-                           predict)
+from treesynth.odt import (LEAF_0, LEAF_1, Branch, DecisionTree, Leaf,
+                           OdtError, SearchBudget, _Search, _tree, collapse,
+                           fit_bruteforce, fit_optimal, predict)
 from treesynth.partition import PartitionConfig, partition
 
 from conftest import random_circuit
@@ -316,7 +316,7 @@ def test_only_complete_unweighted_tables_take_cofactor_key():
                 search = _Search(data, budget)
                 assert not search.cube
                 err, root = search.solve(data.row_mask, depth)
-                assert (DecisionTree(root=root, train_error=err)
+                assert (DecisionTree(root=_tree(root), train_error=err)
                         == fit_bruteforce(data, budget))
 
 
@@ -350,6 +350,123 @@ def test_budgeted_fit_on_complete_table():
     partial.solve(data.row_mask, depth)
     assert partial.cube and partial.exhausted
     assert len(partial.cache) < partial.expansions
+    assert partial.cache.items() <= full.cache.items()
+
+
+def take_rows(features, labels: int, keep: list[int]) -> Dataset:
+    """The rows ``keep`` of the data given by its feature and label words."""
+    def take(word):
+        return sum(((word >> r) & 1) << i for i, r in enumerate(keep))
+
+    return Dataset(num_rows=len(keep), features=tuple(map(take, features)),
+                   labels=take(labels))
+
+
+def pla_like(rng: random.Random) -> Dataset:
+    """40 sampled rows of a PLA training set, cut to its first 8 features
+    so that ``fit_bruteforce`` accepts them."""
+    data = parse_pla((PLA / "add8u_cout_train.pla").read_text())
+    return take_rows(data.features[:8], data.labels,
+                     rng.sample(range(data.num_rows), 40))
+
+
+def incomplete_table(rng: random.Random, n: int) -> Dataset:
+    """A random truth table of n inputs with one row dropped."""
+    dropped = rng.randrange(1 << n)
+    return take_rows(truth_table_input_words(n), rng.getrandbits(1 << n),
+                     [r for r in range(1 << n) if r != dropped])
+
+
+def mask_keyed_datasets(rng: random.Random) -> list[Dataset]:
+    """Weighted, PLA-like and incomplete data: each takes the row-mask key."""
+    return [make_dataset(rng, rng.randint(1, 7), rng.randint(1, 40),
+                         weighted=True),
+            pla_like(rng), incomplete_table(rng, rng.randint(2, 5))]
+
+
+def memo_depth(search: _Search, key) -> int:
+    return key[2] if search.cube else key & ((1 << search.shift) - 1)
+
+
+def search_nodes(node):
+    """Every node of a search tree, shared ones once per reference."""
+    yield node
+    if isinstance(node, tuple):
+        for child in node[1:]:
+            yield from search_nodes(child)
+
+
+def test_row_mask_key_matches_bruteforce_at_shift_boundaries():
+    # depths 0..3 span max_depth.bit_length() 0, 1, 2 and 2
+    rng = random.Random(47)
+    for _ in range(10):
+        for data in mask_keyed_datasets(rng):
+            for depth in (0, 1, 2, 3):
+                budget = SearchBudget(max_depth=depth)
+                search = _Search(data, budget)
+                assert not search.cube
+                assert search.shift == depth.bit_length()
+                err, root = search.solve(data.row_mask, depth)
+                assert (DecisionTree(root=_tree(root), train_error=err)
+                        == fit_optimal(data, budget)
+                        == fit_bruteforce(data, budget))
+                for key in search.cache:
+                    assert 1 <= memo_depth(search, key) <= depth
+                    assert key >> search.shift & ~data.row_mask == 0
+
+
+def test_memo_holds_plain_values_and_shared_stumps():
+    # a memo value is (error, node); a node is a label or a tuple
+    # (feature, low, high), and every fitted depth-1 split is one of the
+    # search's 2F stumps, the same object wherever it is used
+    rng = random.Random(53)
+    datasets = [*mask_keyed_datasets(rng),
+                parse_pla((PLA / "mul7u_p12_train.pla").read_text()),
+                *cell_tables(add8u())[:20]]
+    for data in datasets:
+        search = _Search(data, SearchBudget(max_depth=4))
+        search.solve(data.row_mask, 4)
+        stumps = {id(s) for _, pair in search.stumps for s in pair}
+        assert len(stumps) == 2 * data.num_features
+        assert search.cache
+        for key, (err, node) in search.cache.items():
+            if memo_depth(search, key) == 1:
+                assert node in (0, 1) or id(node) in stumps
+            for sub in search_nodes(node):
+                assert not isinstance(sub, (Leaf, Branch))
+                assert sub in (0, 1) or (isinstance(sub, tuple)
+                                         and len(sub) == 3)
+
+
+def test_tree_converts_shared_subtrees_once():
+    stump = (1, 0, 1)
+    root = _tree((0, stump, (2, stump, 1)))
+    assert root == Branch(0, Branch(1, Leaf(0), Leaf(1)),
+                          Branch(2, Branch(1, Leaf(0), Leaf(1)), Leaf(1)))
+    assert root.low is root.high.low
+    assert _tree(0) is LEAF_0 and _tree(1) is LEAF_1
+
+
+def test_solve_rejects_depth_over_budget():
+    # the row-mask key packs the depth into max_depth.bit_length() bits
+    data = xor_dataset()
+    with pytest.raises(OdtError):
+        _Search(data, SearchBudget(max_depth=1)).solve(data.row_mask, 2)
+
+
+def test_budgeted_fit_on_pla_data():
+    # a node limit cuts the row-mask-keyed search short; the memo keeps
+    # only subproblems solved to optimality, equal to the full search's
+    data = parse_pla((PLA / "add8u_cout_train.pla").read_text())
+    depth = 4
+    full = _Search(data, SearchBudget(max_depth=depth))
+    best_err, _ = full.solve(data.row_mask, depth)
+    budget = SearchBudget(max_depth=depth, node_limit=full.expansions // 2)
+    partial = _Search(data, budget)
+    err, _ = partial.solve(data.row_mask, depth)
+    assert not partial.cube and partial.exhausted
+    assert err >= best_err
+    assert 0 < len(partial.cache) < partial.expansions
     assert partial.cache.items() <= full.cache.items()
 
 
