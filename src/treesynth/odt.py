@@ -2,29 +2,32 @@
 
 ``fit_optimal`` is a dynamic-programming branch-and-bound learner in the
 DL8.5 style: subproblems are row subsets reached by a path of feature
-conditions, memoized so that equivalent paths share work.  On a complete
-unweighted truth table, whose row r sets feature i to bit i of r, every
-subproblem is a cube: its path fixes the features S, and V sums 2^i over
-those fixed to 1.  Its answer depends only on its cofactor, so the memo key
-is ``((mask & labels) >> V, S, depth)`` and cubes with equal cofactors share
-one entry, as ROBDD nodes do (Bryant 1986).  Other data (PLA rows, weighted
-or incomplete tables) is keyed on the one int ``mask << shift | depth``,
-with ``shift = max_depth.bit_length()``, so a search refuses to expand a
-subproblem deeper than its ``max_depth``.  The memo holds exactly the
-subproblems the search expanded and solved to proven optimality, which
-keeps it sound regardless of bounding; a pure or depth-0 subproblem is its
-majority leaf, which two counts recompute, so it gets no entry.  After an
-unbudgeted search, memo entries equal expansions.  ``fit_bruteforce`` is a
-deliberately naive enumerator kept as an independent oracle.  Both split a
-leaf only when that is strictly better, so no fitted branch has two equal
-leaves.
+conditions, memoized so that equivalent paths share work.  A search keeps
+one memo per remaining depth, ``memos[d]`` for 1 <= d <= max_depth, so a
+key need not hold the depth, and a call deeper than ``max_depth`` is
+refused.  On a complete unweighted truth table, whose row r sets feature i
+to bit i of r, every subproblem is a cube: its path fixes the features S,
+and V sums 2^i over those fixed to 1.  Its answer depends only on its
+cofactor, so the key is ``((mask & labels) >> V, S)`` and cubes with equal
+cofactors share one entry, as ROBDD nodes do (Bryant 1986).  Other data
+(PLA rows, weighted or incomplete tables) is keyed on the row mask alone.
+The memos hold exactly the subproblems the search expanded and solved to
+proven optimality, which keeps them sound regardless of bounding; a pure
+or depth-0 subproblem is its majority leaf, which two counts recompute,
+so it gets no entry and ``memos[0]`` stays empty.  After an unbudgeted
+search, memo entries equal expansions.  ``fit_bruteforce`` is a
+deliberately naive enumerator kept as an independent oracle.  Both split
+a leaf only when that is strictly better, so no fitted branch has two
+equal leaves.
 
 A memo value is ``(error, node)``, and the search builds no tree objects:
 a node is a label (0 or 1) or a tuple ``(feature, low, high)``, and
 ``_fit`` turns the root into ``Leaf``/``Branch`` once, converting each
 shared subtree once.  Its two leaves differ, so a fitted depth-1 split is
 one of 2F stumps ``(f, 1, 0)`` and ``(f, 0, 1)``, built once per search
-and shared by every entry that holds one.
+and shared by every entry that holds one.  Depth-1 values repeat far more
+than deeper ones, so each distinct one is also stored once per search and
+shared by all depth-1 entries that equal it.
 
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
@@ -165,10 +168,12 @@ class _Search:
         n = len(data.features)
         self.cube = (data.weights is None and data.num_rows == 1 << n
                      and list(data.features) == truth_table_input_words(n))
-        # the row-mask key is the int ``mask << shift | depth``, which needs
-        # every expanded depth to be at most max_depth
-        self.shift = budget.max_depth.bit_length()
-        self.cache: dict[int | tuple[int, int, int], tuple[int, Node]] = {}
+        # memos[d] holds the subproblems solved with d levels left; no
+        # subproblem is expanded at depth 0, so memos[0] stays empty
+        self.memos: list[dict[int | tuple[int, int], tuple[int, Node]]] = [
+            {} for _ in range(budget.max_depth + 1)]
+        # each distinct depth-1 value, stored once and shared by its entries
+        self.values: dict[tuple[int, Node], tuple[int, Node]] = {}
         self.expansions = 0
         self.deadline = (time.monotonic() + budget.time_limit
                          if budget.time_limit is not None else None)
@@ -188,9 +193,15 @@ class _Search:
               fixed: int = 0) -> tuple[int, Node]:
         """Minimum-error tree of depth <= depth for the rows in mask; ``fixed``
         marks the features split on the way here, ``high`` those taken high."""
-        key = (((mask & self.labels) >> high, fixed, depth) if self.cube
-               else mask << self.shift | depth)
-        hit = self.cache.get(key)
+        try:
+            memo = self.memos[depth]
+        except IndexError:
+            # only a root call can be deeper than max_depth, and it stops
+            # here before any memo holds an entry
+            raise OdtError("solve depth exceeds the budget's max_depth") \
+                from None
+        key = ((mask & self.labels) >> high, fixed) if self.cube else mask
+        hit = memo.get(key)
         if hit is not None:
             return hit
         weight_of = self.weight_of
@@ -203,10 +214,6 @@ class _Search:
             best_err, best = ones, 0
         if depth == 0 or best_err == 0:
             return best_err, best
-        if depth > self.budget.max_depth:
-            # a too-deep call descends from a too-deep root, which stops
-            # here before the memo holds any entry
-            raise OdtError("solve depth exceeds the budget's max_depth")
         self.expansions += 1
         limited = self.limited
         if depth == 1:
@@ -250,9 +257,12 @@ class _Search:
                     best = (f, t0, t1)
                     if best_err == 0:
                         break
+        value = best_err, best
         if not self.exhausted:
-            self.cache[key] = (best_err, best)
-        return best_err, best
+            if depth == 1:
+                value = self.values.setdefault(value, value)
+            memo[key] = value
+        return value
 
 
 def _tree(node: Node, built: dict[int, Branch] | None = None) -> TreeNode:

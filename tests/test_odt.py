@@ -228,12 +228,26 @@ def test_memo_holds_only_expanded_subproblems():
     for data, depth in fits:
         search = _Search(data, SearchBudget(max_depth=depth))
         search.solve(data.row_mask, depth)
-        assert len(search.cache) == search.expansions, depth
+        assert len(search.memos) == depth + 1
+        assert not search.memos[0]
+        assert memo_size(search) == search.expansions, depth
+
+
+def memo_size(search: _Search) -> int:
+    return sum(map(len, search.memos))
+
+
+def memos_within(partial: _Search, full: _Search) -> bool:
+    """Each memo of ``partial`` is a subset of the full search's memo of
+    the same depth."""
+    return (len(partial.memos) == len(full.memos)
+            and all(p.items() <= f.items()
+                    for p, f in zip(partial.memos, full.memos)))
 
 
 class MaskKeyedSearch(_Search):
-    """The search keyed on ``(row mask, depth)`` on every dataset: the
-    reference for the cofactor key of complete truth tables."""
+    """The search keyed on the row mask on every dataset: the reference
+    for the cofactor key of complete truth tables."""
 
     def __init__(self, data: Dataset, budget: SearchBudget):
         super().__init__(data, budget)
@@ -256,8 +270,32 @@ def assert_keys_agree(data: Dataset, depth: int) -> tuple[int, int]:
     assert (cofactor.solve(data.row_mask, depth)
             == masked.solve(data.row_mask, depth))
     for search in (cofactor, masked):
-        assert len(search.cache) == search.expansions
+        assert not search.memos[0]
+        assert memo_size(search) == search.expansions
+    assert_row_keys(masked, data)
+    # a cube key is (cofactor, fixed): the path to a subproblem with d
+    # levels left fixes depth - d features, and the cofactor lies in the
+    # cube where every fixed feature is 0
+    for d, memo in enumerate(cofactor.memos):
+        for cof, fixed in memo:
+            assert fixed >> data.num_features == 0
+            assert fixed.bit_count() == depth - d
+            taken = 0  # the rows that set a fixed feature to 1
+            for f, word in enumerate(data.features):
+                if fixed >> f & 1:
+                    taken |= word
+            assert cof & taken == 0
     return cofactor.expansions, masked.expansions
+
+
+def assert_row_keys(search: _Search, data: Dataset) -> None:
+    """Every memo key of a row-keyed search is a nonempty submask of the
+    data's rows."""
+    assert not search.cube
+    for memo in search.memos:
+        for key in memo:
+            assert isinstance(key, int)
+            assert key and key & ~data.row_mask == 0
 
 
 def test_cofactor_key_matches_mask_key_on_random_tables():
@@ -349,8 +387,8 @@ def test_budgeted_fit_on_complete_table():
     partial = _Search(data, budget)
     partial.solve(data.row_mask, depth)
     assert partial.cube and partial.exhausted
-    assert len(partial.cache) < partial.expansions
-    assert partial.cache.items() <= full.cache.items()
+    assert memo_size(partial) < partial.expansions
+    assert memos_within(partial, full)
 
 
 def take_rows(features, labels: int, keep: list[int]) -> Dataset:
@@ -384,10 +422,6 @@ def mask_keyed_datasets(rng: random.Random) -> list[Dataset]:
             pla_like(rng), incomplete_table(rng, rng.randint(2, 5))]
 
 
-def memo_depth(search: _Search, key) -> int:
-    return key[2] if search.cube else key & ((1 << search.shift) - 1)
-
-
 def search_nodes(node):
     """Every node of a search tree, shared ones once per reference."""
     yield node
@@ -396,23 +430,22 @@ def search_nodes(node):
             yield from search_nodes(child)
 
 
-def test_row_mask_key_matches_bruteforce_at_shift_boundaries():
-    # depths 0..3 span max_depth.bit_length() 0, 1, 2 and 2
+def test_row_mask_key_matches_bruteforce_at_every_depth():
+    # one memo per depth 0..max_depth, keyed on the row mask alone
     rng = random.Random(47)
     for _ in range(10):
         for data in mask_keyed_datasets(rng):
             for depth in (0, 1, 2, 3):
                 budget = SearchBudget(max_depth=depth)
                 search = _Search(data, budget)
-                assert not search.cube
-                assert search.shift == depth.bit_length()
+                assert len(search.memos) == depth + 1
                 err, root = search.solve(data.row_mask, depth)
                 assert (DecisionTree(root=_tree(root), train_error=err)
                         == fit_optimal(data, budget)
                         == fit_bruteforce(data, budget))
-                for key in search.cache:
-                    assert 1 <= memo_depth(search, key) <= depth
-                    assert key >> search.shift & ~data.row_mask == 0
+                assert not search.memos[0]
+                assert memo_size(search) == search.expansions
+                assert_row_keys(search, data)
 
 
 def test_memo_holds_plain_values_and_shared_stumps():
@@ -428,13 +461,33 @@ def test_memo_holds_plain_values_and_shared_stumps():
         search.solve(data.row_mask, 4)
         stumps = {id(s) for _, pair in search.stumps for s in pair}
         assert len(stumps) == 2 * data.num_features
-        assert search.cache
-        for key, (err, node) in search.cache.items():
-            if memo_depth(search, key) == 1:
-                assert node in (0, 1) or id(node) in stumps
-            for sub in search_nodes(node):  # never a Leaf or a Branch
-                assert sub in (0, 1) or (isinstance(sub, tuple)
-                                         and len(sub) == 3)
+        assert memo_size(search)
+        for _, node in search.memos[1].values():
+            assert node in (0, 1) or id(node) in stumps
+        for memo in search.memos:
+            for _, node in memo.values():
+                for sub in search_nodes(node):  # never a Leaf or a Branch
+                    assert sub in (0, 1) or (isinstance(sub, tuple)
+                                             and len(sub) == 3)
+
+
+def test_depth_one_values_are_shared():
+    # equal depth-1 values are one object each, as equal ROBDD nodes share
+    # one unique-table entry; their nodes are labels or the search's stumps
+    fits = [(parse_pla((PLA / "mul7u_p12_train.pla").read_text()), 4),
+            *((data, 4) for data in cell_tables(add8u()))]
+    shared = 0
+    for data, depth in fits:
+        search = _Search(data, SearchBudget(max_depth=depth))
+        search.solve(data.row_mask, depth)
+        values = list(search.memos[1].values())
+        distinct = set(values)
+        assert len({id(v) for v in values}) == len(distinct)
+        shared += len(values) - len(distinct)
+        stumps = {id(s) for _, pair in search.stumps for s in pair}
+        for err, node in distinct:
+            assert node in (0, 1) or id(node) in stumps
+    assert shared > 0
 
 
 def test_tree_converts_shared_subtrees_once():
@@ -447,7 +500,8 @@ def test_tree_converts_shared_subtrees_once():
 
 
 def test_solve_rejects_depth_over_budget():
-    # the row-mask key packs the depth into max_depth.bit_length() bits
+    # a search has one memo per depth up to max_depth, so a deeper call is
+    # refused with OdtError, not an IndexError from the memo list
     data = xor_dataset()
     with pytest.raises(OdtError):
         _Search(data, SearchBudget(max_depth=1)).solve(data.row_mask, 2)
@@ -465,8 +519,8 @@ def test_budgeted_fit_on_pla_data():
     err, _ = partial.solve(data.row_mask, depth)
     assert not partial.cube and partial.exhausted
     assert err >= best_err
-    assert 0 < len(partial.cache) < partial.expansions
-    assert partial.cache.items() <= full.cache.items()
+    assert 0 < memo_size(partial) < partial.expansions
+    assert memos_within(partial, full)
 
 
 def test_predict_rejects_out_of_range_feature():
