@@ -1,18 +1,19 @@
-"""Benchmark circuit generators used by the examples and the test suite.
+"""Generators of the benchmark circuits committed under ``benchmarks/``.
 
-``c17`` is the published 6-NAND netlist.  ``add8u`` and ``mul7u`` are the
-exact unsigned adder/multiplier functions.  The remaining ISCAS85-profile
-circuits are functional reconstructions: original netlist downloads are
-not available in this environment, so each generator implements the
-documented high-level function of its namesake at the published
-input/output widths.  Partitioning and error measurements exercise the
-same structural scale; gate-for-gate identity with the historical
-netlists is not claimed.
+``make_benchmarks.py`` writes each circuit as ``benchmarks/<name>.aag``
+and ``make_pla_cases.py`` samples the PLA cases from two of them; the tool,
+its tests and perfbench read the committed files.  ``c17`` is the
+published 6-NAND netlist.  ``add8u`` and ``mul7u`` are the exact unsigned
+adder/multiplier functions.  The remaining ISCAS85-profile circuits are
+functional reconstructions: each generator implements the documented
+high-level function of its namesake at the published input/output widths.
+Partitioning and error measurements exercise the same structural scale;
+gate-for-gate identity with the historical netlists is not claimed.
 """
 
 from __future__ import annotations
 
-from .aig import Aig, AigBuilder, CONST0, CONST1, cleanup, lit_not
+from treesynth.aig import Aig, AigBuilder, CONST0, CONST1, cleanup, lit_not
 
 
 def c17() -> Aig:
@@ -26,20 +27,6 @@ def c17() -> Aig:
     b.add_output(lit_not(b.and_(g10, g16)))
     b.add_output(lit_not(b.and_(g16, g19)))
     return b.build(["1", "2", "3", "6", "7"], ["22", "23"])
-
-
-def c17_nand_reference(vector: tuple[int, ...]) -> tuple[int, int]:
-    """Independent gate-by-gate NAND evaluation of the C17 schematic."""
-    x1, x2, x3, x6, x7 = vector
-
-    def nand(a, b):
-        return 1 - (a & b)
-
-    g10 = nand(x1, x3)
-    g11 = nand(x3, x6)
-    g16 = nand(x2, g11)
-    g19 = nand(g11, x7)
-    return nand(g10, g16), nand(g16, g19)
 
 
 def _ripple_add(b: AigBuilder, xs: list[int], ys: list[int],
@@ -130,23 +117,6 @@ def c432_profile() -> Aig:
     in_names += [f"en{ch}" for ch in range(9)]
     out_names = ["pa", "pb", "pc", "ch0", "ch1", "ch2", "ch3"]
     return cleanup(b.build(in_names, out_names))
-
-
-def c432_profile_reference(vector: tuple[int, ...]) -> tuple[int, ...]:
-    req = vector[:27]
-    en = vector[27:36]
-    active = [[req[9 * bank + ch] & en[ch] for ch in range(9)]
-              for bank in range(3)]
-    any_bank = [int(any(a)) for a in active]
-    grant = [any_bank[0],
-             any_bank[1] & (1 - any_bank[0]),
-             any_bank[2] & (1 - any_bank[0]) & (1 - any_bank[1])]
-    chan = 0
-    for ch in range(9):
-        if any(grant[bank] and active[bank][ch] for bank in range(3)):
-            chan = ch
-            break
-    return tuple(grant) + tuple((chan >> k) & 1 for k in range(4))
 
 
 def _sec_corrector(num_data: int, num_check: int, num_ctl: int,

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Regenerate the AIGER files under benchmarks/ from the built-in generators.
+"""Regenerate the netlists under benchmarks/ from the generators in
+``circuits.py`` next to this script.
 
 Run from the repository root:
 
@@ -9,10 +10,12 @@ Run from the repository root:
 from pathlib import Path
 import sys
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
 
+from circuits import BENCHMARKS
 from treesynth.aiger import write_aiger
-from treesynth.bench import BENCHMARKS
 from treesynth.blif import write_blif
 
 COMMENTS = {
@@ -40,7 +43,7 @@ def benchmark_files() -> dict[str, str]:
 
 
 def main() -> None:
-    out_dir = Path(__file__).resolve().parents[1] / "benchmarks"
+    out_dir = HERE.parent / "benchmarks"
     out_dir.mkdir(exist_ok=True)
     for name, text in benchmark_files().items():
         path = out_dir / name

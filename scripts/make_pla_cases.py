@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the PLA train/validation/test cases under benchmarks/pla/.
 
-Each case samples labelled vectors from one output of a built-in circuit,
-mimicking the learn-a-logic-function-from-examples flow.
+Each case samples labelled vectors from one output of a circuit built by
+``circuits.py`` next to this script, mimicking the
+learn-a-logic-function-from-examples flow.  Run from the repository root:
+
+    python3 scripts/make_pla_cases.py
 """
 
 from pathlib import Path
@@ -10,10 +13,12 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+sys.path.insert(0, str(HERE))
 
+from circuits import add8u, mul7u
 from treesynth.aig import pack_vectors, simulate_words
-from treesynth.bench import add8u, mul7u
 from treesynth.dataset import Dataset, write_pla
 
 SPLITS = {"train": 640, "valid": 320, "test": 320}
@@ -50,7 +55,7 @@ def case_files() -> dict[str, str]:
 
 
 def main() -> None:
-    out_dir = Path(__file__).resolve().parents[1] / "benchmarks" / "pla"
+    out_dir = HERE.parent / "benchmarks" / "pla"
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in case_files().items():
         path = out_dir / name

@@ -15,7 +15,7 @@ from .dataset import (Dataset, DatasetError, PlaTriple, parse_pla,
 from .explore import (ExplorationConfig, ExplorationResult, TraceRecord,
                       explore, loss, replay)
 from .odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                  fit_bruteforce, fit_optimal, predict)
+                  fit_optimal, predict)
 from .partition import (PartitionConfig, SubCircuit, extract, partition,
                         partition_report)
 from .qor import QorReport, qor_exhaustive, qor_monte_carlo
@@ -31,7 +31,7 @@ __all__ = [
     "write_pla", "ExplorationConfig", "ExplorationResult", "TraceRecord",
     "explore", "loss", "replay",
     "Branch", "DecisionTree", "Leaf", "OdtError", "SearchBudget",
-    "fit_bruteforce", "fit_optimal", "predict",
+    "fit_optimal", "predict",
     "PartitionConfig", "SubCircuit", "extract", "partition",
     "partition_report", "QorReport", "qor_exhaustive", "qor_monte_carlo",
     "ApproxSubCircuit", "approx_sub_circuit", "tree_to_aig", "trees_to_aig",

@@ -3,7 +3,7 @@
 AND lines may come in any order: ``aig.definition_order`` walks from the
 ANDs in variable order, so the node order depends on the variables alone,
 and rejects an undefined literal or a loop whether an output reads it or
-not.
+not.  The writer rejects a name the reader could not read back.
 """
 
 from __future__ import annotations
@@ -128,8 +128,13 @@ def parse_aiger(text: str) -> Aig:
 
 
 def write_aiger(circuit: Aig, comment: str | None = None) -> str:
-    """Serialize the cleaned circuit; parse(write(c)) == cleanup(c)."""
+    """Serialize the cleaned circuit; parse(write(c)) == cleanup(c).  A name
+    the reader would reject or strip is an AigError."""
     c = cleanup(circuit)
+    for name in (*(c.input_names or ()), *(c.output_names or ())):
+        if name.splitlines() != [name] or name != name.rstrip():
+            raise AigError(f"name {name!r} is empty, ends in whitespace or "
+                           "holds a line break, which AIGER cannot express")
     i, a = c.num_inputs, len(c.ands)
     lines = [f"aag {i + a} {i} 0 {c.num_outputs} {a}"]
     for k in range(i):

@@ -22,7 +22,7 @@ class Dataset:
     """Rows of binary features with one binary label each.
 
     Derived values: ``num_features`` is ``len(features)``, and
-    ``row_mask`` has one set bit per row.
+    ``row_mask`` has one set bit per row.  Sequences are kept as tuples.
     """
 
     num_rows: int
@@ -31,6 +31,9 @@ class Dataset:
     weights: tuple[int, ...] | None = None  # positive per-row multiplicities
 
     def __post_init__(self):
+        object.__setattr__(self, "features", tuple(self.features))
+        if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(self.weights))
         if self.num_rows < 0:
             raise DatasetError("num_rows must be >= 0")
         mask = self.row_mask
@@ -147,6 +150,12 @@ def parse_pla(text: str) -> Dataset:
 
 
 def write_pla(data: Dataset) -> str:
+    """Serialize data that ``parse_pla`` reads back equal; weighted data or
+    data without rows or features is a DatasetError."""
+    if data.weights is not None:
+        raise DatasetError("PLA cannot express row weights")
+    if data.num_rows == 0 or data.num_features == 0:
+        raise DatasetError("PLA needs at least one row and one feature")
     lines = [f".i {data.num_features}", ".o 1", f".p {data.num_rows}"]
     for bits, label in data.rows():
         lines.append("".join(str(b) for b in bits) + f" {label}")

@@ -15,10 +15,8 @@ The memos hold exactly the subproblems the search expanded and solved to
 proven optimality, which keeps them sound regardless of bounding; a pure
 or depth-0 subproblem is its majority leaf, which two counts recompute,
 so it gets no entry and ``memos[0]`` stays empty.  After an unbudgeted
-search, memo entries equal expansions.  ``fit_bruteforce`` is a
-deliberately naive enumerator kept as an independent oracle.  Both split
-a leaf only when that is strictly better, so no fitted branch has two
-equal leaves.
+search, memo entries equal expansions.  A leaf is split only when that is
+strictly better, so no fitted branch has two equal leaves.
 
 A memo value is ``(error, node)``, and the search builds no tree objects:
 a node is a label (0 or 1) or a tuple ``(feature, low, high)``, and
@@ -134,17 +132,6 @@ def _weighted_count(mask: int, weights: tuple[int, ...]) -> int:
         total += weights[low.bit_length() - 1]
         mask ^= low
     return total
-
-
-def collapse(node: TreeNode) -> TreeNode:
-    """Merge equal sibling leaves bottom-up; a test oracle (fits have none)."""
-    if isinstance(node, Leaf):
-        return node
-    low = collapse(node.low)
-    high = collapse(node.high)
-    if isinstance(low, Leaf) and isinstance(high, Leaf) and low.label == high.label:
-        return low
-    return Branch(node.feature, low, high)
 
 
 Node = int | tuple  # a search node: a label or (feature, low, high)
@@ -305,36 +292,3 @@ def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     err, root = search.solve(data.row_mask, budget.max_depth)
     return DecisionTree(root=_tree(root), train_error=err,
                         proven_optimal=not search.exhausted)
-
-
-def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
-    """Exhaustive reference learner (no memoization, no bounding, no bitsets)."""
-    if data.num_features > 10 or budget.max_depth > 3:
-        raise OdtError("brute-force guard: <=10 features and depth <=3 only")
-    if data.num_rows < 1:
-        raise OdtError("cannot fit a tree on an empty dataset")
-    rows = [(bits, label, data.weights[r] if data.weights else 1)
-            for r, (bits, label) in enumerate(data.rows())]
-
-    def best_tree(subset, depth):
-        ones = sum(w for _, label, w in subset if label == 1)
-        zeros = sum(w for _, label, w in subset if label == 0)
-        if ones > zeros:
-            err, node = zeros, Leaf(1)
-        else:
-            err, node = ones, Leaf(0)
-        if depth == 0 or err == 0:
-            return err, node
-        for f in range(data.num_features):
-            low = [row for row in subset if row[0][f] == 0]
-            high = [row for row in subset if row[0][f] == 1]
-            if not low or not high:
-                continue
-            err0, t0 = best_tree(low, depth - 1)
-            err1, t1 = best_tree(high, depth - 1)
-            if err0 + err1 < err:
-                err, node = err0 + err1, Branch(f, t0, t1)
-        return err, node
-
-    err, root = best_tree(rows, budget.max_depth)
-    return DecisionTree(root=root, train_error=err)

@@ -1,0 +1,108 @@
+"""Test helpers: the committed benchmark circuits and independent oracles.
+
+``BENCHMARKS`` maps each benchmark name, in the order of the generators in
+``scripts/circuits.py``, to a function returning ``benchmarks/<name>.aag``
+as parsed; each file is parsed once, since an ``Aig`` is immutable.  The
+oracles check the tool against code that shares none of its tricks: the
+gate-level references of c17 and c432, a naive tree enumerator and a
+leaf-merging pass.
+"""
+
+import functools
+from pathlib import Path
+
+from treesynth.aig import Aig
+from treesynth.aiger import parse_aiger
+from treesynth.dataset import Dataset
+from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
+                           TreeNode)
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@functools.cache
+def load_benchmark(name: str) -> Aig:
+    return parse_aiger((BENCH / f"{name}.aag").read_text())
+
+
+BENCHMARKS = {name: functools.partial(load_benchmark, name) for name in
+              ("c17", "add8u", "mul7u", "c432", "c499", "c880", "c1908")}
+c17 = BENCHMARKS["c17"]
+add8u = BENCHMARKS["add8u"]
+mul7u = BENCHMARKS["mul7u"]
+c432_profile = BENCHMARKS["c432"]
+
+
+def c17_nand_reference(vector: tuple[int, ...]) -> tuple[int, int]:
+    """Independent gate-by-gate NAND evaluation of the C17 schematic."""
+    x1, x2, x3, x6, x7 = vector
+
+    def nand(a, b):
+        return 1 - (a & b)
+
+    g10 = nand(x1, x3)
+    g11 = nand(x3, x6)
+    g16 = nand(x2, g11)
+    g19 = nand(g11, x7)
+    return nand(g10, g16), nand(g16, g19)
+
+
+def c432_profile_reference(vector: tuple[int, ...]) -> tuple[int, ...]:
+    req = vector[:27]
+    en = vector[27:36]
+    active = [[req[9 * bank + ch] & en[ch] for ch in range(9)]
+              for bank in range(3)]
+    any_bank = [int(any(a)) for a in active]
+    grant = [any_bank[0],
+             any_bank[1] & (1 - any_bank[0]),
+             any_bank[2] & (1 - any_bank[0]) & (1 - any_bank[1])]
+    chan = 0
+    for ch in range(9):
+        if any(grant[bank] and active[bank][ch] for bank in range(3)):
+            chan = ch
+            break
+    return tuple(grant) + tuple((chan >> k) & 1 for k in range(4))
+
+
+def collapse(node: TreeNode) -> TreeNode:
+    """Merge equal sibling leaves bottom-up (fitted trees have none)."""
+    if isinstance(node, Leaf):
+        return node
+    low = collapse(node.low)
+    high = collapse(node.high)
+    if isinstance(low, Leaf) and isinstance(high, Leaf) and low.label == high.label:
+        return low
+    return Branch(node.feature, low, high)
+
+
+def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
+    """Exhaustive reference learner (no memoization, no bounding, no bitsets)."""
+    if data.num_features > 10 or budget.max_depth > 3:
+        raise OdtError("brute-force guard: <=10 features and depth <=3 only")
+    if data.num_rows < 1:
+        raise OdtError("cannot fit a tree on an empty dataset")
+    rows = [(bits, label, data.weights[r] if data.weights else 1)
+            for r, (bits, label) in enumerate(data.rows())]
+
+    def best_tree(subset, depth):
+        ones = sum(w for _, label, w in subset if label == 1)
+        zeros = sum(w for _, label, w in subset if label == 0)
+        if ones > zeros:
+            err, node = zeros, Leaf(1)
+        else:
+            err, node = ones, Leaf(0)
+        if depth == 0 or err == 0:
+            return err, node
+        for f in range(data.num_features):
+            low = [row for row in subset if row[0][f] == 0]
+            high = [row for row in subset if row[0][f] == 1]
+            if not low or not high:
+                continue
+            err0, t0 = best_tree(low, depth - 1)
+            err1, t1 = best_tree(high, depth - 1)
+            if err0 + err1 < err:
+                err, node = err0 + err1, Branch(f, t0, t1)
+        return err, node
+
+    err, root = best_tree(rows, budget.max_depth)
+    return DecisionTree(root=root, train_error=err)

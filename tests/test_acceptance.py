@@ -14,16 +14,16 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from treesynth.aig import and_count, simulate
-from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.cli import main
 from treesynth.dataset import Dataset, parse_pla, truth_tables
 from treesynth.explore import ExplorationConfig, explore
-from treesynth.odt import SearchBudget, fit_bruteforce, fit_optimal, predict
+from treesynth.odt import SearchBudget, fit_optimal, predict
 from treesynth.partition import PartitionConfig, partition
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 from treesynth.synth import approx_sub_circuit
 
 from conftest import clear_memos, random_circuit
+from reference import BENCHMARKS, add8u, c17, fit_bruteforce, mul7u
 
 ROOT = Path(__file__).resolve().parents[1]
 PLA = ROOT / "benchmarks" / "pla"

@@ -1,5 +1,6 @@
 """ASCII AIGER reading and writing."""
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -8,9 +9,9 @@ import pytest
 
 from treesynth.aig import AigError, cleanup, simulate
 from treesynth.aiger import parse_aiger, write_aiger
-from treesynth.bench import BENCHMARKS, c17
 
 from conftest import random_circuit
+from reference import BENCHMARKS, c17
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -67,6 +68,18 @@ def test_comment_written():
     text = write_aiger(c17(), comment="hello world")
     assert text.rstrip().endswith("hello world")
     parse_aiger(text)  # still parseable
+
+
+def test_unreadable_names_rejected():
+    # the reader would reject each of these names or read it back changed
+    gate = parse_aiger(AND_GATE)
+    for name in ("", "x ", "x\t", "a\nb", "a\r\nb", "x\x0b", "a\u2028b"):
+        for names in ({"input_names": (name, "b")}, {"output_names": (name,)}):
+            with pytest.raises(AigError, match="AIGER cannot express"):
+                write_aiger(dataclasses.replace(gate, **names))
+    # leading and inner whitespace read back as written
+    spaced = dataclasses.replace(gate, input_names=(" a", "b\tc d"))
+    assert parse_aiger(write_aiger(spaced)) == spaced
 
 
 def test_latches_rejected():

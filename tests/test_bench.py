@@ -1,11 +1,12 @@
-"""Built-in benchmark circuits checked against independent references."""
+"""The committed benchmark circuits checked against independent references."""
 
 import itertools
 import random
 
 from treesynth.aig import and_count, simulate
-from treesynth.bench import (BENCHMARKS, add8u, c17, c17_nand_reference,
-                             c432_profile, c432_profile_reference, mul7u)
+
+from reference import (BENCHMARKS, add8u, c17, c17_nand_reference,
+                       c432_profile, c432_profile_reference, mul7u)
 
 
 def test_c17_shape():

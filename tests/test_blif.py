@@ -8,11 +8,11 @@ import pytest
 
 from treesynth.aig import Aig, AigError, simulate
 from treesynth.aiger import parse_aiger
-from treesynth.bench import BENCHMARKS, c17
 from treesynth.blif import parse_blif, write_blif
 from treesynth.qor import qor_exhaustive
 
 from conftest import random_circuit
+from reference import BENCHMARKS, c17
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 

@@ -5,6 +5,7 @@ import pytest
 from treesynth.aig import Aig, AigBuilder, AigError
 from treesynth.dataset import (Dataset, DatasetError, load_pla_triple,
                                parse_pla, truth_tables, write_pla)
+from treesynth.odt import SearchBudget, fit_optimal
 
 from conftest import random_circuit
 
@@ -32,6 +33,18 @@ def test_dataset_validation():
         Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1, 0))
     with pytest.raises(DatasetError):  # one weight for two rows
         Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1,))
+
+
+def test_dataset_stores_sequences_as_tuples():
+    # the fit memo hashes its data, so a list column must not reach it
+    lists = Dataset(num_rows=2, features=[0b01, 0b10], labels=0b01,
+                    weights=[2, 1])
+    tuples = Dataset(num_rows=2, features=(0b01, 0b10), labels=0b01,
+                     weights=(2, 1))
+    assert (lists.features, lists.weights) == ((0b01, 0b10), (2, 1))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert (fit_optimal(lists, SearchBudget(max_depth=1))
+            == fit_optimal(tuples, SearchBudget(max_depth=1)))
 
 
 def test_truth_table_xor():
@@ -76,6 +89,16 @@ def test_pla_roundtrip(rng):
     c = random_circuit(rng, 4, 10, 1)
     d = truth_tables(c)[0]
     assert parse_pla(write_pla(d)) == d
+
+
+@pytest.mark.parametrize("data", [
+    Dataset(num_rows=2, features=(0b01,), labels=0b10, weights=(3, 1)),
+    Dataset(num_rows=0, features=(0,), labels=0),
+    Dataset(num_rows=2, features=(), labels=0b01),
+], ids=["weights", "no_rows", "no_features"])
+def test_write_pla_rejects_what_parse_pla_cannot_read(data):
+    with pytest.raises(DatasetError):
+        write_pla(data)
 
 
 def test_parse_pla_basic():

@@ -11,7 +11,6 @@ import pytest
 from treesynth.aig import (Aig, AigError, and_count, compose, simulate,
                            simulate_words)
 from treesynth.aiger import write_aiger
-from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
 from treesynth.odt import OdtError
@@ -19,6 +18,7 @@ from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
+from reference import BENCHMARKS, add8u, c17, mul7u
 
 
 def small_config(threshold, **kw):

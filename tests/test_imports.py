@@ -9,7 +9,10 @@ somewhere in its own module, or nothing in the package calls it.  And it
 is the dependency check: every absolute import names a module of the
 standard library, so the package runs with no third-party package.  And
 every name in the package's ``__all__`` must be bound by the package, so
-``from treesynth import *`` cannot fail on a name that was deleted.
+``from treesynth import *`` cannot fail on a name that was deleted.  And
+the entry point ``treesynth.cli`` imports every other module of the
+package, directly or through another one, so code that only scripts or
+tests use has no place in it.
 """
 
 import ast
@@ -138,3 +141,38 @@ def test_unbound_exports_are_found():
 def test_package_exports_only_bound_names():
     assert treesynth.__all__
     assert unbound_exports(treesynth) == []
+
+
+def reached_modules(package: Path, start: str) -> set[str]:
+    """The modules of a flat package that ``start`` imports, itself
+    included, following its relative imports and theirs."""
+    reached = set()
+    pending = [start]
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                pending += ([node.module] if node.module else
+                            [alias.name for alias in node.names
+                             if (package / f"{alias.name}.py").exists()])
+    return reached
+
+
+def test_reached_modules_are_found(tmp_path):
+    sources = {"cli.py": "import json\nfrom .a import x\n",
+               "a.py": "from . import b, VERSION\nx = 1\n",
+               "b.py": "from .a import x\n",
+               "orphan.py": "from .a import x\n",
+               "__init__.py": "VERSION = 1\n"}
+    for name, source in sources.items():
+        (tmp_path / name).write_text(source)
+    assert reached_modules(tmp_path, "cli") == {"cli", "a", "b"}
+
+
+def test_cli_reaches_every_module():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert "cli" in modules
+    assert modules - reached_modules(PACKAGE, "cli") == set()

@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 
 from treesynth.aig import truth_table_input_words
-from treesynth.bench import BENCHMARKS, add8u, c17, mul7u
 from treesynth.dataset import Dataset, parse_pla, truth_tables
 from treesynth.odt import (LEAF_0, LEAF_1, Branch, DecisionTree, Leaf,
-                           OdtError, SearchBudget, _Search, _tree, collapse,
-                           fit_bruteforce, fit_optimal, predict)
+                           OdtError, SearchBudget, _Search, _tree,
+                           fit_optimal, predict)
 from treesynth.partition import PartitionConfig, partition
 
 from conftest import random_circuit
+from reference import (BENCHMARKS, add8u, c17, collapse, fit_bruteforce,
+                       mul7u)
 
 PLA = Path(__file__).resolve().parents[1] / "benchmarks" / "pla"
 

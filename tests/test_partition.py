@@ -10,7 +10,6 @@ import pytest
 
 from treesynth.aig import (Aig, AigError, and_count, cleanup, compose,
                            simulate)
-from treesynth.bench import BENCHMARKS
 from treesynth.partition import (BALANCE, MAX_FM_PASSES, PartitionConfig,
                                  _fm_bipartition, _fm_passes, _member_nets,
                                  _Netlist, extract, partition,
@@ -18,6 +17,7 @@ from treesynth.partition import (BALANCE, MAX_FM_PASSES, PartitionConfig,
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
+from reference import BENCHMARKS
 
 # the package binds ``treesynth.partition`` to the function of that name
 partition_module = importlib.import_module("treesynth.partition")

@@ -9,12 +9,12 @@ import pytest
 from treesynth.aig import (Aig, AigBuilder, AigError, lit_not, simulate_words,
                            truth_table_input_words)
 from treesynth import qor
-from treesynth.bench import c17
 from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, mismatched_bits,
                            monte_carlo_testbench, qor_exhaustive,
                            qor_monte_carlo, qor_on_words, sample_input_words)
 
 from conftest import random_circuit
+from reference import c17
 
 
 def wire(n: int, index: int = 0) -> Aig:
