@@ -14,8 +14,7 @@ from .dataset import (Dataset, DatasetError, PlaTriple, parse_pla,
                       truth_tables, write_pla)
 from .explore import (ExplorationConfig, ExplorationResult, TraceRecord,
                       explore, loss, replay)
-from .odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                  fit_optimal, predict)
+from .odt import DecisionTree, OdtError, SearchBudget, fit_optimal, predict
 from .partition import (PartitionConfig, SubCircuit, extract, partition,
                         partition_report)
 from .qor import QorReport, qor_exhaustive, qor_monte_carlo
@@ -30,8 +29,7 @@ __all__ = [
     "Dataset", "DatasetError", "PlaTriple", "parse_pla", "truth_tables",
     "write_pla", "ExplorationConfig", "ExplorationResult", "TraceRecord",
     "explore", "loss", "replay",
-    "Branch", "DecisionTree", "Leaf", "OdtError", "SearchBudget",
-    "fit_optimal", "predict",
+    "DecisionTree", "OdtError", "SearchBudget", "fit_optimal", "predict",
     "PartitionConfig", "SubCircuit", "extract", "partition",
     "partition_report", "QorReport", "qor_exhaustive", "qor_monte_carlo",
     "ApproxSubCircuit", "approx_sub_circuit", "tree_to_aig", "trees_to_aig",

@@ -77,6 +77,8 @@ class ExplorationConfig:
             raise AigError("beam_width must be >= 1")
         if self.qor_samples < 1:
             raise AigError("qor_samples must be >= 1")
+        if self.seed < 0:  # also where no vectors are drawn
+            raise AigError("seed must be >= 0")
         if self.partition.max_inputs > EXHAUSTIVE_INPUT_CAP:
             raise AigError(
                 f"max_inputs {self.partition.max_inputs} exceeds the "

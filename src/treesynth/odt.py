@@ -5,12 +5,16 @@ DL8.5 style: subproblems are row subsets reached by a path of feature
 conditions, memoized so that equivalent paths share work.  A search keeps
 one memo per remaining depth, ``memos[d]`` for 1 <= d <= max_depth, so a
 key need not hold the depth, and a call deeper than ``max_depth`` is
-refused.  On a complete unweighted truth table, whose row r sets feature i
-to bit i of r, every subproblem is a cube: its path fixes the features S,
-and V sums 2^i over those fixed to 1.  Its answer depends only on its
-cofactor, so the key is ``((mask & labels) >> V, S)`` and cubes with equal
-cofactors share one entry, as ROBDD nodes do (Bryant 1986).  Other data
-(PLA rows, weighted or incomplete tables) is keyed on the row mask alone.
+refused.  A split on a feature already fixed on the path is constant and
+skipped, so no tree is deeper than its F features, and ``fit_optimal``
+clamps the depth to F: a deeper request gives the same tree and would
+only allocate more memos.  On a complete unweighted truth table, whose
+row r sets feature i to bit i of r, every subproblem is a cube: its path
+fixes the features S, and V sums 2^i over those fixed to 1.  Its answer
+depends only on its cofactor, so the key is ``((mask & labels) >> V, S)``
+and cubes with equal cofactors share one entry, as ROBDD nodes do (Bryant
+1986).  Other data (PLA rows, weighted or incomplete tables) is keyed on
+the row mask alone.
 The memos hold exactly the subproblems the search expanded and solved to
 proven optimality, which keeps them sound regardless of bounding; a pure
 or depth-0 subproblem is its majority leaf, which two counts recompute,
@@ -18,10 +22,11 @@ so it gets no entry and ``memos[0]`` stays empty.  After an unbudgeted
 search, memo entries equal expansions.  A leaf is split only when that is
 strictly better, so no fitted branch has two equal leaves.
 
-A memo value is ``(error, node)``, and the search builds no tree objects:
-a node is a label (0 or 1) or a tuple ``(feature, low, high)``, and
-``_fit`` turns the root into ``Leaf``/``Branch`` once, converting each
-shared subtree once.  Its two leaves differ, so a fitted depth-1 split is
+A tree has one form, ``Node``, in the search and once fitted alike: a
+node is a label (0 or 1) or a tuple ``(feature, low, high)``, where ``low``
+is the child for feature = 0.  A memo value is ``(error, node)``, and a
+fitted tree's root is the search's own node, so subtrees the search shares
+stay shared.  A fitted depth-1 split has two different leaves, so it is
 one of 2F stumps ``(f, 1, 0)`` and ``(f, 0, 1)``, built once per search
 and shared by every entry that holds one.  Depth-1 values repeat far more
 than deeper ones, so each distinct one is also stored once per search and
@@ -47,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .aig import truth_table_input_words
 from .dataset import Dataset
@@ -57,30 +62,7 @@ class OdtError(Exception):
     """Invalid learning request (empty data, guard violation, ...)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    label: int
-
-    @property
-    def depth(self) -> int:
-        return 0
-
-
-@dataclass(frozen=True, slots=True)
-class Branch:
-    feature: int
-    low: "TreeNode"   # feature = 0 child
-    high: "TreeNode"  # feature = 1 child
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.low.depth, self.high.depth)
-
-
-TreeNode = Leaf | Branch
-
-LEAF_0 = Leaf(0)
-LEAF_1 = Leaf(1)
+Node = int | tuple  # a label, or (feature, low, high)
 
 
 @dataclass(frozen=True)
@@ -100,28 +82,33 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """A fitted tree and its weighted training error.
-
-    The depth is derived: ``realized_depth`` is ``root.depth``.
+    """A fitted tree and its weighted training error.  ``root`` is a
+    ``Node``: a label 0 or 1, or a tuple ``(feature, low, high)`` whose
+    ``low`` child is taken when the feature is 0, and subtrees may be
+    shared.  ``realized_depth``, the splits on the longest path, is derived.
     """
 
-    root: TreeNode
+    root: Node
     train_error: int
     proven_optimal: bool = True
 
     @property
     def realized_depth(self) -> int:
-        return self.root.depth
+        return _depth(self.root)
+
+
+def _depth(node: Node) -> int:
+    return 0 if isinstance(node, int) else 1 + max(map(_depth, node[1:]))
 
 
 def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
     node = tree.root
-    while isinstance(node, Branch):
-        if node.feature >= len(features):
-            raise OdtError(
-                f"feature {node.feature} out of range for width {len(features)}")
-        node = node.high if features[node.feature] else node.low
-    return node.label
+    while not isinstance(node, int):
+        f, low, high = node
+        if f >= len(features):
+            raise OdtError(f"feature {f} out of range for width {len(features)}")
+        node = high if features[f] else low
+    return node
 
 
 def _weighted_count(mask: int, weights: tuple[int, ...]) -> int:
@@ -132,9 +119,6 @@ def _weighted_count(mask: int, weights: tuple[int, ...]) -> int:
         total += weights[low.bit_length() - 1]
         mask ^= low
     return total
-
-
-Node = int | tuple  # a search node: a label or (feature, low, high)
 
 
 class _Search:
@@ -252,22 +236,6 @@ class _Search:
         return value
 
 
-def _tree(node: Node, built: dict[int, Branch] | None = None) -> TreeNode:
-    """The ``Leaf``/``Branch`` form of a search node; ``built`` maps the id
-    of each tuple converted so far to its branch, so a shared subtree is
-    converted once and stays shared."""
-    if isinstance(node, int):
-        return LEAF_1 if node else LEAF_0
-    if built is None:
-        built = {}
-    branch = built.get(id(node))
-    if branch is None:
-        f, low, high = node
-        branch = built[id(node)] = Branch(f, _tree(low, built),
-                                          _tree(high, built))
-    return branch
-
-
 def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     """Tree with provably minimal weighted training error at the depth cap.
 
@@ -277,6 +245,8 @@ def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     """
     if data.num_rows < 1:
         raise OdtError("cannot fit a tree on an empty dataset")
+    if budget.max_depth > data.num_features:  # no tree is deeper than F
+        budget = replace(budget, max_depth=data.num_features)
     if budget.node_limit is None and budget.time_limit is None:
         return _fit_unbudgeted(data, budget.max_depth)
     return _fit(data, budget)
@@ -290,5 +260,5 @@ def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
 def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.solve(data.row_mask, budget.max_depth)
-    return DecisionTree(root=_tree(root), train_error=err,
+    return DecisionTree(root=root, train_error=err,
                         proven_optimal=not search.exhausted)

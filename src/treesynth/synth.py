@@ -6,19 +6,18 @@ from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, CONST0, CONST1
 from .dataset import truth_tables
-from .odt import DecisionTree, Leaf, OdtError, SearchBudget, fit_optimal
+from .odt import DecisionTree, Node, OdtError, SearchBudget, fit_optimal
 
 
-def _tree_cone(builder: AigBuilder, node) -> int:
-    if isinstance(node, Leaf):
-        return CONST1 if node.label else CONST0
-    if node.feature >= builder.num_inputs:
-        raise OdtError(
-            f"tree tests feature {node.feature} but circuit has "
-            f"{builder.num_inputs} inputs")
-    sel = builder.input_lit(node.feature)
-    return builder.mux(sel, _tree_cone(builder, node.high),
-                       _tree_cone(builder, node.low))
+def _tree_cone(builder: AigBuilder, node: Node) -> int:
+    if isinstance(node, int):
+        return CONST1 if node else CONST0
+    f, low, high = node
+    if f >= builder.num_inputs:
+        raise OdtError(f"tree tests feature {f} but circuit has "
+                       f"{builder.num_inputs} inputs")
+    return builder.mux(builder.input_lit(f), _tree_cone(builder, high),
+                       _tree_cone(builder, low))
 
 
 def tree_to_aig(tree: DecisionTree, num_inputs: int) -> Aig:
@@ -41,7 +40,11 @@ class ApproxSubCircuit:
     circuit: Aig
     md: int  # the explorer's next budget steps down from here
     per_output_trees: tuple[DecisionTree, ...]
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """Every tree fits its output's truth table without error."""
+        return all(t.train_error == 0 for t in self.per_output_trees)
 
     @property
     def proven(self) -> bool:
@@ -68,4 +71,4 @@ def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
     recorded = min((t.realized_depth for t in trees), default=0) if exact else md
     return ApproxSubCircuit(
         circuit=trees_to_aig(trees, circuit.num_inputs), md=recorded,
-        per_output_trees=tuple(trees), exact=exact)
+        per_output_trees=tuple(trees))

@@ -14,8 +14,7 @@ from pathlib import Path
 from treesynth.aig import Aig
 from treesynth.aiger import parse_aiger
 from treesynth.dataset import Dataset
-from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                           TreeNode)
+from treesynth.odt import DecisionTree, Node, OdtError, SearchBudget
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -64,15 +63,15 @@ def c432_profile_reference(vector: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(grant) + tuple((chan >> k) & 1 for k in range(4))
 
 
-def collapse(node: TreeNode) -> TreeNode:
+def collapse(node: Node) -> Node:
     """Merge equal sibling leaves bottom-up (fitted trees have none)."""
-    if isinstance(node, Leaf):
+    if isinstance(node, int):
         return node
-    low = collapse(node.low)
-    high = collapse(node.high)
-    if isinstance(low, Leaf) and isinstance(high, Leaf) and low.label == high.label:
+    f, low, high = node
+    low, high = collapse(low), collapse(high)
+    if isinstance(low, int) and low == high:
         return low
-    return Branch(node.feature, low, high)
+    return (f, low, high)
 
 
 def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
@@ -88,9 +87,9 @@ def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
         ones = sum(w for _, label, w in subset if label == 1)
         zeros = sum(w for _, label, w in subset if label == 0)
         if ones > zeros:
-            err, node = zeros, Leaf(1)
+            err, node = zeros, 1
         else:
-            err, node = ones, Leaf(0)
+            err, node = ones, 0
         if depth == 0 or err == 0:
             return err, node
         for f in range(data.num_features):
@@ -101,7 +100,7 @@ def fit_bruteforce(data: Dataset, budget: SearchBudget) -> DecisionTree:
             err0, t0 = best_tree(low, depth - 1)
             err1, t1 = best_tree(high, depth - 1)
             if err0 + err1 < err:
-                err, node = err0 + err1, Branch(f, t0, t1)
+                err, node = err0 + err1, (f, t0, t1)
         return err, node
 
     err, root = best_tree(rows, budget.max_depth)

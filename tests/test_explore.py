@@ -285,11 +285,13 @@ def test_testbench_policy():
 
 
 def test_negative_seed_is_aig_error():
-    # c432 has more inputs than max_inputs, so the search draws vectors
-    cfg = ExplorationConfig(
-        seed=-1, partition=PartitionConfig(initial_parts=10, max_inputs=8))
-    with pytest.raises(AigError, match="seed"):
-        explore(BENCHMARKS["c432"](), cfg)
+    # c432 has more inputs than max_inputs, so the search draws vectors;
+    # c17 draws none, and its negative seed used to be accepted
+    for name, max_inputs in (("c432", 8), ("c17", 16)):
+        with pytest.raises(AigError, match="seed"):
+            cfg = ExplorationConfig(seed=-1, partition=PartitionConfig(
+                initial_parts=10, max_inputs=max_inputs))
+            explore(BENCHMARKS[name](), cfg)
 
 
 def test_exhaustive_search_over_input_cap_is_aig_error(rng):

@@ -7,8 +7,7 @@ import pytest
 
 from treesynth.aig import truth_table_input_words
 from treesynth.dataset import Dataset, parse_pla, truth_tables
-from treesynth.odt import (LEAF_0, LEAF_1, Branch, DecisionTree, Leaf,
-                           OdtError, SearchBudget, _Search, _tree,
+from treesynth.odt import (DecisionTree, OdtError, SearchBudget, _Search,
                            fit_optimal, predict)
 from treesynth.partition import PartitionConfig, partition
 
@@ -42,7 +41,7 @@ def xor_dataset():
 
 def test_predict():
     tree = type("T", (), {})()  # predict only reads .root
-    tree.root = Branch(0, Leaf(0), Branch(1, Leaf(1), Leaf(0)))
+    tree.root = (0, 0, (1, 1, 0))
     assert predict(tree, (0, 0)) == 0
     assert predict(tree, (1, 0)) == 1
     assert predict(tree, (1, 1)) == 0
@@ -51,7 +50,7 @@ def test_predict():
 def test_depth_zero_majority_leaf():
     d = xor_dataset()
     t = fit_optimal(d, SearchBudget(max_depth=0))
-    assert isinstance(t.root, Leaf)
+    assert t.root in (0, 1)
     assert t.train_error == 2
     assert t.realized_depth == 0
 
@@ -101,13 +100,12 @@ def test_weighted_errors():
     d = Dataset(num_rows=3, features=(0b000,),
                 labels=0b100, weights=(1, 1, 5))
     t = fit_optimal(d, SearchBudget(max_depth=0))
-    assert t.root == Leaf(1)
+    assert t.root == 1
     assert t.train_error == 2
 
 
 def test_collapse():
-    node = Branch(0, Leaf(1), Branch(1, Leaf(1), Leaf(1)))
-    assert collapse(node) == Leaf(1)
+    assert collapse((0, 1, (1, 1, 1))) == 1
 
 
 def test_fitted_trees_are_irreducible():
@@ -184,10 +182,9 @@ def test_memo_hit_matches_fresh_search():
 def test_depth_one_fit_respects_node_limit():
     # the closed-form depth-1 step still checks the budget before a feature
     d = Dataset(num_rows=4, features=(0b1010, 0b1100), labels=0b1010)
-    assert fit_optimal(d, SearchBudget(max_depth=1)).root == \
-        Branch(0, Leaf(0), Leaf(1))
+    assert fit_optimal(d, SearchBudget(max_depth=1)).root == (0, 0, 1)
     partial = fit_optimal(d, SearchBudget(max_depth=1, node_limit=1))
-    assert partial.root == Leaf(0)  # majority leaf, ties to 0
+    assert partial.root == 0  # majority leaf, ties to 0
     assert partial.train_error == 2
     assert not partial.proven_optimal
 
@@ -355,7 +352,7 @@ def test_only_complete_unweighted_tables_take_cofactor_key():
                 search = _Search(data, budget)
                 assert not search.cube
                 err, root = search.solve(data.row_mask, depth)
-                assert (DecisionTree(root=_tree(root), train_error=err)
+                assert (DecisionTree(root=root, train_error=err)
                         == fit_bruteforce(data, budget))
 
 
@@ -441,7 +438,7 @@ def test_row_mask_key_matches_bruteforce_at_every_depth():
                 search = _Search(data, budget)
                 assert len(search.memos) == depth + 1
                 err, root = search.solve(data.row_mask, depth)
-                assert (DecisionTree(root=_tree(root), train_error=err)
+                assert (DecisionTree(root=root, train_error=err)
                         == fit_optimal(data, budget)
                         == fit_bruteforce(data, budget))
                 assert not search.memos[0]
@@ -467,7 +464,7 @@ def test_memo_holds_plain_values_and_shared_stumps():
             assert node in (0, 1) or id(node) in stumps
         for memo in search.memos:
             for _, node in memo.values():
-                for sub in search_nodes(node):  # never a Leaf or a Branch
+                for sub in search_nodes(node):
                     assert sub in (0, 1) or (isinstance(sub, tuple)
                                              and len(sub) == 3)
 
@@ -489,15 +486,6 @@ def test_depth_one_values_are_shared():
         for err, node in distinct:
             assert node in (0, 1) or id(node) in stumps
     assert shared > 0
-
-
-def test_tree_converts_shared_subtrees_once():
-    stump = (1, 0, 1)
-    root = _tree((0, stump, (2, stump, 1)))
-    assert root == Branch(0, Branch(1, Leaf(0), Leaf(1)),
-                          Branch(2, Branch(1, Leaf(0), Leaf(1)), Leaf(1)))
-    assert root.low is root.high.low
-    assert _tree(0) is LEAF_0 and _tree(1) is LEAF_1
 
 
 def test_solve_rejects_depth_over_budget():
@@ -524,8 +512,31 @@ def test_budgeted_fit_on_pla_data():
     assert memos_within(partial, full)
 
 
+def test_fit_deeper_than_features_is_the_fit_at_features(monkeypatch):
+    # a split on a fixed feature is constant and skipped, so no tree is
+    # deeper than its F features: a deeper request is the fit at F, and
+    # its search needs one memo per depth up to F
+    searches = []
+
+    class CountingSearch(_Search):
+        def __init__(self, data: Dataset, budget: SearchBudget):
+            super().__init__(data, budget)
+            searches.append(self)
+
+    monkeypatch.setattr("treesynth.odt._Search", CountingSearch)
+    for data in (truth_tables(c17())[0],
+                 parse_pla((PLA / "mul7u_p12_train.pla").read_text())):
+        for node_limit in (None, 10**9):
+            searches.clear()
+            deep = fit_optimal(data, SearchBudget(10**5, node_limit))
+            assert len(searches) == 1
+            assert len(searches[0].memos) <= data.num_features + 1
+            assert deep == fit_optimal(data, SearchBudget(data.num_features,
+                                                          node_limit))
+
+
 def test_predict_rejects_out_of_range_feature():
-    tree = DecisionTree(root=Branch(2, Leaf(0), Leaf(1)), train_error=0)
+    tree = DecisionTree(root=(2, 0, 1), train_error=0)
     with pytest.raises(OdtError):
         predict(tree, (0, 1))
 

@@ -9,8 +9,7 @@ import pytest
 from treesynth.aig import AigBuilder, and_count, simulate
 from treesynth.dataset import Dataset
 from treesynth.explore import ExplorationConfig, explore
-from treesynth.odt import (Branch, DecisionTree, Leaf, OdtError, SearchBudget,
-                           fit_optimal, predict)
+from treesynth.odt import DecisionTree, OdtError, SearchBudget, fit_optimal, predict
 from treesynth.partition import PartitionConfig, extract, partition
 from treesynth.synth import approx_sub_circuit, tree_to_aig, trees_to_aig
 
@@ -23,13 +22,13 @@ def make_tree(root) -> DecisionTree:
 
 def test_leaf_trees_are_constants():
     for label in (0, 1):
-        c = tree_to_aig(make_tree(Leaf(label)), 3)
+        c = tree_to_aig(make_tree(label), 3)
         assert and_count(c) == 0
         assert simulate(c, [(0, 0, 0), (1, 1, 1)]) == [(label,), (label,)]
 
 
 def test_single_split_is_a_wire():
-    c = tree_to_aig(make_tree(Branch(1, Leaf(0), Leaf(1))), 3)
+    c = tree_to_aig(make_tree((1, 0, 1)), 3)
     assert and_count(c) == 0  # mux(x, 1, 0) folds to the selector itself
     assert simulate(c, [(0, 1, 0), (0, 0, 0)]) == [(1,), (0,)]
 
@@ -48,15 +47,29 @@ def test_tree_circuit_agrees_with_predict():
 
 
 def test_trees_share_structure():
-    t = make_tree(Branch(0, Leaf(0), Branch(1, Leaf(0), Leaf(1))))
+    t = make_tree((0, 0, (1, 0, 1)))
     together = trees_to_aig([t, t], 2)
     assert and_count(together) == and_count(tree_to_aig(t, 2))
     assert together.num_outputs == 2
 
 
+def test_tree_form_with_a_shared_subtree():
+    # a tree is the search's own nodes: a label, or (feature, low, high)
+    # with the feature-0 child first; a subtree may appear twice
+    s = (1, 0, 1)
+    t = make_tree((0, s, (2, s, 1)))
+    assert t.realized_depth == 3  # x0 = 1, x2 = 0, then x1
+    vecs = list(itertools.product((0, 1), repeat=3))
+    assert [predict(t, v) for v in vecs] == \
+        [x1 | (x0 & x2) for x0, x1, x2 in vecs]
+    c = tree_to_aig(t, 3)
+    assert simulate(c, vecs) == [(predict(t, v),) for v in vecs]
+    assert and_count(trees_to_aig([t, t], 3)) == and_count(c)
+
+
 def test_feature_out_of_range():
     with pytest.raises(OdtError):
-        tree_to_aig(make_tree(Branch(5, Leaf(0), Leaf(1))), 2)
+        tree_to_aig(make_tree((5, 0, 1)), 2)
 
 
 def test_exact_approximation_of_small_cell(rng):
@@ -143,8 +156,7 @@ def test_depth_zero_gives_majority_constants(rng):
     vecs = list(itertools.product((0, 1), repeat=3))
     majorities = tuple(int(2 * sum(column) > len(column))  # ties to 0
                        for column in zip(*simulate(c, vecs)))
-    assert [t.root for t in approx.per_output_trees] == \
-        [Leaf(m) for m in majorities]
+    assert tuple(t.root for t in approx.per_output_trees) == majorities
     assert simulate(approx.circuit, vecs) == [majorities] * len(vecs)
     with pytest.raises(OdtError):
         approx_sub_circuit(c, md=-1)
