@@ -359,12 +359,15 @@ def explore(circuit: Aig, config: ExplorationConfig) -> ExplorationResult:
 
 def replay(circuit: Aig, config: ExplorationConfig,
            substitutions) -> Aig:
-    """Rebuild the composed circuit for a substitution list (trace replay)."""
+    """Rebuild the composed circuit for a substitution list (trace replay).
+    Each part id may appear once, as in ``ExplorationResult.substitutions``."""
     explorer = _Explorer(circuit, config)
     applied: list[int | None] = [None] * len(explorer.parts)
     for part_id, depth in substitutions:
         if part_id not in range(len(explorer.parts)):
             raise AigError(f"substitution for unknown part id {part_id!r}")
+        if applied[part_id] is not None:
+            raise AigError(f"part id {part_id} is substituted twice")
         explorer.approx(explorer.parts[part_id], depth)
         applied[part_id] = depth
     return explorer.compose_state(tuple(applied))

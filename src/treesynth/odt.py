@@ -10,11 +10,16 @@ skipped, so no tree is deeper than its F features, and ``fit_optimal``
 clamps the depth to F: a deeper request gives the same tree and would
 only allocate more memos.  On a complete unweighted truth table, whose
 row r sets feature i to bit i of r, every subproblem is a cube: its path
-fixes the features S, and V sums 2^i over those fixed to 1.  Its answer
-depends only on its cofactor, so the key is ``((mask & labels) >> V, S)``
-and cubes with equal cofactors share one entry, as ROBDD nodes do (Bryant
-1986).  Other data (PLA rows, weighted or incomplete tables) is keyed on
-the row mask alone.
+fixes some inputs, and its answer depends only on its cofactor, the
+function of the k inputs left free.  So the search works on that function
+itself, a 2^k-bit table whose row r sets the free input of rank j (its
+place among the free inputs, lowest index first) to bit j of r.  A split
+on rank j moves j to the top by delta swaps that keep the other ranks in
+order, and its two sides are the table's low and high halves.  k is fixed
+at each depth, so ``memos[d]`` is keyed on the table alone, and
+subproblems with equal cofactors share one entry wherever their free
+inputs lie, as ROBDD nodes do (Bryant 1986).  Other data (PLA rows,
+weighted or incomplete tables) is keyed on its row mask.
 The memos hold exactly the subproblems the search expanded and solved to
 proven optimality, which keeps them sound regardless of bounding; a pure
 or depth-0 subproblem is its majority leaf, which two counts recompute,
@@ -24,21 +29,26 @@ strictly better, so no fitted branch has two equal leaves.
 
 A tree has one form, ``Node``, in the search and once fitted alike: a
 node is a label (0 or 1) or a tuple ``(feature, low, high)``, where ``low``
-is the child for feature = 0.  A memo value is ``(error, node)``, and a
-fitted tree's root is the search's own node, so subtrees the search shares
-stay shared.  A fitted depth-1 split has two different leaves, so it is
-one of 2F stumps ``(f, 1, 0)`` and ``(f, 0, 1)``, built once per search
-and shared by every entry that holds one.  Depth-1 values repeat far more
-than deeper ones, so each distinct one is also stored once per search and
-shared by all depth-1 entries that equal it.
+is the child for feature = 0.  A memo value is ``(error, node)``.  A table
+search names each feature by its rank, and the fit renames ranks to input
+indices once, with a memo, so subtrees it shares under the same free inputs
+stay shared; on other data a fitted tree's root is the search's own node.
+Renaming keeps the order of the inputs, so the lowest-index tie rule picks
+the same split on both forms.  A depth-1 split in a memo has two different
+leaves, so it is one of 2F stumps ``(f, 1, 0)`` and ``(f, 0, 1)``, built
+once per search and shared by every entry that holds one.  Depth-1 values
+repeat far more than deeper ones, so each distinct one is also stored once
+per search and shared by all depth-1 entries that equal it.
 
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
 the positive weight of its high side; the low side follows by subtraction
-from the totals of the subproblem.  No depth-0 subproblem is created below
-the root.  Only a search with a node or time limit checks its budget inside
-the feature loops; an unbudgeted search never can run out, so it skips
-those checks, and unweighted data is counted with ``int.bit_count``.
+from the totals of the subproblem.  Each side of a table's split holds half
+its rows, so there a split costs one AND and one popcount.  No depth-0
+subproblem is created below the root.  Only a search with a node or time
+limit checks its budget inside the feature loops; an unbudgeted search
+never can run out, so it skips those checks, and unweighted data is
+counted with ``int.bit_count``.
 
 A node or time limit makes the search anytime: when the budget runs out it
 returns the best tree found so far with ``proven_optimal`` false, so the
@@ -67,17 +77,29 @@ Node = int | tuple  # a label, or (feature, low, high)
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one fit.  ``max_depth`` is an int >= 0; ``node_limit``, a
+    cap on expansions, is None or an int >= 0; ``time_limit`` is None or a
+    number of seconds >= 0.  Any other value is an ``OdtError``."""
+
     max_depth: int
     node_limit: int | None = None
     time_limit: float | None = None  # seconds
 
     def __post_init__(self):
+        if not isinstance(self.max_depth, int):
+            raise OdtError("max_depth must be an int")
         if self.max_depth < 0:
             raise OdtError("max_depth must be >= 0")
-        if self.node_limit is not None and self.node_limit < 0:
-            raise OdtError("node_limit must be >= 0")
-        if self.time_limit is not None and not self.time_limit >= 0:
-            raise OdtError("time_limit must be >= 0")  # NaN fails too
+        if self.node_limit is not None:
+            if not isinstance(self.node_limit, int):
+                raise OdtError("node_limit must be an int or None")
+            if self.node_limit < 0:
+                raise OdtError("node_limit must be >= 0")
+        if self.time_limit is not None:
+            if not isinstance(self.time_limit, (int, float)):
+                raise OdtError("time_limit must be a number or None")
+            if not self.time_limit >= 0:
+                raise OdtError("time_limit must be >= 0")  # NaN fails too
 
 
 @dataclass(frozen=True)
@@ -105,7 +127,7 @@ def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
     node = tree.root
     while not isinstance(node, int):
         f, low, high = node
-        if f >= len(features):
+        if not 0 <= f < len(features):
             raise OdtError(f"feature {f} out of range for width {len(features)}")
         node = high if features[f] else low
     return node
@@ -121,15 +143,47 @@ def _weighted_count(mask: int, weights: tuple[int, ...]) -> int:
     return total
 
 
+@functools.cache
+def _rank_moves(k: int) -> tuple[tuple[int, int], ...]:
+    """Delta swaps ``(mask, shift)`` on a 2^k-bit table, swapping rank j
+    with rank k-1 for j = k-2 down to 0.  Applied in turn from the table as
+    it is, the first m of them leave rank k-1-m on top and the other ranks
+    in order."""
+    words = truth_table_input_words(k)
+    return tuple((words[j] & ~words[k - 1], (1 << (k - 1)) - (1 << j))
+                 for j in range(k - 2, -1, -1))
+
+
+def _by_input(root: Node, num_inputs: int) -> Node:
+    """A table search's tree with each rank among the free inputs replaced
+    by the input it names; a subtree shared under the same free inputs
+    stays shared."""
+    named: dict[tuple[int, tuple[int, ...]], Node] = {}
+
+    def name(node: Node, free: tuple[int, ...]) -> Node:
+        if isinstance(node, int):
+            return node
+        key = id(node), free
+        hit = named.get(key)
+        if hit is None:
+            j, low, high = node
+            rest = free[:j] + free[j + 1:]
+            hit = named[key] = (free[j], name(low, rest), name(high, rest))
+        return hit
+
+    return name(root, tuple(range(num_inputs)))
+
+
 class _Search:
     def __init__(self, data: Dataset, budget: SearchBudget):
-        self.splits = tuple((f, column, 1 << f)
-                            for f, column in enumerate(data.features))
+        self.splits = tuple(enumerate(data.features))
         # a fitted depth-1 split has unequal leaves, so it is one of these,
-        # indexed by the high side's label
+        # indexed by the high side's label; on a table, f is a rank and its
+        # column is the table input word of that rank
         self.stumps = tuple((column, ((f, 1, 0), (f, 0, 1)))
                             for f, column in enumerate(data.features))
         self.labels = data.labels
+        self.rows = data.row_mask
         self.budget = budget
         self.weight_of = (int.bit_count if data.weights is None
                           else functools.partial(_weighted_count,
@@ -139,9 +193,13 @@ class _Search:
         n = len(data.features)
         self.cube = (data.weights is None and data.num_rows == 1 << n
                      and list(data.features) == truth_table_input_words(n))
+        if self.cube:
+            # a table with d levels left has d + spare free inputs
+            self.spare = n - budget.max_depth
+            self.moves = tuple(map(_rank_moves, range(n + 1)))
         # memos[d] holds the subproblems solved with d levels left; no
         # subproblem is expanded at depth 0, so memos[0] stays empty
-        self.memos: list[dict[int | tuple[int, int], tuple[int, Node]]] = [
+        self.memos: list[dict[int, tuple[int, Node]]] = [
             {} for _ in range(budget.max_depth + 1)]
         # each distinct depth-1 value, stored once and shared by its entries
         self.values: dict[tuple[int, Node], tuple[int, Node]] = {}
@@ -149,6 +207,15 @@ class _Search:
         self.deadline = (time.monotonic() + budget.time_limit
                          if budget.time_limit is not None else None)
         self.exhausted = False
+
+    def run(self) -> tuple[int, Node]:
+        """The error and root of the whole data's tree at ``max_depth``,
+        features named by input index."""
+        depth = self.budget.max_depth
+        if not self.cube:
+            return self.solve(self.rows, depth)
+        err, root = self.solve_table(self.labels, depth)
+        return err, _by_input(root, len(self.splits))
 
     def out_of_budget(self) -> bool:
         if self.exhausted:
@@ -160,10 +227,8 @@ class _Search:
             self.exhausted = True
         return self.exhausted
 
-    def solve(self, mask: int, depth: int, high: int = 0,
-              fixed: int = 0) -> tuple[int, Node]:
-        """Minimum-error tree of depth <= depth for the rows in mask; ``fixed``
-        marks the features split on the way here, ``high`` those taken high."""
+    def solve(self, mask: int, depth: int) -> tuple[int, Node]:
+        """Minimum-error tree of depth <= depth for the rows in mask."""
         try:
             memo = self.memos[depth]
         except IndexError:
@@ -171,8 +236,7 @@ class _Search:
             # here before any memo holds an entry
             raise OdtError("solve depth exceeds the budget's max_depth") \
                 from None
-        key = ((mask & self.labels) >> high, fixed) if self.cube else mask
-        hit = memo.get(key)
+        hit = memo.get(mask)
         if hit is not None:
             return hit
         weight_of = self.weight_of
@@ -213,16 +277,16 @@ class _Search:
                         break
         else:
             solve = self.solve
-            for f, column, bit in self.splits:
+            for f, column in self.splits:
                 if limited and self.out_of_budget():
                     break
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
                     continue  # constant feature here; split can never improve
-                err0, t0 = solve(mask ^ m1, depth - 1, high, fixed | bit)
+                err0, t0 = solve(mask ^ m1, depth - 1)
                 if err0 >= best_err:
                     continue
-                err1, t1 = solve(m1, depth - 1, high | bit, fixed | bit)
+                err1, t1 = solve(m1, depth - 1)
                 if err0 + err1 < best_err:
                     best_err = err0 + err1
                     best = (f, t0, t1)
@@ -232,7 +296,77 @@ class _Search:
         if not self.exhausted:
             if depth == 1:
                 value = self.values.setdefault(value, value)
-            memo[key] = value
+            memo[mask] = value
+        return value
+
+    def solve_table(self, table: int, depth: int) -> tuple[int, Node]:
+        """Minimum-error tree of depth <= depth for a complete table over
+        its free inputs, features named by rank."""
+        try:
+            memo = self.memos[depth]
+        except IndexError:
+            raise OdtError("solve depth exceeds the budget's max_depth") \
+                from None
+        hit = memo.get(table)
+        if hit is not None:
+            return hit
+        k = depth + self.spare
+        total = 1 << k
+        ones = table.bit_count()
+        if ones > total - ones:
+            best_err, best = total - ones, 1
+        else:
+            best_err, best = ones, 0
+        if depth == 0 or best_err == 0:
+            return best_err, best
+        self.expansions += 1
+        limited = self.limited
+        half = total >> 1  # the rows on either side of every split
+        if depth == 1:
+            for column, stumps in self.stumps[:k]:
+                if limited and self.out_of_budget():
+                    break
+                o1 = (table & column).bit_count()
+                o0 = ones - o1
+                z0 = half - o0
+                err0 = z0 if o0 > z0 else o0
+                if err0 >= best_err:
+                    continue
+                z1 = half - o1
+                err1 = z1 if o1 > z1 else o1
+                if err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best = stumps[o1 > z1]
+                    if best_err == 0:
+                        break
+        else:
+            # tops[k-1-j] is the table with rank j moved to the top, so its
+            # low and high halves are the two sides of the split on j
+            tops = [table]
+            moved = table
+            for mask, shift in self.moves[k]:
+                x = ((moved >> shift) ^ moved) & mask
+                moved ^= x ^ (x << shift)
+                tops.append(moved)
+            low_rows = (1 << half) - 1
+            solve = self.solve_table
+            for j, moved in enumerate(reversed(tops)):
+                if limited and self.out_of_budget():
+                    break
+                err0, t0 = solve(moved & low_rows, depth - 1)
+                if err0 >= best_err:
+                    continue
+                err1, t1 = solve(moved >> half, depth - 1)
+                if err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best = (j, t0, t1)
+                    if best_err == 0:
+                        break
+        value = best_err, best
+        if not self.exhausted:
+            if depth == 1:
+                value = self.values.setdefault(value, value)
+            memo[table] = value
         return value
 
 
@@ -259,6 +393,6 @@ def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
 
 def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
-    err, root = search.solve(data.row_mask, budget.max_depth)
+    err, root = search.run()
     return DecisionTree(root=root, train_error=err,
                         proven_optimal=not search.exhausted)

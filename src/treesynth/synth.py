@@ -13,7 +13,7 @@ def _tree_cone(builder: AigBuilder, node: Node) -> int:
     if isinstance(node, int):
         return CONST1 if node else CONST0
     f, low, high = node
-    if f >= builder.num_inputs:
+    if not 0 <= f < builder.num_inputs:
         raise OdtError(f"tree tests feature {f} but circuit has "
                        f"{builder.num_inputs} inputs")
     return builder.mux(builder.input_lit(f), _tree_cone(builder, high),

@@ -103,6 +103,16 @@ def test_trace_replay_reproduces_result(rng):
     assert rebuilt == res.circuit
 
 
+def test_replay_rejects_a_part_named_twice():
+    # ExplorationResult.substitutions names each part once; a repeated id
+    # used to let the last substitution win
+    cfg = ExplorationConfig(
+        error_threshold=0.15,
+        partition=PartitionConfig(initial_parts=2, max_inputs=3))
+    with pytest.raises(AigError, match="twice"):
+        replay(c17(), cfg, ((0, 2), (0, 1)))
+
+
 def test_replay_rebuilds_exact_cell_cached_under_smaller_depth():
     # cell 1's exact approximation, fitted at depth 9, records its smallest
     # realized depth, 2, at which the cell is not exact; the substitution

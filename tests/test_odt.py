@@ -1,5 +1,6 @@
 """Optimal decision tree learning."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -137,6 +138,17 @@ def test_negative_budget_rejected():
     SearchBudget(max_depth=1, node_limit=0, time_limit=0.0)  # zero is valid
 
 
+def test_non_int_budget_rejected():
+    # max_depth=1.5 used to fail in range() at fit time, and "3" in the
+    # comparison with 0, both with a TypeError
+    for limits in ({"max_depth": 1.5}, {"max_depth": "3"},
+                   {"node_limit": 2.0}, {"node_limit": "3"},
+                   {"time_limit": "3"}):
+        with pytest.raises(OdtError):
+            SearchBudget(**{"max_depth": 1, **limits})
+    SearchBudget(max_depth=1, time_limit=3)  # whole seconds are valid
+
+
 def test_node_limit_returns_unproven_tree():
     rng = random.Random(17)
     d = make_dataset(rng, 8, 64)
@@ -207,7 +219,7 @@ def test_expansions_pinned():
     # closed-form depth-1 nodes still count one expansion each
     d = make_dataset(random.Random(29), 10, 200)
     search = _Search(d, SearchBudget(max_depth=6))
-    err, _ = search.solve(d.row_mask, 6)
+    err, _ = search.run()
     assert err == 11
     assert search.expansions == 11225
 
@@ -225,7 +237,7 @@ def test_memo_holds_only_expanded_subproblems():
         fits += [(data, depth) for depth in (2, 3, 4)]
     for data, depth in fits:
         search = _Search(data, SearchBudget(max_depth=depth))
-        search.solve(data.row_mask, depth)
+        search.run()
         assert len(search.memos) == depth + 1
         assert not search.memos[0]
         assert memo_size(search) == search.expansions, depth
@@ -260,30 +272,24 @@ def cell_tables(circuit) -> list[Dataset]:
 
 
 def assert_keys_agree(data: Dataset, depth: int) -> tuple[int, int]:
-    """The cofactor and the mask key give one result, and each search ends
+    """The table and the mask key give one result, and each search ends
     with one memo entry per expansion; returns both expansion counts."""
-    cofactor = _Search(data, SearchBudget(max_depth=depth))
+    table = _Search(data, SearchBudget(max_depth=depth))
     masked = MaskKeyedSearch(data, SearchBudget(max_depth=depth))
-    assert cofactor.cube
-    assert (cofactor.solve(data.row_mask, depth)
-            == masked.solve(data.row_mask, depth))
-    for search in (cofactor, masked):
+    assert table.cube
+    assert table.run() == masked.run()
+    for search in (table, masked):
         assert not search.memos[0]
         assert memo_size(search) == search.expansions
     assert_row_keys(masked, data)
-    # a cube key is (cofactor, fixed): the path to a subproblem with d
-    # levels left fixes depth - d features, and the cofactor lies in the
-    # cube where every fixed feature is 0
-    for d, memo in enumerate(cofactor.memos):
-        for cof, fixed in memo:
-            assert fixed >> data.num_features == 0
-            assert fixed.bit_count() == depth - d
-            taken = 0  # the rows that set a fixed feature to 1
-            for f, word in enumerate(data.features):
-                if fixed >> f & 1:
-                    taken |= word
-            assert cof & taken == 0
-    return cofactor.expansions, masked.expansions
+    # a table key is the cofactor's truth table over the free inputs: the
+    # path to a subproblem with d levels left fixes depth - d inputs, so
+    # k = n - depth + d are free and the key is an int below 2^(2^k)
+    for d, memo in enumerate(table.memos):
+        k = data.num_features - depth + d
+        for key in memo:
+            assert isinstance(key, int) and 0 <= key < 1 << (1 << k)
+    return table.expansions, masked.expansions
 
 
 def assert_row_keys(search: _Search, data: Dataset) -> None:
@@ -297,32 +303,64 @@ def assert_row_keys(search: _Search, data: Dataset) -> None:
 
 
 def test_cofactor_key_matches_mask_key_on_random_tables():
+    # every depth 0..n of seeded random tables, n = 1..9; fewer tables as
+    # n grows, since the mask key's search grows as 3^n
     rng = random.Random(41)
     totals = [0, 0]
-    for _ in range(1000):
-        n = rng.randint(1, 9)
-        if rng.random() < 0.5:
-            data = truth_tables(random_circuit(rng, n, rng.randint(1, 4 * n),
-                                               1))[0]
-        else:
-            data = Dataset(num_rows=1 << n,
-                           features=tuple(truth_table_input_words(n)),
-                           labels=rng.getrandbits(1 << n))
-        for i, count in enumerate(assert_keys_agree(data, rng.randint(0, 5))):
-            totals[i] += count
+    for n in range(1, 10):
+        for _ in range(max(2, 1024 >> n)):
+            if rng.random() < 0.5:
+                circuit = random_circuit(rng, n, rng.randint(1, 4 * n), 1)
+                data = truth_tables(circuit)[0]
+            else:
+                data = Dataset(num_rows=1 << n,
+                               features=tuple(truth_table_input_words(n)),
+                               labels=rng.getrandbits(1 << n))
+            for depth in range(n + 1):
+                for i, count in enumerate(assert_keys_agree(data, depth)):
+                    totals[i] += count
+                if n <= 6 and depth <= 3:
+                    budget = SearchBudget(max_depth=depth)
+                    assert fit_optimal(data, budget) == fit_bruteforce(data,
+                                                                       budget)
     assert totals[0] < totals[1]  # equal cofactors share work
 
 
+def benchmark_cell_tables() -> list[Dataset]:
+    """The distinct cell tables of every committed circuit, in order."""
+    return list(dict.fromkeys(data for build in BENCHMARKS.values()
+                              for data in cell_tables(build())))
+
+
 def test_cofactor_key_matches_mask_key_on_benchmark_cells():
-    for build in BENCHMARKS.values():
-        for data in cell_tables(build()):
-            for depth in (1, 2, 3, 4):
-                assert_keys_agree(data, depth)
+    # every depth 1..9 where the mask key's search is quick, 1..4 above
+    # 9 inputs; the test below pins depths 1..9 on the rest
+    for data in benchmark_cell_tables():
+        for depth in range(1, 10 if data.num_features <= 9 else 5):
+            assert_keys_agree(data, depth)
+
+
+def tree_digest(search_class, tables: list[Dataset], depths) -> str:
+    """SHA-256 over the (error, root) of each table at each depth."""
+    digest = hashlib.sha256()
+    for data in tables:
+        for depth in depths:
+            run = search_class(data, SearchBudget(max_depth=depth)).run()
+            digest.update(repr(run).encode())
+    return digest.hexdigest()
+
+
+def test_benchmark_cell_trees_pinned_at_depths_1_to_9():
+    # the pin is the mask key's digest (MaskKeyedSearch in place of
+    # _Search), which takes about 32 s on a 2-vCPU Xeon: too slow to
+    # recompute on every run; the table search gives it in under 1 s
+    assert tree_digest(_Search, benchmark_cell_tables(), range(1, 10)) == (
+        "a5351a42aa00864f29051e691c6b8d37709ac4198f6ca4976f8f7935111c249f")
 
 
 def test_only_complete_unweighted_tables_take_cofactor_key():
-    # the cofactor key shifts by the row offset of a cube, which is right
-    # only when row r sets feature i to bit i of r and every row weighs 1
+    # the table search reads row r as setting input i to bit i of r, which
+    # holds only when the features are in that order and every row weighs 1
     rng = random.Random(43)
     for _ in range(30):
         n = rng.randint(2, 5)
@@ -351,20 +389,21 @@ def test_only_complete_unweighted_tables_take_cofactor_key():
                 budget = SearchBudget(max_depth=depth)
                 search = _Search(data, budget)
                 assert not search.cube
-                err, root = search.solve(data.row_mask, depth)
+                err, root = search.run()
                 assert (DecisionTree(root=root, train_error=err)
                         == fit_bruteforce(data, budget))
 
 
 def test_cofactor_expansions_pinned():
-    # the mask key expands 7 373 subproblems on the same 237 fits
+    # on the same 237 fits the mask key expands 7 373 subproblems, and a
+    # cube key that also held the fixed inputs 5 858
     total = 0
     for data in cell_tables(mul7u()):
         for depth in (1, 2, 3):
             search = _Search(data, SearchBudget(max_depth=depth))
-            search.solve(data.row_mask, depth)
+            search.run()
             total += search.expansions
-    assert total == 5858
+    assert total == 4282
 
 
 def test_budgeted_fit_on_complete_table():
@@ -375,7 +414,7 @@ def test_budgeted_fit_on_complete_table():
     runs = []
     for data in cell_tables(mul7u()):
         full = _Search(data, SearchBudget(max_depth=depth))
-        runs.append((full.solve(data.row_mask, depth)[0], full, data))
+        runs.append((full.run()[0], full, data))
     best_err, full, data = max(runs, key=lambda run: run[1].expansions)
     budget = SearchBudget(max_depth=depth, node_limit=full.expansions // 2)
     tree = fit_optimal(data, budget)
@@ -383,7 +422,7 @@ def test_budgeted_fit_on_complete_table():
     assert tree.train_error >= best_err
     assert row_errors(tree, data) == tree.train_error
     partial = _Search(data, budget)
-    partial.solve(data.row_mask, depth)
+    partial.run()
     assert partial.cube and partial.exhausted
     assert memo_size(partial) < partial.expansions
     assert memos_within(partial, full)
@@ -437,7 +476,7 @@ def test_row_mask_key_matches_bruteforce_at_every_depth():
                 budget = SearchBudget(max_depth=depth)
                 search = _Search(data, budget)
                 assert len(search.memos) == depth + 1
-                err, root = search.solve(data.row_mask, depth)
+                err, root = search.run()
                 assert (DecisionTree(root=root, train_error=err)
                         == fit_optimal(data, budget)
                         == fit_bruteforce(data, budget))
@@ -456,7 +495,7 @@ def test_memo_holds_plain_values_and_shared_stumps():
                 *cell_tables(add8u())[:20]]
     for data in datasets:
         search = _Search(data, SearchBudget(max_depth=4))
-        search.solve(data.row_mask, 4)
+        search.run()
         stumps = {id(s) for _, pair in search.stumps for s in pair}
         assert len(stumps) == 2 * data.num_features
         assert memo_size(search)
@@ -477,7 +516,7 @@ def test_depth_one_values_are_shared():
     shared = 0
     for data, depth in fits:
         search = _Search(data, SearchBudget(max_depth=depth))
-        search.solve(data.row_mask, depth)
+        search.run()
         values = list(search.memos[1].values())
         distinct = set(values)
         assert len({id(v) for v in values}) == len(distinct)
@@ -492,8 +531,11 @@ def test_solve_rejects_depth_over_budget():
     # a search has one memo per depth up to max_depth, so a deeper call is
     # refused with OdtError, not an IndexError from the memo list
     data = xor_dataset()
+    search = _Search(data, SearchBudget(max_depth=1))
     with pytest.raises(OdtError):
-        _Search(data, SearchBudget(max_depth=1)).solve(data.row_mask, 2)
+        search.solve(data.row_mask, 2)
+    with pytest.raises(OdtError):
+        search.solve_table(data.labels, 2)
 
 
 def test_budgeted_fit_on_pla_data():
@@ -502,10 +544,10 @@ def test_budgeted_fit_on_pla_data():
     data = parse_pla((PLA / "add8u_cout_train.pla").read_text())
     depth = 4
     full = _Search(data, SearchBudget(max_depth=depth))
-    best_err, _ = full.solve(data.row_mask, depth)
+    best_err, _ = full.run()
     budget = SearchBudget(max_depth=depth, node_limit=full.expansions // 2)
     partial = _Search(data, budget)
-    err, _ = partial.solve(data.row_mask, depth)
+    err, _ = partial.run()
     assert not partial.cube and partial.exhausted
     assert err >= best_err
     assert 0 < memo_size(partial) < partial.expansions

@@ -72,6 +72,15 @@ def test_feature_out_of_range():
         tree_to_aig(make_tree((5, 0, 1)), 2)
 
 
+def test_negative_feature_rejected():
+    # predict used to read the last feature, and lowering raised AigError
+    tree = make_tree((0, 0, (-1, 0, 1)))
+    with pytest.raises(OdtError):
+        predict(tree, (1, 1))
+    with pytest.raises(OdtError):
+        tree_to_aig(tree, 2)
+
+
 def test_exact_approximation_of_small_cell(rng):
     c = random_circuit(rng, 4, 12, 2)
     first_and = c.num_inputs + 1

@@ -1,4 +1,5 @@
-"""The benchmark's span tracer still finds every layer it wraps."""
+"""The benchmark's span tracer still finds every layer it wraps and counts
+every tree search's expansions."""
 
 import json
 import subprocess
@@ -24,3 +25,41 @@ def test_tracer_wraps_every_layer():
          str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=60, check=True)
     assert json.loads(done.stdout) == []
+
+
+# fits a cell truth table of add8u, which the search solves as a table,
+# through the traced fit_optimal and through a plain search
+EXPANSIONS = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from treesynth import odt, synth
+from treesynth.aiger import parse_aiger
+from treesynth.dataset import truth_tables
+from treesynth.partition import PartitionConfig, partition
+plain = odt._Search
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+circuit = parse_aiger(open(sys.argv[3]).read())
+part = max(partition(circuit, PartitionConfig(initial_parts=10)),
+           key=lambda part: part.extracted.num_inputs)
+data = truth_tables(part.extracted)[0]
+budget = odt.SearchBudget(max_depth=4)
+tracer.active = True
+synth.fit_optimal(data, budget)
+tracer.active = False
+search = plain(data, budget)
+search.run()
+print(json.dumps([search.cube, tracer.counters["odt.expansions"],
+                  search.expansions]))
+"""
+
+
+def test_tracer_counts_table_search_expansions():
+    done = subprocess.run(
+        [sys.executable, "-c", EXPANSIONS, str(ROOT / "src"),
+         str(ROOT / "perfbench"), str(ROOT / "benchmarks" / "add8u.aag")],
+        capture_output=True, text=True, timeout=60, check=True)
+    cube, traced, plain = json.loads(done.stdout)
+    assert cube
+    assert traced == plain > 0
