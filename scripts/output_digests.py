@@ -8,9 +8,10 @@ cell's truth table has at most 20 inputs), a ``--whole-circuit`` depth
 sweep of ``c17`` written as AIGER, one read and written as BLIF and one
 of ``add8u`` (a 16-input truth table), ``learn`` on both PLA triples and
 on one from depth 0 with a CSV report and a BLIF netlist, ``partition``
-of three wide circuits and of ``c17.blif``, and ``eval`` of the ``mul7u``
-0.10 netlist exhaustively, on the default 10 000 sampled vectors and on
-40 000 (more than one simulation slice).
+of three wide circuits and of ``c17.blif``, ``eval`` of the ``mul7u``
+0.10 netlist by default (exhaustive, since it has 14 inputs) and with
+``--exhaustive``, and ``eval`` of the ``c432`` netlist (36 inputs, so
+Monte Carlo) on 40 000 sampled vectors, more than one simulation slice.
 Each runs in-process in one temporary directory, on copies of the inputs
 under ``benchmarks/``.  Stdout gets one ``name sha256`` line per run,
 over its exit code, stdout and stderr, then one per file the runs wrote.
@@ -86,8 +87,9 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
     evaluated = ["eval", f"{tmp}/mul7u.aag", f"{tmp}/mul7u_0.10.aag"]
     out.append(("eval_mul7u_0.10", evaluated))
     out.append(("eval_mul7u_0.10_exhaustive", [*evaluated, "--exhaustive"]))
-    out.append(("eval_mul7u_0.10_samples40000",
-                [*evaluated, "--samples", "40000"]))
+    out.append(("eval_c432_0.05_samples40000", [
+        "eval", f"{tmp}/c432.aag", f"{tmp}/c432_0.05.aag", "--samples",
+        "40000"]))
     return out
 
 

@@ -343,9 +343,11 @@ def compose_builder(circuit: Aig, parts,
     kept.
     """
     ids = {p.id for p in parts}
-    for pid in replacements:
+    for pid, cell in replacements.items():
         if pid not in ids:
             raise AigError(f"replacement for unknown part id {pid!r}")
+        if not isinstance(cell, Aig):
+            raise AigError(f"replacement for part {pid} is not an Aig")
 
     builder = AigBuilder(circuit.num_inputs)
     mapping: dict[int, int] = {0: CONST0}

@@ -16,8 +16,7 @@ from .dataset import Dataset, DatasetError, load_pla_triple
 from .explore import ExplorationConfig, explore
 from .odt import OdtError, SearchBudget, fit_optimal
 from .partition import PartitionConfig, partition, partition_report
-from .qor import (exhaustive_testbench, mismatched_bits, qor_exhaustive,
-                  qor_monte_carlo)
+from .qor import exhaustive_testbench, mismatched_bits, reporting_testbench
 from .synth import approx_sub_circuit, tree_to_aig
 
 EXIT_OK = 0
@@ -204,11 +203,10 @@ def cmd_approximate(args) -> int:
 def cmd_eval(args) -> int:
     original = _read_netlist(args.original)
     approx = _read_netlist(args.approx)
-    if args.exhaustive:
-        report = qor_exhaustive(original, approx)
-    else:
-        report = qor_monte_carlo(original, approx, args.samples, args.seed)
-    sys.stdout.write(report.to_json() + "\n")
+    bench = reporting_testbench(original, args.samples, args.seed)
+    if args.exhaustive and bench.estimator != "exhaustive":
+        bench = exhaustive_testbench(original)  # over the cap: AigError
+    sys.stdout.write(bench.measure(approx).to_json() + "\n")
     return EXIT_OK
 
 
@@ -297,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="measure error between two netlists")
     p.add_argument("original")
     p.add_argument("approx")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--samples", type=int, default=10_000,
+                   help="Monte-Carlo vectors, drawn only above 20 inputs")
+    p.add_argument("--exhaustive", action="store_true",
+                   help="exact error, or an input error above 20 inputs")
     _add_common(p, seed=True, report=False)
     p.set_defaults(func=cmd_eval)
 

@@ -42,8 +42,8 @@ class Dataset:
         if self.weights is not None:
             if len(self.weights) != self.num_rows:
                 raise DatasetError("weight count mismatch")
-            if any(w <= 0 for w in self.weights):
-                raise DatasetError("row weights must be positive")
+            if any(not isinstance(w, int) or w <= 0 for w in self.weights):
+                raise DatasetError("row weights must be positive ints")
 
     @property
     def num_features(self) -> int:

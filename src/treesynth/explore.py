@@ -10,12 +10,13 @@ approximation is cached only under the depth it was fitted at, which is
 also the trace's ``md`` and the substitution's depth.
 
 Every cell is fitted on its whole truth table, so ``max_inputs`` may not
-exceed ``EXHAUSTIVE_INPUT_CAP``.  The final testbench is the circuit's
-truth table up to that cap and ``qor_samples`` vectors drawn with seed + 1
-beyond.  Candidates are scored on the search testbench: the final one when
-the circuit has at most ``max_inputs`` inputs, else ``qor_samples``
-vectors drawn with the seed.  A new best is re-measured on the final
-testbench (``_final_measure``).
+exceed ``EXHAUSTIVE_INPUT_CAP``.  The final testbench is
+``qor.reporting_testbench`` with ``qor_samples`` and seed + 1: the
+circuit's truth table up to that cap, random vectors beyond.  Candidates
+are scored on the search testbench: the final one when the circuit has at
+most ``max_inputs`` inputs, else ``qor_samples`` vectors drawn with the
+seed.  A new best is re-measured on the final testbench
+(``_final_measure``).
 
 A candidate is scored without composing it.  Each beam state is built once
 per iteration: a structurally hashed builder holding all its cells in flow
@@ -47,7 +48,7 @@ from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
 from .odt import SearchBudget
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
-                  exhaustive_testbench, monte_carlo_testbench)
+                  monte_carlo_testbench, reporting_testbench)
 # perfbench's tracer wraps these here
 from .qor import qor_exhaustive, qor_monte_carlo, qor_on_words  # noqa: F401
 from .synth import ApproxSubCircuit, approx_sub_circuit
@@ -67,6 +68,14 @@ class ExplorationConfig:
     jobs: int = 1  # accepted and ignored: every fit runs in this thread
 
     def __post_init__(self):
+        for name in ("initial_max_depth", "step", "beam_width", "qor_samples",
+                     "seed", "jobs"):
+            if not isinstance(getattr(self, name), int):
+                raise AigError(f"{name} must be an int")
+        if not isinstance(self.error_threshold, (int, float)):
+            raise AigError("error_threshold must be a number")
+        if not isinstance(self.partition, PartitionConfig):
+            raise AigError("partition must be a PartitionConfig")
         if not 0.0 <= self.error_threshold <= 1.0:
             raise AigError("error_threshold must be within [0, 1]")
         if self.initial_max_depth < 1:
@@ -205,10 +214,8 @@ class _Explorer:
         # (part id, depth an approximation was fitted at) -> approximation
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
         n = self.original.num_inputs
-        self.final_bench = (
-            exhaustive_testbench(self.original) if n <= EXHAUSTIVE_INPUT_CAP
-            else monte_carlo_testbench(self.original, config.qor_samples,
-                                       config.seed + 1))
+        self.final_bench = reporting_testbench(
+            self.original, config.qor_samples, config.seed + 1)
         self.search_bench = (
             self.final_bench if n <= config.partition.max_inputs
             else monte_carlo_testbench(self.original, config.qor_samples,

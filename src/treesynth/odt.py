@@ -123,13 +123,26 @@ def _depth(node: Node) -> int:
     return 0 if isinstance(node, int) else 1 + max(map(_depth, node[1:]))
 
 
+def check_node(node: Node, width: int) -> None:
+    """``OdtError`` unless ``node`` is a label 0 or 1 or a tuple
+    ``(feature, low, high)`` with an int feature in [0, width).  The one
+    node check of ``predict`` and of lowering, so both read a tree alike."""
+    if isinstance(node, int):
+        if node not in (0, 1):
+            raise OdtError(f"tree label {node} is not 0 or 1")
+    elif not (type(node) is tuple and len(node) == 3):
+        raise OdtError("tree node is neither a label nor (feature, low, high)")
+    elif not (isinstance(node[0], int) and 0 <= node[0] < width):
+        raise OdtError(f"tree tests feature {node[0]!r}, not in [0, {width})")
+
+
 def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
     node = tree.root
+    check_node(node, len(features))
     while not isinstance(node, int):
         f, low, high = node
-        if not 0 <= f < len(features):
-            raise OdtError(f"feature {f} out of range for width {len(features)}")
         node = high if features[f] else low
+        check_node(node, len(features))
     return node
 
 

@@ -26,6 +26,9 @@ class PartitionConfig:
     initial_parts: int = 5
 
     def __post_init__(self):
+        for name in ("max_inputs", "max_outputs", "initial_parts"):
+            if not isinstance(getattr(self, name), int):
+                raise AigError(f"{name} must be an int")
         if self.max_inputs < 2:
             raise AigError("max_inputs must be >= 2 (a lone AND has 2 inputs)")
         if self.max_outputs < 1:

@@ -3,6 +3,10 @@
 The per-vector Hamming distance between output words is normalized by the
 output count, so the reported error is the average bit-error rate over the
 evaluated vectors and lies in [0, 1].
+
+``reporting_testbench`` picks the estimator of every error the tool
+reports, the explorer's final one and ``eval``'s: exact up to
+``EXHAUSTIVE_INPUT_CAP`` inputs, seeded Monte Carlo beyond.
 """
 
 from __future__ import annotations
@@ -110,6 +114,21 @@ def monte_carlo_testbench(original: Aig, samples: int,
         raise AigError("samples must be >= 1")
     words, mask = sample_input_words(original.num_inputs, samples, seed)
     return Testbench(original, words, mask, "monte_carlo", seed)
+
+
+def reporting_testbench(original: Aig, samples: int,
+                        seed: int) -> Testbench:
+    """The testbench an error is reported on: ``exhaustive_testbench`` up
+    to ``EXHAUSTIVE_INPUT_CAP`` inputs, else ``samples`` vectors drawn
+    with ``seed``.  ``samples`` and ``seed`` must be ints, >= 1 and >= 0,
+    whichever it picks; any other value is an ``AigError``."""
+    if not isinstance(samples, int) or samples < 1:
+        raise AigError("samples must be an int >= 1")
+    if not isinstance(seed, int) or seed < 0:
+        raise AigError("seed must be an int >= 0")
+    if original.num_inputs <= EXHAUSTIVE_INPUT_CAP:
+        return exhaustive_testbench(original)
+    return monte_carlo_testbench(original, samples, seed)
 
 
 def qor_exhaustive(original: Aig, approx: Aig) -> QorReport:

@@ -6,16 +6,14 @@ from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, CONST0, CONST1
 from .dataset import truth_tables
-from .odt import DecisionTree, Node, OdtError, SearchBudget, fit_optimal
+from .odt import DecisionTree, Node, SearchBudget, check_node, fit_optimal
 
 
 def _tree_cone(builder: AigBuilder, node: Node) -> int:
+    check_node(node, builder.num_inputs)
     if isinstance(node, int):
         return CONST1 if node else CONST0
     f, low, high = node
-    if not 0 <= f < builder.num_inputs:
-        raise OdtError(f"tree tests feature {f} but circuit has "
-                       f"{builder.num_inputs} inputs")
     return builder.mux(builder.input_lit(f), _tree_cone(builder, high),
                        _tree_cone(builder, low))
 

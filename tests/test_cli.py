@@ -72,6 +72,30 @@ def test_eval_command_monte_carlo(capsys):
     assert data["samples"] == 500
 
 
+def test_eval_prints_the_error_approximate_reported(tmp_path, capsys):
+    # one rule picks both estimators: exhaustive up to 20 inputs, else
+    # Monte Carlo, which approximate --seed S draws from seed S + 1.
+    # eval used to sample 10 000 vectors by default, so it printed 0.0488
+    # for the mul7u netlist that approximate reported at 0.049874
+    cases = [(name, ["--initial-parts", "10"], [])
+             for name in ("c17", "add8u", "mul7u")]
+    cases.append(("c432", ["--max-sub-inputs", "8", "--seed", "0"],
+                  ["--seed", "1"]))
+    for name, flags, eval_flags in cases:
+        original, out = str(BENCH / f"{name}.aag"), str(tmp_path / name)
+        code, report = run(capsys, "approximate", original, "--threshold",
+                           "0.05", *flags, "--out", out, "--no-timing")
+        assert code == 0
+        selected = json.loads(report)["selected"]
+        code, measured = run(capsys, "eval", original, out, *eval_flags)
+        assert code == 0
+        measured = json.loads(measured)
+        assert measured["error"] == selected["qor"], name
+        assert measured["estimator"] == selected["qor_estimator"], name
+    assert (selected["qor_estimator"], selected["qor"]) == (
+        "monte_carlo", 0.04672857142857143)
+
+
 def test_eval_reads_blif(capsys):
     code, out = run(capsys, "eval", str(BENCH / "c17.blif"),
                     str(BENCH / "c17.aag"), "--exhaustive")
@@ -428,6 +452,17 @@ def test_negative_limit_or_sample_count_is_input_error(capsys):
         assert out == ""
         assert "Traceback" not in err and err.startswith("error:")
         assert flag[2:].replace("-", "_") in err, err
+    # eval checks them whichever estimator it picks; c17 is exhaustive,
+    # and --exhaustive --seed -1 used to exit 0
+    c17 = str(BENCH / "c17.aag")
+    for flags in (["--seed", "-1"], ["--exhaustive", "--seed", "-1"],
+                  ["--samples", "0"]):
+        code = main(["eval", c17, c17, *flags])
+        out, err = capsys.readouterr()
+        assert code == 2, flags
+        assert out == ""
+        assert "Traceback" not in err and err.startswith("error:")
+        assert flags[-2][2:] in err, err
 
 
 def test_bad_limits_rejected_without_cells(tmp_path, capsys):

@@ -33,6 +33,9 @@ def test_dataset_validation():
         Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1, 0))
     with pytest.raises(DatasetError):  # one weight for two rows
         Dataset(num_rows=2, features=(0b01,), labels=0, weights=(1,))
+    # float weights were accepted, and a fit's train_error came back 0.0
+    with pytest.raises(DatasetError, match="ints"):
+        Dataset(num_rows=2, features=(1,), labels=1, weights=(1.5, 2.0))
 
 
 def test_dataset_stores_sequences_as_tuples():

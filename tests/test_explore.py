@@ -47,6 +47,11 @@ def test_config_validation():
     for samples in (0, -1):
         with pytest.raises(AigError):
             ExplorationConfig(qor_samples=samples)
+    # a wrong type is bad input: these raised TypeError or were accepted
+    for fields in ({"error_threshold": "0.1"}, {"seed": 1.5},
+                   {"beam_width": 2.5}, {"partition": None}):
+        with pytest.raises(AigError, match=next(iter(fields))):
+            ExplorationConfig(**fields)
     # the limits are SearchBudget's: checked when the config is built
     for limits in ({"node_limit": -3}, {"time_limit": -1.0},
                    {"time_limit": float("nan")},

@@ -65,6 +65,10 @@ def test_config_validation():
         PartitionConfig(max_outputs=0)
     with pytest.raises(AigError):
         PartitionConfig(initial_parts=1)
+    # a wrong type is bad input: "3" raised TypeError, 3.5 was accepted
+    for value in ("3", 3.5):
+        with pytest.raises(AigError, match="max_inputs"):
+            PartitionConfig(max_inputs=value)
 
 
 def test_extract_is_functional():
@@ -152,6 +156,8 @@ def test_replacement_interface_checked():
     wrong = AigBuilder(17).build()
     with pytest.raises(AigError):
         compose(cleanup(c), parts, {parts[0].id: wrong})
+    with pytest.raises(AigError, match="not an Aig"):  # was AttributeError
+        compose(cleanup(c), parts, {parts[0].id: "x"})
 
 
 def test_unknown_part_id_rejected():

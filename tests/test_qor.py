@@ -11,7 +11,8 @@ from treesynth.aig import (Aig, AigBuilder, AigError, lit_not, simulate_words,
 from treesynth import qor
 from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, mismatched_bits,
                            monte_carlo_testbench, qor_exhaustive,
-                           qor_monte_carlo, qor_on_words, sample_input_words)
+                           qor_monte_carlo, qor_on_words, reporting_testbench,
+                           sample_input_words)
 
 from conftest import random_circuit
 from reference import c17
@@ -99,6 +100,20 @@ def test_exhaustive_input_cap():
     c = wire(EXHAUSTIVE_INPUT_CAP + 1)
     with pytest.raises(AigError):
         qor_exhaustive(c, c)
+
+
+def test_reporting_testbench_is_exhaustive_up_to_the_cap():
+    for n, estimator, samples, seed in (
+            (EXHAUSTIVE_INPUT_CAP, "exhaustive", 1 << EXHAUSTIVE_INPUT_CAP, 0),
+            (EXHAUSTIVE_INPUT_CAP + 1, "monte_carlo", 64, 7)):
+        bench = reporting_testbench(wire(n), 64, 7)
+        assert (bench.estimator, bench.samples, bench.seed) == (
+            estimator, samples, seed)
+    # the sampling arguments are checked whichever estimator it picks
+    for samples, seed in ((0, 0), (1, -1), ("1", 0), (1, 0.5)):
+        for n in (1, EXHAUSTIVE_INPUT_CAP + 1):
+            with pytest.raises(AigError):
+                reporting_testbench(wire(n), samples, seed)
 
 
 def test_arity_checked():

@@ -81,6 +81,17 @@ def test_negative_feature_rejected():
         tree_to_aig(tree, 2)
 
 
+def test_malformed_node_rejected():
+    # predict returned the label 7 while lowering built the constant 1;
+    # the other nodes leaked ValueError or TypeError
+    for root in ((0, 7, 0), (1, 0, (0, -2, 1)), (0, 1), ("0", 0, 1), "1"):
+        tree = make_tree(root)
+        with pytest.raises(OdtError):
+            predict(tree, (0, 1))  # the path ends at the bad node
+        with pytest.raises(OdtError):
+            tree_to_aig(tree, 2)
+
+
 def test_exact_approximation_of_small_cell(rng):
     c = random_circuit(rng, 4, 12, 2)
     first_and = c.num_inputs + 1
