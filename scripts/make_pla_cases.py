@@ -18,7 +18,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
 from circuits import add8u, mul7u
-from treesynth.aig import pack_vectors, simulate_words
+from treesynth.aig import simulate_words
 from treesynth.dataset import Dataset, write_pla
 
 SPLITS = {"train": 640, "valid": 320, "test": 320}
@@ -38,7 +38,9 @@ def sample_case(circuit, output_index: int, seed: int):
     for split, count in SPLITS.items():
         vectors = [tuple(int(b) for b in rng.integers(0, 2, circuit.num_inputs))
                    for _ in range(count)]
-        features = pack_vectors(vectors, circuit.num_inputs)
+        # one word per input, bit r from vector r
+        features = [sum(vec[i] << r for r, vec in enumerate(vectors))
+                    for i in range(circuit.num_inputs)]
         labels = simulate_words(circuit, features,
                                 (1 << count) - 1)[output_index]
         out[split] = Dataset(num_rows=count, features=tuple(features),

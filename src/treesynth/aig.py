@@ -15,6 +15,14 @@ class AigError(Exception):
     """Malformed circuit, netlist file, or simulation request."""
 
 
+def check_int(name: str, value, low: int,
+              error: type[Exception] = AigError) -> None:
+    """``error`` unless ``value`` is an int >= ``low``; a bool counts as an
+    int, as it does in Python."""
+    if not isinstance(value, int) or value < low:
+        raise error(f"{name} must be an int >= {low}")
+
+
 def lit(node: int, negated: bool = False) -> int:
     return 2 * node + (1 if negated else 0)
 
@@ -39,7 +47,10 @@ class Aig:
     """Immutable combinational AIG.
 
     ``ands[i]`` holds the fanin literal pair of node ``num_inputs + 1 + i``;
-    both fanins must reference strictly earlier nodes.
+    both fanins must reference strictly earlier nodes.  A ``num_inputs``
+    that is no int >= 0, ``ands`` or ``outputs`` that are not tuples, a
+    fanin or output that is no literal of an existing node, or names that
+    are not a tuple of one str per input or output, is an AigError.
     """
 
     num_inputs: int
@@ -49,24 +60,30 @@ class Aig:
     output_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.num_inputs < 0:
-            raise AigError("num_inputs must be >= 0")
+        check_int("num_inputs", self.num_inputs, 0)
+        if not all(isinstance(x, tuple) for x in (self.ands, self.outputs)):
+            raise AigError("ands and outputs must be tuples")
         first_and = self.num_inputs + 1
-        for i, (a, b) in enumerate(self.ands):
-            end = 2 * (first_and + i)  # first literal of this node
-            if not (0 <= a < end and 0 <= b < end):
-                raise AigError(f"AND node {first_and + i} has a negative or "
-                               "non-topological fanin")
-        end = 2 * (first_and + len(self.ands))
-        for o in self.outputs:
-            if not 0 <= o < end:
-                raise AigError(f"output literal {o} references no node")
-        if self.input_names is not None and \
-                len(self.input_names) != self.num_inputs:
-            raise AigError("input name count does not match input count")
-        if self.output_names is not None and \
-                len(self.output_names) != len(self.outputs):
-            raise AigError("output name count does not match output count")
+        # ``>> 1`` raises TypeError on a literal that is not an int
+        try:
+            for node, (a, b) in enumerate(self.ands, first_and):
+                if not (0 <= a >> 1 < node and 0 <= b >> 1 < node):
+                    raise AigError(f"AND node {node} has a negative or "
+                                   "non-topological fanin")
+            end = first_and + len(self.ands)
+            for o in self.outputs:
+                if not 0 <= o >> 1 < end:
+                    raise AigError(f"output literal {o} references no node")
+        except (TypeError, ValueError) as exc:
+            raise AigError("ands must be pairs of int literals and outputs "
+                           "int literals") from exc
+        for names, count in ((self.input_names, self.num_inputs),
+                             (self.output_names, len(self.outputs))):
+            if names is not None and not (
+                    isinstance(names, tuple) and len(names) == count
+                    and all(isinstance(n, str) for n in names)):
+                raise AigError("names must be None or a tuple of one str "
+                               "per input or output")
 
     @property
     def num_outputs(self) -> int:
@@ -78,11 +95,15 @@ def simulate_words(circuit: Aig, input_words: list[int], mask: int) -> list[int]
 
     ``input_words[i]`` carries one bit per vector for input ``i``; ``mask``
     has a 1 for every valid vector position.  Returns one packed word per
-    output.
+    output.  A non-int word or mask, or a negative mask, is an AigError.
     """
-    if len(input_words) != circuit.num_inputs:
+    check_int("mask", mask, 0)
+    try:
+        values = [0, *(w & mask for w in input_words)]
+    except TypeError:
+        raise AigError("input words must be ints") from None
+    if len(values) != circuit.num_inputs + 1:
         raise AigError("input word count does not match circuit inputs")
-    values = [0] + [w & mask for w in input_words]
     extend_words(values, circuit.ands, circuit.num_inputs + 1, mask)
     return literal_words(values, circuit.outputs, mask)
 
@@ -110,28 +131,6 @@ def literal_words(values: list[int], literals, mask: int) -> list[int]:
     """The packed word of each literal, given the word of every node."""
     return [values[x >> 1] ^ mask if x & 1 else values[x >> 1]
             for x in literals]
-
-
-def pack_vectors(vectors: list[tuple[int, ...]], num_inputs: int) -> list[int]:
-    """Pack per-vector bit tuples into one word per input (bit r = vector r)."""
-    words = [0] * num_inputs
-    for r, vec in enumerate(vectors):
-        if len(vec) != num_inputs:
-            raise AigError(
-                f"vector {r} has {len(vec)} bits, expected {num_inputs}")
-        for i, bit in enumerate(vec):
-            if bit:
-                words[i] |= 1 << r
-    return words
-
-
-def simulate(circuit: Aig, vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Per-vector exact simulation; vectors are tuples of 0/1 bits."""
-    n = len(vectors)
-    mask = (1 << n) - 1
-    words = pack_vectors(vectors, circuit.num_inputs)
-    out_words = simulate_words(circuit, words, mask)
-    return [tuple((w >> r) & 1 for w in out_words) for r in range(n)]
 
 
 def truth_table_input_words(num_inputs: int) -> list[int]:
@@ -213,6 +212,7 @@ class AigBuilder:
     """Mutable AIG constructor with structural hashing and constant folding."""
 
     def __init__(self, num_inputs: int):
+        check_int("num_inputs", num_inputs, 0)
         self.num_inputs = num_inputs
         self.ands: list[tuple[int, int]] = []
         self.outputs: list[int] = []
@@ -344,7 +344,7 @@ def compose_builder(circuit: Aig, parts,
     """
     ids = {p.id for p in parts}
     for pid, cell in replacements.items():
-        if pid not in ids:
+        if not isinstance(pid, int) or pid not in ids:
             raise AigError(f"replacement for unknown part id {pid!r}")
         if not isinstance(cell, Aig):
             raise AigError(f"replacement for part {pid} is not an Aig")

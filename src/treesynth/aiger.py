@@ -13,6 +13,8 @@ from .aig import (Aig, AigError, cleanup, definition_order, lit,
 
 
 def parse_aiger(text: str) -> Aig:
+    if not isinstance(text, str):
+        raise AigError("AIGER text must be a str")
     lines = text.splitlines()
     if not lines:
         raise AigError("empty AIGER input")
@@ -129,7 +131,10 @@ def parse_aiger(text: str) -> Aig:
 
 def write_aiger(circuit: Aig, comment: str | None = None) -> str:
     """Serialize the cleaned circuit; parse(write(c)) == cleanup(c).  A name
-    the reader would reject or strip is an AigError."""
+    the reader would reject or strip is an AigError, as is a comment that
+    is neither a str nor None."""
+    if comment is not None and not isinstance(comment, str):
+        raise AigError("comment must be a str or None")
     c = cleanup(circuit)
     for name in (*(c.input_names or ()), *(c.output_names or ())):
         if name.splitlines() != [name] or name != name.rstrip():

@@ -12,6 +12,8 @@ from .aig import (Aig, AigBuilder, AigError, CONST0, CONST1, cleanup,
 
 
 def parse_blif(text: str) -> Aig:
+    if not isinstance(text, str):
+        raise AigError("BLIF text must be a str")
     statements = _logical_lines(text)
     model = None
     inputs: list[str] = []

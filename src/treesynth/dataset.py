@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aig import Aig
+from .aig import Aig, check_int
 from .qor import exhaustive_testbench
 
 
@@ -31,11 +31,15 @@ class Dataset:
     weights: tuple[int, ...] | None = None  # positive per-row multiplicities
 
     def __post_init__(self):
+        if not (isinstance(self.features, (list, tuple)) and isinstance(
+                self.weights, (list, tuple, type(None)))):
+            raise DatasetError("features and weights must be lists or tuples")
         object.__setattr__(self, "features", tuple(self.features))
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(self.weights))
-        if self.num_rows < 0:
-            raise DatasetError("num_rows must be >= 0")
+        check_int("num_rows", self.num_rows, 0, DatasetError)
+        if not all(isinstance(c, int) for c in (self.labels, *self.features)):
+            raise DatasetError("labels and features must be int row-bitsets")
         mask = self.row_mask
         if self.labels & ~mask or any(f & ~mask for f in self.features):
             raise DatasetError("column has bits beyond num_rows")
@@ -53,15 +57,11 @@ class Dataset:
     def row_mask(self) -> int:
         return (1 << self.num_rows) - 1
 
-    def row(self, r: int) -> tuple[int, ...]:
-        return tuple((f >> r) & 1 for f in self.features)
-
-    def label(self, r: int) -> int:
-        return (self.labels >> r) & 1
-
     def rows(self):
+        """Each row's feature bits and label, in row order."""
         for r in range(self.num_rows):
-            yield self.row(r), self.label(r)
+            yield (tuple((f >> r) & 1 for f in self.features),
+                   (self.labels >> r) & 1)
 
 
 def truth_tables(circuit: Aig) -> list[Dataset]:
@@ -94,6 +94,8 @@ def _header_count(tokens: list[str]) -> int:
 
 
 def parse_pla(text: str) -> Dataset:
+    if not isinstance(text, str):
+        raise DatasetError("PLA text must be a str")
     num_in = None
     num_out = None
     rows: list[tuple[str, str]] = []

@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .aig import (Aig, AigError, and_count, cleanup, compose, compose_builder,
-                  extend_words, literal_words)
+from .aig import (Aig, AigError, and_count, check_int, cleanup, compose,
+                  compose_builder, extend_words, literal_words)
 from .odt import SearchBudget
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
@@ -68,26 +68,15 @@ class ExplorationConfig:
     jobs: int = 1  # accepted and ignored: every fit runs in this thread
 
     def __post_init__(self):
-        for name in ("initial_max_depth", "step", "beam_width", "qor_samples",
-                     "seed", "jobs"):
-            if not isinstance(getattr(self, name), int):
-                raise AigError(f"{name} must be an int")
-        if not isinstance(self.error_threshold, (int, float)):
-            raise AigError("error_threshold must be a number")
+        for name, low in (("initial_max_depth", 1), ("step", 1),
+                          ("beam_width", 1), ("qor_samples", 1), ("jobs", 1),
+                          ("seed", 0)):  # seed: also where none is drawn
+            check_int(name, getattr(self, name), low)
+        if not (isinstance(self.error_threshold, (int, float))
+                and 0.0 <= self.error_threshold <= 1.0):
+            raise AigError("error_threshold must be a number within [0, 1]")
         if not isinstance(self.partition, PartitionConfig):
             raise AigError("partition must be a PartitionConfig")
-        if not 0.0 <= self.error_threshold <= 1.0:
-            raise AigError("error_threshold must be within [0, 1]")
-        if self.initial_max_depth < 1:
-            raise AigError("initial_max_depth must be >= 1")
-        if self.step < 1:
-            raise AigError("step must be >= 1")
-        if self.beam_width < 1:
-            raise AigError("beam_width must be >= 1")
-        if self.qor_samples < 1:
-            raise AigError("qor_samples must be >= 1")
-        if self.seed < 0:  # also where no vectors are drawn
-            raise AigError("seed must be >= 0")
         if self.partition.max_inputs > EXHAUSTIVE_INPUT_CAP:
             raise AigError(
                 f"max_inputs {self.partition.max_inputs} exceeds the "
@@ -366,8 +355,13 @@ def explore(circuit: Aig, config: ExplorationConfig) -> ExplorationResult:
 
 def replay(circuit: Aig, config: ExplorationConfig,
            substitutions) -> Aig:
-    """Rebuild the composed circuit for a substitution list (trace replay).
-    Each part id may appear once, as in ``ExplorationResult.substitutions``."""
+    """Rebuild the composed circuit for a substitution list (trace replay):
+    ``(part id, depth)`` pairs of ints, each part id at most once, as in
+    ``ExplorationResult.substitutions``."""
+    if not (isinstance(substitutions, (list, tuple)) and all(
+            isinstance(s, (list, tuple)) and len(s) == 2
+            and all(isinstance(x, int) for x in s) for s in substitutions)):
+        raise AigError("substitutions must be (part id, depth) int pairs")
     explorer = _Explorer(circuit, config)
     applied: list[int | None] = [None] * len(explorer.parts)
     for part_id, depth in substitutions:

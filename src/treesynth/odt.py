@@ -64,7 +64,7 @@ import functools
 import time
 from dataclasses import dataclass, replace
 
-from .aig import truth_table_input_words
+from .aig import check_int, truth_table_input_words
 from .dataset import Dataset
 
 
@@ -86,20 +86,13 @@ class SearchBudget:
     time_limit: float | None = None  # seconds
 
     def __post_init__(self):
-        if not isinstance(self.max_depth, int):
-            raise OdtError("max_depth must be an int")
-        if self.max_depth < 0:
-            raise OdtError("max_depth must be >= 0")
+        check_int("max_depth", self.max_depth, 0, OdtError)
         if self.node_limit is not None:
-            if not isinstance(self.node_limit, int):
-                raise OdtError("node_limit must be an int or None")
-            if self.node_limit < 0:
-                raise OdtError("node_limit must be >= 0")
-        if self.time_limit is not None:
-            if not isinstance(self.time_limit, (int, float)):
-                raise OdtError("time_limit must be a number or None")
-            if not self.time_limit >= 0:
-                raise OdtError("time_limit must be >= 0")  # NaN fails too
+            check_int("node_limit", self.node_limit, 0, OdtError)
+        if self.time_limit is not None and not (
+                isinstance(self.time_limit, (int, float))
+                and self.time_limit >= 0):  # NaN fails too
+            raise OdtError("time_limit must be a number >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -107,12 +100,18 @@ class DecisionTree:
     """A fitted tree and its weighted training error.  ``root`` is a
     ``Node``: a label 0 or 1, or a tuple ``(feature, low, high)`` whose
     ``low`` child is taken when the feature is 0, and subtrees may be
-    shared.  ``realized_depth``, the splits on the longest path, is derived.
-    """
+    shared; it is checked where a tree is read.  ``train_error`` is an int
+    >= 0 and ``proven_optimal`` a bool (else ``OdtError``); and
+    ``realized_depth``, the splits on the longest path, is derived."""
 
     root: Node
     train_error: int
     proven_optimal: bool = True
+
+    def __post_init__(self):
+        check_int("train_error", self.train_error, 0, OdtError)
+        if not isinstance(self.proven_optimal, bool):
+            raise OdtError("proven_optimal must be a bool")
 
     @property
     def realized_depth(self) -> int:
@@ -137,6 +136,11 @@ def check_node(node: Node, width: int) -> None:
 
 
 def predict(tree: DecisionTree, features: tuple[int, ...]) -> int:
+    """The label ``tree`` gives the row ``features``, a tuple of bits 0 or
+    1; other features are an ``OdtError``."""
+    if not (isinstance(features, tuple) and all(
+            isinstance(b, int) and b in (0, 1) for b in features)):
+        raise OdtError("features must be a tuple of bits 0 or 1")
     node = tree.root
     check_node(node, len(features))
     while not isinstance(node, int):

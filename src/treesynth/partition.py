@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .aig import Aig, AigBuilder, AigError, cleanup, lit_node
+from .aig import Aig, AigBuilder, check_int, cleanup, lit_node
 
 # FM keeps each side of a bipartition within (0.5 +- BALANCE) of the cells,
 # and stops after MAX_FM_PASSES improvement passes.
@@ -26,15 +26,9 @@ class PartitionConfig:
     initial_parts: int = 5
 
     def __post_init__(self):
-        for name in ("max_inputs", "max_outputs", "initial_parts"):
-            if not isinstance(getattr(self, name), int):
-                raise AigError(f"{name} must be an int")
-        if self.max_inputs < 2:
-            raise AigError("max_inputs must be >= 2 (a lone AND has 2 inputs)")
-        if self.max_outputs < 1:
-            raise AigError("max_outputs must be >= 1")
-        if self.initial_parts < 2:
-            raise AigError("initial_parts must be >= 2")
+        check_int("max_inputs", self.max_inputs, 2)  # a lone AND has 2
+        check_int("max_outputs", self.max_outputs, 1)
+        check_int("initial_parts", self.initial_parts, 2)
 
 
 @dataclass(frozen=True)
@@ -84,17 +78,9 @@ class _Netlist:
         return sorted(ins), sorted(outs)
 
 
-def extract(circuit: Aig, members, part_id: int = 0) -> SubCircuit:
-    """Cone-copy a member node set into a standalone Aig over its boundary."""
-    net = _Netlist(circuit)
-    return _extract(net, members, part_id)
-
-
 def _extract(net: _Netlist, members, part_id: int) -> SubCircuit:
+    """Cone-copy a set of AND nodes into a standalone Aig over its inputs."""
     member_set = frozenset(members)
-    for n in member_set:
-        if n not in net.fanins:
-            raise AigError(f"node {n} is not an AND node of the circuit")
     ins, outs = net.boundary(member_set)
     builder = AigBuilder(len(ins))
     mapping = {0: 0}

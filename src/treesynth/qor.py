@@ -15,7 +15,8 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
-from .aig import Aig, AigError, simulate_words, truth_table_input_words
+from .aig import (Aig, AigError, check_int, simulate_words,
+                  truth_table_input_words)
 
 EXHAUSTIVE_INPUT_CAP = 20
 _SLICE_BITS = 1 << 14
@@ -110,8 +111,6 @@ def exhaustive_testbench(original: Aig) -> Testbench:
 def monte_carlo_testbench(original: Aig, samples: int,
                           seed: int) -> Testbench:
     """``samples`` seeded random vectors, drawn by ``sample_input_words``."""
-    if samples < 1:
-        raise AigError("samples must be >= 1")
     words, mask = sample_input_words(original.num_inputs, samples, seed)
     return Testbench(original, words, mask, "monte_carlo", seed)
 
@@ -120,12 +119,9 @@ def reporting_testbench(original: Aig, samples: int,
                         seed: int) -> Testbench:
     """The testbench an error is reported on: ``exhaustive_testbench`` up
     to ``EXHAUSTIVE_INPUT_CAP`` inputs, else ``samples`` vectors drawn
-    with ``seed``.  ``samples`` and ``seed`` must be ints, >= 1 and >= 0,
-    whichever it picks; any other value is an ``AigError``."""
-    if not isinstance(samples, int) or samples < 1:
-        raise AigError("samples must be an int >= 1")
-    if not isinstance(seed, int) or seed < 0:
-        raise AigError("seed must be an int >= 0")
+    with ``seed``.  ``samples`` and ``seed`` go through the draw's check
+    whichever it picks."""
+    _check_draw(samples, seed)
     if original.num_inputs <= EXHAUSTIVE_INPUT_CAP:
         return exhaustive_testbench(original)
     return monte_carlo_testbench(original, samples, seed)
@@ -141,12 +137,17 @@ def sample_input_words(num_inputs: int, samples: int,
     """Packed uniform random vectors (with replacement): one
     ``getrandbits(samples)`` word per input from ``random.Random(seed)``
     (Mersenne Twister); bit ``j`` of each word is vector ``j``."""
-    if seed < 0:
-        raise AigError("seed must be >= 0")
+    _check_draw(samples, seed)
     rng = random.Random(seed)
     mask = (1 << samples) - 1
     words = [rng.getrandbits(samples) for _ in range(num_inputs)]
     return words, mask
+
+
+def _check_draw(samples: int, seed: int) -> None:
+    """The one check of a Monte-Carlo draw's ``samples`` and ``seed``."""
+    check_int("samples", samples, 1)
+    check_int("seed", seed, 0)
 
 
 def qor_monte_carlo(original: Aig, approx: Aig, samples: int = 10_000,

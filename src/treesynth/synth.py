@@ -9,27 +9,37 @@ from .dataset import truth_tables
 from .odt import DecisionTree, Node, SearchBudget, check_node, fit_optimal
 
 
-def _tree_cone(builder: AigBuilder, node: Node) -> int:
-    check_node(node, builder.num_inputs)
-    if isinstance(node, int):
-        return CONST1 if node else CONST0
-    f, low, high = node
-    return builder.mux(builder.input_lit(f), _tree_cone(builder, high),
-                       _tree_cone(builder, low))
+def _tree_cone(builder: AigBuilder, node: Node, lowered: dict) -> int:
+    """The builder literal of ``node``.  ``lowered`` maps the id of each node
+    already lowered on ``builder`` to its literal: a node many paths share
+    is checked and built once, as structural hashing would reuse it."""
+    literal = lowered.get(id(node))
+    if literal is None:
+        check_node(node, builder.num_inputs)
+        if isinstance(node, int):
+            literal = CONST1 if node else CONST0
+        else:
+            f, low, high = node
+            literal = builder.mux(builder.input_lit(f),
+                                  _tree_cone(builder, high, lowered),
+                                  _tree_cone(builder, low, lowered))
+        lowered[id(node)] = literal
+    return literal
 
 
 def tree_to_aig(tree: DecisionTree, num_inputs: int) -> Aig:
     """Single-output AIG computing exactly the tree's prediction function."""
     builder = AigBuilder(num_inputs)
-    builder.add_output(_tree_cone(builder, tree.root))
+    builder.add_output(_tree_cone(builder, tree.root, {}))
     return builder.build()
 
 
 def trees_to_aig(trees: list[DecisionTree], num_inputs: int) -> Aig:
     """Multi-output AIG; identical subtrees dedupe through shared hashing."""
     builder = AigBuilder(num_inputs)
+    lowered: dict[int, int] = {}
     for tree in trees:
-        builder.add_output(_tree_cone(builder, tree.root))
+        builder.add_output(_tree_cone(builder, tree.root, lowered))
     return builder.build()
 
 

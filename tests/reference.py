@@ -5,13 +5,14 @@
 as parsed; each file is parsed once, since an ``Aig`` is immutable.  The
 oracles check the tool against code that shares none of its tricks: the
 gate-level references of c17 and c432, a naive tree enumerator and a
-leaf-merging pass.
+leaf-merging pass.  ``simulate`` is a convenience over ``simulate_words``
+for the tests: one tuple of bits per vector in, one per vector out.
 """
 
 import functools
 from pathlib import Path
 
-from treesynth.aig import Aig
+from treesynth.aig import Aig, simulate_words
 from treesynth.aiger import parse_aiger
 from treesynth.dataset import Dataset
 from treesynth.odt import DecisionTree, Node, OdtError, SearchBudget
@@ -30,6 +31,27 @@ c17 = BENCHMARKS["c17"]
 add8u = BENCHMARKS["add8u"]
 mul7u = BENCHMARKS["mul7u"]
 c432_profile = BENCHMARKS["c432"]
+
+
+def pack_vectors(vectors: list[tuple[int, ...]], num_inputs: int) -> list[int]:
+    """Pack per-vector bit tuples into one word per input (bit r = vector r)."""
+    words = [0] * num_inputs
+    for r, vec in enumerate(vectors):
+        if len(vec) != num_inputs:
+            raise ValueError(
+                f"vector {r} has {len(vec)} bits, expected {num_inputs}")
+        for i, bit in enumerate(vec):
+            if bit:
+                words[i] |= 1 << r
+    return words
+
+
+def simulate(circuit: Aig, vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Per-vector exact simulation; vectors are tuples of 0/1 bits."""
+    n = len(vectors)
+    words = pack_vectors(vectors, circuit.num_inputs)
+    out_words = simulate_words(circuit, words, (1 << n) - 1)
+    return [tuple((w >> r) & 1 for w in out_words) for r in range(n)]
 
 
 def c17_nand_reference(vector: tuple[int, ...]) -> tuple[int, int]:

@@ -13,7 +13,7 @@ import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from treesynth.aig import and_count, simulate
+from treesynth.aig import and_count
 from treesynth.cli import main
 from treesynth.dataset import Dataset, parse_pla, truth_tables
 from treesynth.explore import ExplorationConfig, explore
@@ -23,7 +23,8 @@ from treesynth.qor import qor_exhaustive, qor_monte_carlo
 from treesynth.synth import approx_sub_circuit
 
 from conftest import clear_memos, random_circuit
-from reference import BENCHMARKS, add8u, c17, fit_bruteforce, mul7u
+from reference import (BENCHMARKS, add8u, c17, fit_bruteforce, mul7u,
+                       simulate)
 
 ROOT = Path(__file__).resolve().parents[1]
 PLA = ROOT / "benchmarks" / "pla"
@@ -102,8 +103,7 @@ def test_criterion_3_tree_circuit_equivalence(capsys):
             # tree circuits agree with tree predictions everywhere
             tables = truth_tables(src)
             for out_idx, tree in enumerate(approx.per_output_trees):
-                for r in range(1 << n):
-                    vec = tables[out_idx].row(r)
+                for vec, _ in tables[out_idx].rows():
                     assert simulate(approx.circuit, [vec])[0][out_idx] == \
                         predict(tree, vec)
             # cell error equals the summed training error exactly

@@ -6,10 +6,11 @@ import pytest
 
 from treesynth.aig import (Aig, AigBuilder, AigError, and_count, cleanup,
                            extend_words, lit, lit_node, lit_not,
-                           literal_words, reachable_nodes, simulate,
+                           literal_words, reachable_nodes,
                            simulate_words, truth_table_input_words)
 
 from conftest import random_circuit
+from reference import BENCHMARKS, simulate
 
 
 def naive_eval(circuit: Aig, vector) -> tuple:
@@ -184,8 +185,16 @@ def test_simulate_words_wrong_arity():
     c = Aig(num_inputs=2, ands=(), outputs=(2,))
     with pytest.raises(AigError):
         simulate_words(c, [0], 1)
-    with pytest.raises(AigError):  # a vector of one bit for two inputs
-        simulate(c, [(0, 1), (1,)])
     for index in (-1, 2):
         with pytest.raises(AigError):
             AigBuilder(2).input_lit(index)
+
+
+def test_simulate_words_rejects_wrong_types():
+    # a negative mask returned [1, 0] on c17, and a str word leaked
+    # TypeError
+    c17 = BENCHMARKS["c17"]()
+    for words, mask in (([1] * 5, -1), (["a"] * 5, 1), ([1.5] * 5, 1),
+                        ([1] * 5, 1.0), ([1] * 5, None), (None, 1)):
+        with pytest.raises(AigError):
+            simulate_words(c17, words, mask)

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from treesynth.aig import AigError, cleanup, simulate
+from treesynth.aig import AigError, cleanup
 from treesynth.aiger import parse_aiger, write_aiger
 
 from conftest import random_circuit
-from reference import BENCHMARKS, c17
+from reference import BENCHMARKS, c17, simulate
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 

@@ -3,10 +3,11 @@
 import itertools
 import random
 
-from treesynth.aig import and_count, simulate
+from treesynth.aig import and_count
 
 from reference import (BENCHMARKS, add8u, c17, c17_nand_reference,
-                       c432_profile, c432_profile_reference, mul7u)
+                       c432_profile, c432_profile_reference, mul7u,
+                       simulate)
 
 
 def test_c17_shape():

@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from treesynth.aig import Aig, AigError, simulate
+from treesynth.aig import Aig, AigError
 from treesynth.aiger import parse_aiger
 from treesynth.blif import parse_blif, write_blif
 from treesynth.qor import qor_exhaustive
 
 from conftest import random_circuit
-from reference import BENCHMARKS, c17
+from reference import BENCHMARKS, c17, simulate
 
 BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
 

@@ -59,8 +59,8 @@ def test_truth_table_xor():
 def test_truth_table_row_order():
     """Row r of the table is the input assignment with value r."""
     d = truth_tables(xor_circuit())[0]
-    for r in range(4):
-        assert d.row(r) == ((r >> 0) & 1, (r >> 1) & 1)
+    for r, (bits, _) in enumerate(d.rows()):
+        assert bits == ((r >> 0) & 1, (r >> 1) & 1)
 
 
 def test_truth_tables_match_single(rng):

@@ -8,8 +8,7 @@ import sys
 
 import pytest
 
-from treesynth.aig import (Aig, AigError, and_count, compose, simulate,
-                           simulate_words)
+from treesynth.aig import Aig, AigError, and_count, compose, simulate_words
 from treesynth.aiger import write_aiger
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
@@ -18,7 +17,7 @@ from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
-from reference import BENCHMARKS, add8u, c17, mul7u
+from reference import BENCHMARKS, add8u, c17, mul7u, simulate
 
 
 def small_config(threshold, **kw):
@@ -47,6 +46,8 @@ def test_config_validation():
     for samples in (0, -1):
         with pytest.raises(AigError):
             ExplorationConfig(qor_samples=samples)
+    with pytest.raises(AigError, match="jobs"):  # a job count is >= 1
+        ExplorationConfig(jobs=0)
     # a wrong type is bad input: these raised TypeError or were accepted
     for fields in ({"error_threshold": "0.1"}, {"seed": 1.5},
                    {"beam_width": 2.5}, {"partition": None}):

@@ -5,8 +5,11 @@ a name an import binds must be read somewhere in its module, or be listed
 in the module's ``__all__``.  An import statement with ``# noqa: F401`` on
 one of its lines is exempt, as are ``__future__`` imports.  It is also the
 dead-code check: a module-level ``def _x`` or ``class _X`` must be named
-somewhere in its own module, or nothing in the package calls it.  And it
-is the dependency check: every absolute import names a module of the
+somewhere in its own module, or nothing in the package calls it; and any
+module-level ``def`` or ``class`` must be read somewhere in the package (a
+name, an attribute or an import) or be listed in ``treesynth.__all__``,
+so code that only tests and scripts call leaves the package.  And it is
+the dependency check: every absolute import names a module of the
 standard library, so the package runs with no third-party package.  And
 every name in the package's ``__all__`` must be bound by the package, so
 ``from treesynth import *`` cannot fail on a name that was deleted.  And
@@ -93,6 +96,46 @@ def test_package_has_no_dead_private_definitions():
     found = {path.name: dead_private_definitions(path.read_text())
              for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_public_definitions(sources: dict[str, str], exported) -> list[str]:
+    """The module-level functions and classes of a package, given as file
+    name -> source, that no module reads and ``exported`` does not list."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{name} line {node.lineno}: {node.name}"
+            for name, tree in sorted(trees.items()) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name not in read]
+
+
+def test_dead_public_definitions_are_found():
+    sources = {"a.py": ("def imported():\n    pass\n"
+                        "def exported():\n    pass\n"
+                        "def dead():\n    pass\n"
+                        "class Dead:\n    pass\n"
+                        "class Attribute:\n    pass\n"),
+               "b.py": ("from .a import imported\n"
+                        "from . import a\n"
+                        "print(a.Attribute)\n")}
+    assert dead_public_definitions(sources, ["exported"]) == [
+        "a.py line 5: dead", "a.py line 7: Dead"]
+
+
+def test_package_has_no_dead_public_definitions():
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert sources
+    assert dead_public_definitions(sources, treesynth.__all__) == []
 
 
 def third_party_imports(source: str) -> list[str]:

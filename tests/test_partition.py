@@ -9,15 +9,15 @@ import random
 import pytest
 
 from treesynth.aig import (Aig, AigError, and_count, cleanup, compose,
-                           simulate)
+                           extend_words, simulate_words,
+                           truth_table_input_words)
 from treesynth.partition import (BALANCE, MAX_FM_PASSES, PartitionConfig,
                                  _fm_bipartition, _fm_passes, _member_nets,
-                                 _Netlist, extract, partition,
-                                 partition_report)
+                                 _Netlist, partition, partition_report)
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
-from reference import BENCHMARKS
+from reference import BENCHMARKS, simulate
 
 # the package binds ``treesynth.partition`` to the function of that name
 partition_module = importlib.import_module("treesynth.partition")
@@ -72,21 +72,24 @@ def test_config_validation():
 
 
 def test_extract_is_functional():
+    # each cell's extraction computes, from the words of its boundary
+    # inputs, the words its boundary outputs carry in the whole circuit
     rng = random.Random(29)
-    c = random_circuit(rng, 4, 12, 2)
-    first_and = c.num_inputs + 1
-    members = list(range(first_and, first_and + 6))
-    sub = extract(c, members)
-    assert sub.member_nodes == frozenset(members)
-    assert sub.extracted.num_inputs == len(sub.boundary_inputs)
-    assert sub.extracted.num_outputs == len(sub.boundary_outputs)
-
-
-def test_extract_rejects_non_and_nodes():
-    rng = random.Random(31)
-    c = random_circuit(rng, 3, 5, 1)
-    with pytest.raises(AigError):
-        extract(c, [1])  # a primary input
+    c = cleanup(random_circuit(rng, 4, 12, 2))
+    parts = partition(c, PartitionConfig(max_inputs=3, max_outputs=2,
+                                         initial_parts=2))
+    assert len(parts) > 1
+    mask = (1 << (1 << c.num_inputs)) - 1
+    words = [0, *truth_table_input_words(c.num_inputs)]
+    extend_words(words, c.ands, c.num_inputs + 1, mask)
+    for sub in parts:
+        assert sub.extracted.num_inputs == len(sub.boundary_inputs)
+        assert sub.extracted.num_outputs == len(sub.boundary_outputs)
+        assert set(sub.boundary_outputs) <= sub.member_nodes
+        assert simulate_words(sub.extracted,
+                              [words[n] for n in sub.boundary_inputs],
+                              mask) == [words[n]
+                                        for n in sub.boundary_outputs]
 
 
 def test_partition_empty_circuit():

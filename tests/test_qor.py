@@ -15,7 +15,7 @@ from treesynth.qor import (EXHAUSTIVE_INPUT_CAP, mismatched_bits,
                            sample_input_words)
 
 from conftest import random_circuit
-from reference import c17
+from reference import c17, c432_profile, simulate
 
 
 def wire(n: int, index: int = 0) -> Aig:
@@ -63,7 +63,6 @@ def test_exhaustive_matches_manual_count(rng):
         n = rng.randint(2, 5)
         a = random_circuit(rng, n, 15, 2)
         b = random_circuit(rng, n, 15, 2)
-        from treesynth.aig import simulate
         import itertools
         vecs = list(itertools.product((0, 1), repeat=n))
         mism = sum(x != y for ra, rb in zip(simulate(a, vecs),
@@ -164,6 +163,17 @@ def test_negative_seed_is_aig_error():
         qor_monte_carlo(c, c, 100, -1)
     with pytest.raises(AigError, match="seed"):
         monte_carlo_testbench(c, 100, -1)
+
+
+def test_draw_rejects_wrong_types():
+    # a float sample count leaked TypeError, and a float seed was accepted;
+    # sample_input_words holds the one check of a draw
+    c = c432_profile()
+    for samples, seed in ((1.5, 0), (100, 0.5), ("100", 0), (100, None)):
+        with pytest.raises(AigError):
+            qor_monte_carlo(c, c, samples, seed)
+        with pytest.raises(AigError):
+            sample_input_words(c.num_inputs, samples, seed)
 
 
 def test_no_samples_is_aig_error():

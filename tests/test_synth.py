@@ -6,14 +6,16 @@ import random
 
 import pytest
 
-from treesynth.aig import AigBuilder, and_count, simulate
+from treesynth.aig import AigBuilder, and_count
 from treesynth.dataset import Dataset
 from treesynth.explore import ExplorationConfig, explore
 from treesynth.odt import DecisionTree, OdtError, SearchBudget, fit_optimal, predict
-from treesynth.partition import PartitionConfig, extract, partition
+from treesynth.partition import PartitionConfig, partition
+from treesynth import odt, synth
 from treesynth.synth import approx_sub_circuit, tree_to_aig, trees_to_aig
 
 from conftest import clear_memos, random_circuit
+from reference import c17, mul7u, simulate
 
 
 def make_tree(root) -> DecisionTree:
@@ -67,6 +69,27 @@ def test_tree_form_with_a_shared_subtree():
     assert and_count(trees_to_aig([t, t], 3)) == and_count(c)
 
 
+def test_each_distinct_node_is_lowered_once(monkeypatch):
+    # the 14 depth-6 trees of mul7u share subtrees; lowering walked each
+    # once per path, 1 468 node checks for 581 distinct branch nodes
+    checked = []
+    monkeypatch.setattr(synth, "check_node", lambda node, width: (
+        checked.append(node), odt.check_node(node, width)))
+    approx = approx_sub_circuit(mul7u(), 6)
+    distinct = {}  # id -> node, over every tree
+    stack = [t.root for t in approx.per_output_trees]
+    while stack:
+        node = stack.pop()
+        if id(node) not in distinct:
+            distinct[id(node)] = node
+            if not isinstance(node, int):
+                stack += node[1:]
+    assert len(approx.per_output_trees) == 14
+    assert sum(not isinstance(n, int) for n in distinct.values()) == 581
+    assert len(checked) == len(distinct)  # 581 branches, leaves 0 and 1
+    assert {id(n) for n in checked} == distinct.keys()
+
+
 def test_feature_out_of_range():
     with pytest.raises(OdtError):
         tree_to_aig(make_tree((5, 0, 1)), 2)
@@ -92,16 +115,18 @@ def test_malformed_node_rejected():
             tree_to_aig(tree, 2)
 
 
-def test_exact_approximation_of_small_cell(rng):
-    c = random_circuit(rng, 4, 12, 2)
-    first_and = c.num_inputs + 1
-    sub = extract(c, range(first_and, first_and + len(c.ands)))
-    approx = approx_sub_circuit(sub.extracted, md=4)
-    assert approx.exact
-    assert approx.md <= 4  # records the realized depth when exact
-    n = sub.extracted.num_inputs
-    vecs = list(itertools.product((0, 1), repeat=n))
-    assert simulate(approx.circuit, vecs) == simulate(sub.extracted, vecs)
+def test_exact_approximation_of_small_cell():
+    # a cell of at most 4 inputs is exact at depth 4
+    parts = partition(c17(), PartitionConfig(max_inputs=4, initial_parts=2))
+    assert len(parts) > 1
+    for sub in parts:
+        approx = approx_sub_circuit(sub.extracted, md=4)
+        assert approx.exact
+        assert approx.md <= 4  # records the realized depth when exact
+        n = sub.extracted.num_inputs
+        vecs = list(itertools.product((0, 1), repeat=n))
+        assert simulate(approx.circuit, vecs) == simulate(sub.extracted,
+                                                          vecs)
 
 
 def xor4():
@@ -115,9 +140,7 @@ def xor4():
 
 def test_inexact_approximation_reports_requested_depth(rng):
     # XOR of 4 inputs is not depth-1 learnable
-    c = xor4()
-    sub = extract(c, range(5, 5 + len(c.ands)))
-    approx = approx_sub_circuit(sub.extracted, md=1)
+    approx = approx_sub_circuit(xor4(), md=1)
     assert not approx.exact
     assert approx.md == 1
 
