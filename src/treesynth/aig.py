@@ -48,9 +48,10 @@ class Aig:
 
     ``ands[i]`` holds the fanin literal pair of node ``num_inputs + 1 + i``;
     both fanins must reference strictly earlier nodes.  A ``num_inputs``
-    that is no int >= 0, ``ands`` or ``outputs`` that are not tuples, a
-    fanin or output that is no literal of an existing node, or names that
-    are not a tuple of one str per input or output, is an AigError.
+    that is no int >= 0, ``ands`` or ``outputs`` that are not tuples, an
+    unhashable fanin pair (a list), a fanin or output that is no literal of
+    an existing node, or names that are not a tuple of one str per input
+    or output, is an AigError.
     """
 
     num_inputs: int
@@ -64,8 +65,10 @@ class Aig:
         if not all(isinstance(x, tuple) for x in (self.ands, self.outputs)):
             raise AigError("ands and outputs must be tuples")
         first_and = self.num_inputs + 1
-        # ``>> 1`` raises TypeError on a literal that is not an int
+        # ``>> 1`` raises TypeError on a literal that is not an int, and
+        # hashing the pairs (in C, no per-node check here) on a list pair
         try:
+            hash(self.ands)
             for node, (a, b) in enumerate(self.ands, first_and):
                 if not (0 <= a >> 1 < node and 0 <= b >> 1 < node):
                     raise AigError(f"AND node {node} has a negative or "
@@ -75,8 +78,8 @@ class Aig:
                 if not 0 <= o >> 1 < end:
                     raise AigError(f"output literal {o} references no node")
         except (TypeError, ValueError) as exc:
-            raise AigError("ands must be pairs of int literals and outputs "
-                           "int literals") from exc
+            raise AigError("ands must be tuple pairs of int literals and "
+                           "outputs int literals") from exc
         for names, count in ((self.input_names, self.num_inputs),
                              (self.output_names, len(self.outputs))):
             if names is not None and not (
@@ -219,7 +222,8 @@ class AigBuilder:
         self._strash: dict[tuple[int, int], int] = {}
 
     def input_lit(self, index: int) -> int:
-        if not 0 <= index < self.num_inputs:
+        check_int("input index", index, 0)
+        if index >= self.num_inputs:
             raise AigError(f"input index {index} out of range")
         return lit(1 + index)
 
@@ -280,10 +284,6 @@ class AigBuilder:
             a, b = ands[node - first_and]
             mapping[node] = self.and_(mapping[a >> 1] ^ (a & 1),
                                       mapping[b >> 1] ^ (b & 1))
-
-    def reachable(self, literals) -> set[int]:
-        """AND nodes reachable from ``literals``."""
-        return _reachable(self.ands, self.num_inputs + 1, literals)
 
     def rollback(self, size: int) -> None:
         """Forget the AND nodes built after the first ``size``.

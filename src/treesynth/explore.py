@@ -18,20 +18,25 @@ most ``max_inputs`` inputs, else ``qor_samples`` vectors drawn with the
 seed.  A new best is re-measured on the final testbench
 (``_final_measure``).
 
-A candidate is scored without composing it.  Each beam state is built once
-per iteration: a structurally hashed builder holding all its cells in flow
-order, the builder literal of every boundary node, and the word of every
-builder node on the search vectors.  A candidate inlines its replacement on
-the state's boundary literals and re-inlines only the later cells that read
-a literal that changed.  Its area is the number of AND nodes reachable from
-its outputs; its error is the search testbench's ``report`` on its output
-words, from simulating only the appended nodes.  The builder and its words
-are then rolled back.  Structural hashing makes node identity the same as
+A candidate is scored without composing it.  A run composes its cells
+once, the base: a structurally hashed builder holding every original cell
+in flow order, the builder literal of every boundary node, and beside each
+builder node its word on the search vectors and its cone, the set of AND
+nodes it reads as a bitset.  A beam state is applied on the base: its
+replaced cells are inlined, and a later cell is inlined again only when a
+boundary literal it reads changed.  A candidate is built on the state by
+the same rule.  Only the nodes a state or a candidate appends are
+simulated and given cones.  A candidate's area is the popcount of the OR
+of its outputs' cones.  Its error is the state's mismatched bits, minus
+those of the outputs the candidate changes, plus theirs on the
+candidate's words.  The candidate, and after its candidates the state, is
+then rolled back.  Structural hashing makes node identity the same as
 term identity, so area and error equal those of the composed candidate
 exactly; only a candidate that becomes the new best is composed.
 
-The per-node words of one beam state are held at a time, which bounds the
-search's memory: (AND nodes of the state) x (search vectors) bits.
+The base, one state and one candidate are held at a time, which bounds
+the search's memory: (AND nodes of base + one state + one candidate) x
+(search vectors) bits, and as many times the AND node count in cone bits.
 
 A tree search that runs out of its node or time limit leaves the best tree
 it found for that cell; the run goes on with it and reports
@@ -42,13 +47,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from .aig import (Aig, AigError, and_count, check_int, cleanup, compose,
                   compose_builder, extend_words, literal_words)
 from .odt import SearchBudget
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
-                  monte_carlo_testbench, reporting_testbench)
+                  mismatched_bits, monte_carlo_testbench, reporting_testbench)
 # perfbench's tracer wraps these here
 from .qor import qor_exhaustive, qor_monte_carlo, qor_on_words  # noqa: F401
 from .synth import ApproxSubCircuit, approx_sub_circuit
@@ -133,65 +139,137 @@ def _final_measure(testbench: Testbench, approx: Aig) -> QorReport:
     return testbench.measure(approx)
 
 
-class _BeamState:
-    """One beam state's composition, held while its candidates are scored.
+class _Base:
+    """The run's one composition of the original cells, on which each beam
+    state and each candidate is built and to which it is rolled back.
 
-    ``builder`` holds every cell of the state inlined in flow order,
-    ``lits`` the builder literal of node 0, of each primary input and of
-    each boundary output node, and ``words`` the word of each builder node
-    on the search testbench.  ``substitute`` appends a candidate's nodes
-    and ``rollback`` drops them and their words again.
+    ``builder`` holds every cell inlined in flow order and ``lits`` the
+    builder literal of node 0, of each primary input and of each boundary
+    output node.  Beside each builder node, ``words`` holds its word on the
+    search testbench and ``cones`` the AND nodes it reads, itself included,
+    as a bitset whose bit ``i`` is node ``first_and + i``.  ``extend`` adds
+    both for the nodes built since it last ran; ``rollback`` drops them
+    with the nodes.
     """
 
-    def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
-        original = explorer.original
-        self.parts = explorer.parts
+    def __init__(self, original: Aig, parts: list[SubCircuit],
+                 bench: Testbench):
+        self.parts = parts
         self.outputs = original.outputs
-        self.cells = [replacements.get(p.id, p.extracted) for p in self.parts]
-        self.builder, self.lits = compose_builder(original, self.parts,
-                                                  replacements)
+        self.bench = bench
+        self.builder, self.lits = compose_builder(original, parts, {})
         self.size = len(self.builder.ands)
         self.first_and = original.num_inputs + 1
-        self.mask = explorer.search_bench.mask
-        self.words = [0, *explorer.search_bench.words]
-        self.output_words(())  # simulate the state's own nodes
+        self.words = [0, *bench.words]
+        self.cones = [0] * self.first_and
+        self.extend()
 
-    def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
-        """Build the candidate that replaces cell ``part_id`` by ``cell``.
+    def extend(self) -> None:
+        """Simulate the nodes built since the last call and add their
+        cones."""
+        ands, cones, first_and = self.builder.ands, self.cones, self.first_and
+        extend_words(self.words, ands, first_and, self.bench.mask)
+        bit = 1 << (len(cones) - first_and)
+        for a, b in ands[len(cones) - first_and:]:
+            cones.append(cones[a >> 1] | cones[b >> 1] | bit)
+            bit <<= 1
 
-        ``cell`` is inlined on the state's boundary literals, then every
-        later cell that reads a boundary literal that changed is inlined
-        again.  Returns the candidate's area and output literals.
-        """
-        lits, builder = self.lits, self.builder
+    def inline(self, lits: dict[int, int], cells: list[Aig],
+               replaced: dict[int, Aig]) -> dict[int, int]:
+        """Inline each cell ``replaced`` maps a part id to, on the boundary
+        literals ``lits``, and re-inline every later cell of ``cells`` that
+        reads a boundary literal that changed.  Returns the new literal of
+        each boundary output node whose literal changed."""
+        builder = self.builder
         changed: dict[int, int] = {}
-        for part in self.parts[part_id:]:
-            if part.id == part_id:
-                body = cell
-            elif changed.keys().isdisjoint(part.boundary_inputs):
-                continue  # same inputs, so the same nodes as the state's
-            else:
-                body = self.cells[part.id]
+        for part in self.parts[min(replaced):]:
+            body = replaced.get(part.id)
+            if body is None:
+                if changed.keys().isdisjoint(part.boundary_inputs):
+                    continue  # same inputs, so the same nodes as before
+                body = cells[part.id]
             inputs = [changed.get(src, lits[src])
                       for src in part.boundary_inputs]
             for node, out in zip(part.boundary_outputs,
                                  builder.inline(body, inputs)):
                 if out != lits[node]:
                     changed[node] = out
-        outputs = [changed.get(o >> 1, lits[o >> 1]) ^ (o & 1)
-                   for o in self.outputs]
-        return len(builder.reachable(outputs)), outputs
+        return changed
 
-    def output_words(self, outputs: list[int]) -> list[int]:
-        """Words of ``outputs``, simulating only the nodes not yet
-        simulated."""
-        extend_words(self.words, self.builder.ands, self.first_and, self.mask)
-        return literal_words(self.words, outputs, self.mask)
+    def rollback(self, size: int) -> None:
+        """Drop the nodes built after the first ``size``, with their words
+        and cones."""
+        self.builder.rollback(size)
+        del self.words[self.first_and + size:]
+        del self.cones[self.first_and + size:]
+
+
+class _BeamState:
+    """One beam state, applied on the run's base composition while its
+    candidates are scored.
+
+    The state's replacements are inlined on the base, and the later cells
+    that read a boundary literal that changed are inlined again.  The
+    state keeps its ``cells``, its boundary literals ``lits``, its output
+    literals and their words, and the bits in which those differ from the
+    original's.  ``substitute`` appends a candidate's nodes, ``rollback``
+    drops them again and ``release`` drops the state's own, leaving the
+    base as it was.
+    """
+
+    def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
+        base = self.base = explorer.base
+        self.cells = [replacements.get(part.id, part.extracted)
+                      for part in base.parts]
+        self.lits = base.lits
+        if replacements:
+            self.lits = {**base.lits,
+                         **base.inline(base.lits, self.cells, replacements)}
+        base.extend()
+        self.size = len(base.builder.ands)
+        self.outputs = [self.lits[o >> 1] ^ (o & 1) for o in base.outputs]
+        self.words = literal_words(base.words, self.outputs, base.bench.mask)
+        self.mismatched = mismatched_bits(base.bench.reference, self.words)
+
+    def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
+        """Build the candidate that replaces cell ``part_id`` by ``cell``.
+
+        Returns the candidate's area, the number of AND nodes its outputs'
+        cones cover, and its output literals.
+        """
+        base, lits = self.base, self.lits
+        changed = base.inline(lits, self.cells, {part_id: cell})
+        base.extend()
+        outputs = [changed.get(o >> 1, lits[o >> 1]) ^ (o & 1)
+                   for o in base.outputs]
+        cones = base.cones
+        cone = 0
+        for o in outputs:
+            cone |= cones[o >> 1]
+        return cone.bit_count(), outputs
+
+    def error(self, outputs: list[int]) -> float:
+        """Search error of the candidate with output literals ``outputs``:
+        the state's mismatched bits, corrected on the outputs that
+        changed."""
+        bench = self.base.bench
+        changed = [k for k, (new, old) in enumerate(zip(outputs, self.outputs))
+                   if new != old]
+        reference = [bench.reference[k] for k in changed]
+        new = literal_words(self.base.words, [outputs[k] for k in changed],
+                            bench.mask)
+        old = [self.words[k] for k in changed]
+        return bench.error_rate(self.mismatched
+                                + mismatched_bits(reference, new)
+                                - mismatched_bits(reference, old))
 
     def rollback(self) -> None:
-        """Drop the nodes and words of the last candidate."""
-        self.builder.rollback(self.size)
-        del self.words[self.first_and + self.size:]
+        """Drop the nodes, words and cones of the last candidate."""
+        self.base.rollback(self.size)
+
+    def release(self) -> None:
+        """Drop the state's own nodes, words and cones."""
+        self.base.rollback(self.base.size)
 
 
 class _Explorer:
@@ -247,10 +325,16 @@ class _Explorer:
             return self.original
         return compose(self.original, self.parts, replacements)
 
+    @cached_property
+    def base(self) -> _Base:
+        """The run's base composition, built when a state is first scored
+        (``replay`` scores none)."""
+        return _Base(self.original, self.parts, self.search_bench)
+
     def search_qor(self, state: _BeamState, outputs: list[int]) -> float:
         """Search error of the candidate ``state`` holds, with output
         literals ``outputs``."""
-        return self.search_bench.report(state.output_words(outputs)).error
+        return state.error(outputs)
 
     def score_state(self, stream_idx: int, md_stream: tuple[int, ...],
                    state_applied: tuple[int | None, ...]) -> list[tuple]:
@@ -263,21 +347,25 @@ class _Explorer:
         err = self.config.error_threshold
         state = _BeamState(self, self.replacements(state_applied))
         out = []
-        for part, md in zip(self.parts, md_stream):
-            if md < 2:
-                continue  # frozen cell
-            sa = self.approx(part, md)
-            area, outputs = state.substitute(part.id, sa.circuit)
-            q = self.search_qor(state, outputs)
-            state.rollback()
-            if q > err:
-                continue
-            score = loss(area, self.original_area, q)
-            if math.isinf(score) and score > 0:
-                continue  # zero-gain exact substitution
-            applied = list(state_applied)
-            applied[part.id] = md
-            out.append((score, part.id, stream_idx, tuple(applied), area, q))
+        try:
+            for part, md in zip(self.parts, md_stream):
+                if md < 2:
+                    continue  # frozen cell
+                sa = self.approx(part, md)
+                area, outputs = state.substitute(part.id, sa.circuit)
+                q = self.search_qor(state, outputs)
+                state.rollback()
+                if q > err:
+                    continue
+                score = loss(area, self.original_area, q)
+                if math.isinf(score) and score > 0:
+                    continue  # zero-gain exact substitution
+                applied = list(state_applied)
+                applied[part.id] = md
+                out.append((score, part.id, stream_idx, tuple(applied), area,
+                            q))
+        finally:
+            state.release()  # the base outlives the state
         return out
 
     def run(self) -> ExplorationResult:

@@ -82,11 +82,16 @@ class Testbench:
     def report(self, outputs: list[int]) -> QorReport:
         """Error of a circuit whose output words are ``outputs``."""
         mismatched = mismatched_bits(self.reference, outputs)
-        total = self.total_bits
-        return QorReport(error=mismatched / total if total else 0.0,
+        return QorReport(error=self.error_rate(mismatched),
                          estimator=self.estimator, samples=self.samples,
                          seed=self.seed, mismatched_bits=mismatched,
-                         total_bits=total)
+                         total_bits=self.total_bits)
+
+    def error_rate(self, mismatched: int) -> float:
+        """``mismatched`` bits over all the bits compared; 0.0 when there
+        are none."""
+        total = self.total_bits
+        return mismatched / total if total else 0.0
 
     def measure(self, approx: Aig) -> QorReport:
         """Error of ``approx`` against the original."""

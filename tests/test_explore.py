@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from treesynth.aig import Aig, AigError, and_count, compose, simulate_words
+from treesynth import aig
+from treesynth.aig import Aig, AigError, _reachable, and_count, compose
 from treesynth.aiger import write_aiger
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
@@ -343,20 +344,22 @@ def constant_cell(part, value: int) -> Aig:
 
 def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
     """Score random candidates on random beam states against compose and
-    the QoR module, and check that rollback restores each state."""
+    the QoR module, and check that rollback restores each state and
+    release restores the base."""
     explorer = _Explorer(circuit, config)
-    original, parts = explorer.original, explorer.parts
+    original, parts, base = explorer.original, explorer.parts, explorer.base
+    bench = explorer.search_bench
 
     def random_cell(part):
         if rng.random() < 0.2:
             return constant_cell(part, rng.randint(0, 1))
         return explorer.approx(part, rng.randint(1, max_depth)).circuit
 
-    def check(state, replacements, part, cell):
-        def snapshot():
-            return (list(state.builder.ands), dict(state.builder._strash),
-                    list(state.words))
+    def snapshot():
+        return (list(base.builder.ands), dict(base.builder._strash),
+                list(base.words), list(base.cones), dict(base.lits))
 
+    def check(state, replacements, part, cell):
         before = snapshot()
         area, outputs = state.substitute(part.id, cell)
         error = explorer.search_qor(state, outputs)
@@ -364,8 +367,8 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
         assert snapshot() == before
         composed = compose(original, parts, {**replacements, part.id: cell})
         assert area == and_count(composed)
-        assert error == explorer.search_bench.measure(composed).error
-        return outputs
+        assert error == bench.measure(composed).error
+        return area, error, outputs
 
     # a cell that drives an output, folded to constant 1
     driven = [(k, p) for k, o in enumerate(original.outputs) for p in parts
@@ -375,13 +378,22 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
     for _ in range(states):
         replacements = {p.id: random_cell(p) for p in parts
                         if rng.random() < 0.4}
+        before = snapshot()
         state = _BeamState(explorer, replacements)
         for _ in range(per_state):
             part = rng.choice(parts)
             check(state, replacements, part, random_cell(part))
-        outputs = check(state, replacements, driver,
-                        constant_cell(driver, 1))
+        *_, outputs = check(state, replacements, driver,
+                            constant_cell(driver, 1))
         assert outputs[index] in (0, 1)
+        # a cell replaced by the one the state holds changes no output
+        # literal: the candidate is the state itself
+        part = rng.choice(parts)
+        own = compose(original, parts, replacements)
+        assert check(state, replacements, part, state.cells[part.id]) == (
+            and_count(own), bench.measure(own).error, state.outputs)
+        state.release()
+        assert snapshot() == before
 
 
 def deep_circuit(rng, num_inputs: int, num_ands: int,
@@ -415,6 +427,48 @@ def test_scorer_matches_compose_and_qor_on_benchmarks(rng):
         initial_parts=10)), rng, max_depth=3, states=2)
 
 
+def cone_nodes(base, node):
+    """The AND nodes of ``node``'s cone bitset in ``base``."""
+    cone = base.cones[node]
+    return {base.first_and + i for i in range(cone.bit_length())
+            if cone >> i & 1}
+
+
+def test_base_cones_are_reachable_nodes(rng):
+    for circuit, max_inputs in ((c17(), 3), (random_circuit(rng, 7, 60, 4), 4)):
+        base = _Explorer(circuit, ExplorationConfig(partition=PartitionConfig(
+            initial_parts=3, max_inputs=max_inputs))).base
+        assert len(base.cones) == len(base.words) == (
+            base.first_and + len(base.builder.ands))
+        for node in range(len(base.cones)):
+            assert cone_nodes(base, node) == _reachable(
+                base.builder.ands, base.first_and, [2 * node])
+
+
+def test_one_composition_per_run(monkeypatch):
+    # the run composes its base once; every further composition is a new
+    # best's compose, never a beam state's
+    calls = {"compose_builder": 0, "compose": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    explore_module = sys.modules["treesynth.explore"]
+    for module, name in ((aig, "compose_builder"),
+                         (explore_module, "compose_builder"),
+                         (explore_module, "compose")):
+        counted(module, name)
+    res = explore(add8u(), small_config(0.10, initial_parts=10))
+    states = 1 + len(res.trace)  # the start, and each state a record adds
+    assert states > 1 + calls["compose"] >= 2
+    assert calls["compose_builder"] == 1 + calls["compose"]
+
+
 class ComposingState:
     """``_BeamState``'s interface, computed the slow way: each candidate is
     composed, which cleans it, and simulated whole on the search vectors."""
@@ -429,10 +483,13 @@ class ComposingState:
                             {**self.replacements, part_id: cell})
         return and_count(candidate), candidate
 
-    def output_words(self, candidate):
-        return simulate_words(candidate, self.bench.words, self.bench.mask)
+    def error(self, candidate):
+        return self.bench.measure(candidate).error
 
     def rollback(self):
+        pass
+
+    def release(self):
         pass
 
 

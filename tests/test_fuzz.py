@@ -164,7 +164,10 @@ SCALAR_PARAMETERS = {
         "ands": (lambda v: Aig(2, v, ()), never),
         "outputs": (lambda v: Aig(2, (), v), never),
     },
-    "AigBuilder": {"num_inputs": (AigBuilder, is_int)},
+    "AigBuilder": {
+        "num_inputs": (AigBuilder, is_int),
+        "input_lit": (lambda v: AigBuilder(2).input_lit(v), is_int),
+    },
     "compose": {"part_id": (lambda v: compose(
         C17, C17_PARTS, {v: C17_PARTS[0].extracted}), is_int)},
     "simulate_words": {
@@ -267,7 +270,8 @@ def test_scalar_arguments_raise_only_library_errors(export, data):
 
 
 # each of these leaked a built-in error or was accepted before the
-# scalar rule
+# scalar rule, or, the last three, before it covered ``input_lit`` and
+# list fanin pairs
 @pytest.mark.parametrize("probe", [
     lambda: parse_aiger(None), lambda: parse_blif(None),
     lambda: parse_pla(None), lambda: write_aiger(C17, comment=3),
@@ -281,6 +285,8 @@ def test_scalar_arguments_raise_only_library_errors(export, data):
     lambda: simulate_words(C17, ["a"] * 5, 1),
     lambda: qor_monte_carlo(C17, C17, 1.5),
     lambda: qor_monte_carlo(C17, C17, 64, 0.5),
+    lambda: AigBuilder(2).input_lit(1.5), lambda: AigBuilder(2).input_lit("a"),
+    lambda: Aig(2, ([2, 4],), (6,)),
 ])
 def test_wrong_scalars_raise_library_errors(probe):
     with pytest.raises(LIBRARY_ERRORS):

@@ -63,3 +63,35 @@ def test_tracer_counts_table_search_expansions():
     cube, traced, plain = json.loads(done.stdout)
     assert cube
     assert traced == plain > 0
+
+
+# a traced explore of add8u at 0.10, called through the module attribute
+# the tracer wraps
+EXPLORE = """
+import importlib, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+from treesynth import ExplorationConfig, PartitionConfig, parse_aiger
+explore = importlib.import_module("treesynth.explore").explore
+circuit = parse_aiger(open(sys.argv[3]).read())
+tracer.active = True
+explore(circuit, ExplorationConfig(
+    error_threshold=0.10, partition=PartitionConfig(initial_parts=10)))
+tracer.active = False
+print(json.dumps(tracer.counters))
+"""
+
+
+def test_tracer_counts_every_scored_candidate():
+    # each candidate's error goes through the traced search_qor, so the
+    # scorer's counters keep their values whatever the scorer's design
+    done = subprocess.run(
+        [sys.executable, "-c", EXPLORE, str(ROOT / "src"),
+         str(ROOT / "perfbench"), str(ROOT / "benchmarks" / "add8u.aag")],
+        capture_output=True, text=True, timeout=60, check=True)
+    counters = json.loads(done.stdout)
+    assert (counters["explore.candidates"], counters["qor.search.calls"],
+            counters["explore.rejected_budget"],
+            counters["explore.accepted"]) == (101, 101, 46, 16)
