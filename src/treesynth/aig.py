@@ -48,10 +48,10 @@ class Aig:
 
     ``ands[i]`` holds the fanin literal pair of node ``num_inputs + 1 + i``;
     both fanins must reference strictly earlier nodes.  A ``num_inputs``
-    that is no int >= 0, ``ands`` or ``outputs`` that are not tuples, an
-    unhashable fanin pair (a list), a fanin or output that is no literal of
-    an existing node, or names that are not a tuple of one str per input
-    or output, is an AigError.
+    that is no int >= 0, ``ands`` or ``outputs`` that are not tuples, a
+    fanin pair that is not a tuple, a fanin or output that is no literal
+    of an existing node, or names that are not a tuple of one str per
+    input or output, is an AigError.
     """
 
     num_inputs: int
@@ -64,11 +64,13 @@ class Aig:
         check_int("num_inputs", self.num_inputs, 0)
         if not all(isinstance(x, tuple) for x in (self.ands, self.outputs)):
             raise AigError("ands and outputs must be tuples")
+        # one pass in C over the pair types, no per-node check: a list,
+        # bytes or range pair would unpack, but compare unequal to a tuple
+        if not set(map(type, self.ands)) <= {tuple}:
+            raise AigError("ands must be tuple pairs of int literals")
         first_and = self.num_inputs + 1
-        # ``>> 1`` raises TypeError on a literal that is not an int, and
-        # hashing the pairs (in C, no per-node check here) on a list pair
+        # ``>> 1`` raises TypeError on a literal that is not an int
         try:
-            hash(self.ands)
             for node, (a, b) in enumerate(self.ands, first_and):
                 if not (0 <= a >> 1 < node and 0 <= b >> 1 < node):
                     raise AigError(f"AND node {node} has a negative or "

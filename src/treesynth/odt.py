@@ -19,7 +19,14 @@ order, and its two sides are the table's low and high halves.  k is fixed
 at each depth, so ``memos[d]`` is keyed on the table alone, and
 subproblems with equal cofactors share one entry wherever their free
 inputs lie, as ROBDD nodes do (Bryant 1986).  Other data (PLA rows,
-weighted or incomplete tables) is keyed on its row mask.
+weighted or incomplete tables) is keyed, as in DL8.5, on its path: the
+feature conditions that lead to it, as an int with bit 2f for f = 0 and
+bit 2f+1 for f = 1, so the root's key is 0 and a split ORs in the bit of
+each side.  The row mask still travels down for the counts.  A path
+fixes each feature at most once and selects its rows, and a value
+depends only on the rows and the depth, so the key is sound; it stays
+below 4^F however many rows there are, but two paths that select the
+same rows no longer share an entry.
 The memos hold exactly the subproblems the search expanded and solved to
 proven optimality, which keeps them sound regardless of bounding; a pure
 or depth-0 subproblem is its majority leaf, which two counts recompute,
@@ -193,7 +200,10 @@ def _by_input(root: Node, num_inputs: int) -> Node:
 
 class _Search:
     def __init__(self, data: Dataset, budget: SearchBudget):
-        self.splits = tuple(enumerate(data.features))
+        # each feature's column and the path-key bits of its low and high
+        # sides: bit 2f for f = 0, bit 2f+1 for f = 1
+        self.splits = tuple((f, column, 1 << 2 * f, 2 << 2 * f)
+                            for f, column in enumerate(data.features))
         # a fitted depth-1 split has unequal leaves, so it is one of these,
         # indexed by the high side's label; on a table, f is a rank and its
         # column is the table input word of that rank
@@ -244,8 +254,9 @@ class _Search:
             self.exhausted = True
         return self.exhausted
 
-    def solve(self, mask: int, depth: int) -> tuple[int, Node]:
-        """Minimum-error tree of depth <= depth for the rows in mask."""
+    def solve(self, mask: int, depth: int, path: int = 0) -> tuple[int, Node]:
+        """Minimum-error tree of depth <= depth for the rows in mask, which
+        the conditions of ``path`` select (the root's path is 0)."""
         try:
             memo = self.memos[depth]
         except IndexError:
@@ -253,7 +264,7 @@ class _Search:
             # here before any memo holds an entry
             raise OdtError("solve depth exceeds the budget's max_depth") \
                 from None
-        hit = memo.get(mask)
+        hit = memo.get(path)
         if hit is not None:
             return hit
         weight_of = self.weight_of
@@ -294,16 +305,16 @@ class _Search:
                         break
         else:
             solve = self.solve
-            for f, column in self.splits:
+            for f, column, low_bit, high_bit in self.splits:
                 if limited and self.out_of_budget():
                     break
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
                     continue  # constant feature here; split can never improve
-                err0, t0 = solve(mask ^ m1, depth - 1)
+                err0, t0 = solve(mask ^ m1, depth - 1, path | low_bit)
                 if err0 >= best_err:
                     continue
-                err1, t1 = solve(m1, depth - 1)
+                err1, t1 = solve(m1, depth - 1, path | high_bit)
                 if err0 + err1 < best_err:
                     best_err = err0 + err1
                     best = (f, t0, t1)
@@ -313,7 +324,7 @@ class _Search:
         if not self.exhausted:
             if depth == 1:
                 value = self.values.setdefault(value, value)
-            memo[mask] = value
+            memo[path] = value
         return value
 
     def solve_table(self, table: int, depth: int) -> tuple[int, Node]:

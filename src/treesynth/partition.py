@@ -9,6 +9,7 @@ so ``partition`` is a pure function of its arguments.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .aig import Aig, AigBuilder, check_int, cleanup, lit_node
@@ -150,11 +151,14 @@ def _fm_passes(members: list[int], nets: list[list[int]],
     left, then keeps the prefix of moves with the largest positive total
     gain (the shortest such prefix); passes stop when no prefix gains.
 
-    Each pass counts the pins of every net on each side once and keeps the
-    gains incrementally: a move updates the counts of the moved vertex's
-    nets and re-scores only the unlocked pins of those nets whose counts
-    were small enough for a gain to change.  Moves come from one max-gain
-    heap per side, so a pass costs O(pins log n) on nets of bounded fanout.
+    Each pass counts the pins of every net on each side and scores every
+    gain once, then keeps the gains by the classic FM delta updates: a move
+    changes a gain only on a net whose destination side had no pin (+1 to
+    each pin) or one (-1 to that pin), or whose source side is left with
+    none (-1 to each pin) or one (+1 to that pin).  The deltas of one move
+    are summed, so each changed unlocked pin is pushed once.  Moves come
+    from one max-gain heap per side, so a pass costs O(pins log n) on nets
+    of bounded fanout.
     """
     n = len(members)
     side = {v: (0 if i < n // 2 else 1) for i, v in enumerate(members)}
@@ -211,22 +215,30 @@ def _fm_passes(members: list[int], nets: list[list[int]],
             dst = side[best_v] = 1 - src
             sizes[src] -= 1
             sizes[dst] += 1
+            # summed FM delta updates of this move's nets, by pin
+            delta: defaultdict[int, int] = defaultdict(int)
             for ni in vertex_nets[best_v]:
                 c = count[ni]
-                # a pin's gain on this net can change only when the source
-                # side keeps at most one other pin or the destination side
-                # had at most one
-                critical = c[src] <= 2 or c[dst] <= 1
+                if c[dst] == 0:  # the net is cut now
+                    for p in nets[ni]:
+                        delta[p] += 1
+                elif c[dst] == 1:  # its lone destination pin has company
+                    for p in nets[ni]:
+                        if side[p] == dst:
+                            delta[p] -= 1
                 c[src] -= 1
                 c[dst] += 1
-                if not critical:
-                    continue
-                for p in nets[ni]:
-                    if p not in locked:
-                        g = gain(p)
-                        if g != gains_now[p]:
-                            gains_now[p] = g
-                            heapq.heappush(heaps[side[p]], (-g, p))
+                if c[src] == 0:  # the net is uncut now
+                    for p in nets[ni]:
+                        delta[p] -= 1
+                elif c[src] == 1:  # its last source pin is alone
+                    for p in nets[ni]:
+                        if side[p] == src:
+                            delta[p] += 1
+            for p, d in delta.items():
+                if d and p not in locked:
+                    g = gains_now[p] = gains_now[p] + d
+                    heapq.heappush(heaps[side[p]], (-g, p))
         # keep the best prefix of the move sequence
         best_prefix, best_total, total = 0, 0, 0
         for i, g in enumerate(gains):

@@ -280,8 +280,9 @@ PINNED_LEARN = [
 @pytest.mark.parametrize("case,report,netlist", PINNED_LEARN,
                          ids=[pin[0] for pin in PINNED_LEARN])
 def test_learn_results_are_pinned(tmp_path, capsys, case, report, netlist):
-    # a refactor or speed-up of the row-mask-keyed tree search must leave
-    # the report and the written netlist byte-identical
+    # a refactor or speed-up of the row-keyed tree search (memos keyed on
+    # the split path) must leave the report and the written netlist
+    # byte-identical
     out_file = tmp_path / "learned.aag"
     code, out = run(capsys, "learn",
                     *(str(PLA / f"{case}_{split}.pla")

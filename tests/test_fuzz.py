@@ -270,8 +270,8 @@ def test_scalar_arguments_raise_only_library_errors(export, data):
 
 
 # each of these leaked a built-in error or was accepted before the
-# scalar rule, or, the last three, before it covered ``input_lit`` and
-# list fanin pairs
+# scalar rule, or, the last five, before it covered ``input_lit`` and
+# fanin pairs that are not tuples
 @pytest.mark.parametrize("probe", [
     lambda: parse_aiger(None), lambda: parse_blif(None),
     lambda: parse_pla(None), lambda: write_aiger(C17, comment=3),
@@ -286,7 +286,8 @@ def test_scalar_arguments_raise_only_library_errors(export, data):
     lambda: qor_monte_carlo(C17, C17, 1.5),
     lambda: qor_monte_carlo(C17, C17, 64, 0.5),
     lambda: AigBuilder(2).input_lit(1.5), lambda: AigBuilder(2).input_lit("a"),
-    lambda: Aig(2, ([2, 4],), (6,)),
+    lambda: Aig(2, ([2, 4],), (6,)), lambda: Aig(2, (b"\x02\x04",), (6,)),
+    lambda: Aig(2, (range(2, 6, 2),), (6,)),
 ])
 def test_wrong_scalars_raise_library_errors(probe):
     with pytest.raises(LIBRARY_ERRORS):

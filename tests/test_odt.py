@@ -216,12 +216,14 @@ def test_trees_match_bruteforce_oracle():
 
 
 def test_expansions_pinned():
-    # closed-form depth-1 nodes still count one expansion each
+    # closed-form depth-1 nodes still count one expansion each; keyed on the
+    # row mask the search expanded 11 225 subproblems, and keyed on the path
+    # 11 366, since two paths that select the same rows no longer share one
     d = make_dataset(random.Random(29), 10, 200)
     search = _Search(d, SearchBudget(max_depth=6))
     err, _ = search.run()
     assert err == 11
-    assert search.expansions == 11225
+    assert search.expansions == 11366
 
 
 def test_memo_holds_only_expanded_subproblems():
@@ -255,9 +257,9 @@ def memos_within(partial: _Search, full: _Search) -> bool:
                     for p, f in zip(partial.memos, full.memos)))
 
 
-class MaskKeyedSearch(_Search):
-    """The search keyed on the row mask on every dataset: the reference
-    for the cofactor key of complete truth tables."""
+class RowKeyedSearch(_Search):
+    """The search on rows, keyed on the split path, on every dataset: the
+    reference for the cofactor key of complete truth tables."""
 
     def __init__(self, data: Dataset, budget: SearchBudget):
         super().__init__(data, budget)
@@ -272,16 +274,16 @@ def cell_tables(circuit) -> list[Dataset]:
 
 
 def assert_keys_agree(data: Dataset, depth: int) -> tuple[int, int]:
-    """The table and the mask key give one result, and each search ends
+    """The table and the path key give one result, and each search ends
     with one memo entry per expansion; returns both expansion counts."""
     table = _Search(data, SearchBudget(max_depth=depth))
-    masked = MaskKeyedSearch(data, SearchBudget(max_depth=depth))
+    rows = RowKeyedSearch(data, SearchBudget(max_depth=depth))
     assert table.cube
-    assert table.run() == masked.run()
-    for search in (table, masked):
+    assert table.run() == rows.run()
+    for search in (table, rows):
         assert not search.memos[0]
         assert memo_size(search) == search.expansions
-    assert_row_keys(masked, data)
+    assert_row_keys(rows, data)
     # a table key is the cofactor's truth table over the free inputs: the
     # path to a subproblem with d levels left fixes depth - d inputs, so
     # k = n - depth + d are free and the key is an int below 2^(2^k)
@@ -289,22 +291,39 @@ def assert_keys_agree(data: Dataset, depth: int) -> tuple[int, int]:
         k = data.num_features - depth + d
         for key in memo:
             assert isinstance(key, int) and 0 <= key < 1 << (1 << k)
-    return table.expansions, masked.expansions
+    return table.expansions, rows.expansions
+
+
+def path_rows(data: Dataset, key: int) -> int:
+    """The rows that the conditions of a path key select: bit 2f of the key
+    asks for feature f = 0, bit 2f+1 for f = 1."""
+    rows = data.row_mask
+    for f, column in enumerate(data.features):
+        if key >> 2 * f & 1:
+            rows &= ~column
+        if key >> 2 * f + 1 & 1:
+            rows &= column
+    return rows
 
 
 def assert_row_keys(search: _Search, data: Dataset) -> None:
-    """Every memo key of a row-keyed search is a nonempty submask of the
-    data's rows."""
+    """Every memo key of a row-keyed search is a path: in ``memos[d]`` an
+    int below 4^F that holds exactly max_depth - d conditions, on distinct
+    features, whose rows are not empty."""
     assert not search.cube
-    for memo in search.memos:
+    for d, memo in enumerate(search.memos):
         for key in memo:
-            assert isinstance(key, int)
-            assert key and key & ~data.row_mask == 0
+            assert isinstance(key, int) and 0 <= key < 4 ** data.num_features
+            conditions = [key >> 2 * f & 3 for f in range(data.num_features)]
+            assert 3 not in conditions  # no feature is fixed both ways
+            assert (len(conditions) - conditions.count(0)
+                    == search.budget.max_depth - d)
+            assert path_rows(data, key)
 
 
 def test_cofactor_key_matches_mask_key_on_random_tables():
     # every depth 0..n of seeded random tables, n = 1..9; fewer tables as
-    # n grows, since the mask key's search grows as 3^n
+    # n grows, since the path key's search grows as 3^n
     rng = random.Random(41)
     totals = [0, 0]
     for n in range(1, 10):
@@ -333,7 +352,7 @@ def benchmark_cell_tables() -> list[Dataset]:
 
 
 def test_cofactor_key_matches_mask_key_on_benchmark_cells():
-    # every depth 1..9 where the mask key's search is quick, 1..4 above
+    # every depth 1..9 where the path key's search is quick, 1..4 above
     # 9 inputs; the test below pins depths 1..9 on the rest
     for data in benchmark_cell_tables():
         for depth in range(1, 10 if data.num_features <= 9 else 5):
@@ -351,9 +370,10 @@ def tree_digest(search_class, tables: list[Dataset], depths) -> str:
 
 
 def test_benchmark_cell_trees_pinned_at_depths_1_to_9():
-    # the pin is the mask key's digest (MaskKeyedSearch in place of
-    # _Search), which takes about 32 s on a 2-vCPU Xeon: too slow to
-    # recompute on every run; the table search gives it in under 1 s
+    # the pin is the row search's digest (RowKeyedSearch in place of
+    # _Search, keyed on the row mask or on the path alike), which takes
+    # 32-64 s on a 2-vCPU Xeon: too slow to recompute on every run; the
+    # table search gives it in under 2 s
     assert tree_digest(_Search, benchmark_cell_tables(), range(1, 10)) == (
         "a5351a42aa00864f29051e691c6b8d37709ac4198f6ca4976f8f7935111c249f")
 
@@ -395,8 +415,10 @@ def test_only_complete_unweighted_tables_take_cofactor_key():
 
 
 def test_cofactor_expansions_pinned():
-    # on the same 237 fits the mask key expands 7 373 subproblems, and a
-    # cube key that also held the fixed inputs 5 858
+    # on the same 237 fits the row search expands 7 373 subproblems (keyed
+    # on the row mask or on the path alike: on a complete table each path
+    # selects its own cube), and a cube key that also held the fixed
+    # inputs 5 858
     total = 0
     for data in cell_tables(mul7u()):
         for depth in (1, 2, 3):
@@ -428,13 +450,16 @@ def test_budgeted_fit_on_complete_table():
     assert memos_within(partial, full)
 
 
-def take_rows(features, labels: int, keep: list[int]) -> Dataset:
-    """The rows ``keep`` of the data given by its feature and label words."""
+def take_rows(features, labels: int, keep: list[int],
+              weights: tuple[int, ...] | None = None) -> Dataset:
+    """The rows ``keep`` of the data given by its feature and label words
+    and its row weights, if any."""
     def take(word):
         return sum(((word >> r) & 1) << i for i, r in enumerate(keep))
 
     return Dataset(num_rows=len(keep), features=tuple(map(take, features)),
-                   labels=take(labels))
+                   labels=take(labels),
+                   weights=weights and tuple(weights[r] for r in keep))
 
 
 def pla_like(rng: random.Random) -> Dataset:
@@ -452,8 +477,8 @@ def incomplete_table(rng: random.Random, n: int) -> Dataset:
                      [r for r in range(1 << n) if r != dropped])
 
 
-def mask_keyed_datasets(rng: random.Random) -> list[Dataset]:
-    """Weighted, PLA-like and incomplete data: each takes the row-mask key."""
+def row_keyed_datasets(rng: random.Random) -> list[Dataset]:
+    """Weighted, PLA-like and incomplete data: each takes the path key."""
     return [make_dataset(rng, rng.randint(1, 7), rng.randint(1, 40),
                          weighted=True),
             pla_like(rng), incomplete_table(rng, rng.randint(2, 5))]
@@ -467,11 +492,11 @@ def search_nodes(node):
             yield from search_nodes(child)
 
 
-def test_row_mask_key_matches_bruteforce_at_every_depth():
-    # one memo per depth 0..max_depth, keyed on the row mask alone
+def test_row_key_matches_bruteforce_at_every_depth():
+    # one memo per depth 0..max_depth, keyed on the split path alone
     rng = random.Random(47)
     for _ in range(10):
-        for data in mask_keyed_datasets(rng):
+        for data in row_keyed_datasets(rng):
             for depth in (0, 1, 2, 3):
                 budget = SearchBudget(max_depth=depth)
                 search = _Search(data, budget)
@@ -485,12 +510,51 @@ def test_row_mask_key_matches_bruteforce_at_every_depth():
                 assert_row_keys(search, data)
 
 
+def test_path_memo_entries_are_the_fits_of_their_rows():
+    # a path selects its rows and a memo value depends only on them and the
+    # depth: decoded into its rows, each entry is the oracle's tree of
+    # those rows at the entry's depth
+    rng = random.Random(59)
+    entries = 0
+    for weighted in (False, True):
+        for _ in range(40):
+            data = make_dataset(rng, rng.randint(2, 6), rng.randint(3, 40),
+                                weighted=weighted)
+            depth = rng.randint(1, 3)
+            search = _Search(data, SearchBudget(max_depth=depth))
+            search.run()
+            assert_row_keys(search, data)
+            for d, memo in enumerate(search.memos):
+                for key, (err, node) in memo.items():
+                    rows = path_rows(data, key)
+                    keep = [r for r in range(data.num_rows) if rows >> r & 1]
+                    sub = take_rows(data.features, data.labels, keep,
+                                    data.weights)
+                    assert (DecisionTree(root=node, train_error=err)
+                            == fit_bruteforce(sub, SearchBudget(max_depth=d)))
+                    entries += 1
+    assert entries > 900
+
+
+def test_pla_path_keys_stay_small():
+    # a path key holds two bits per feature, so it stays below 4^F however
+    # many rows the data has; the row mask it replaced had 640 bits here
+    for name in ("add8u_cout", "mul7u_p12"):
+        data = parse_pla((PLA / f"{name}_train.pla").read_text())
+        search = _Search(data, SearchBudget(max_depth=5))
+        search.run()
+        assert not search.cube
+        assert memo_size(search) == search.expansions
+        bound = 4 ** data.num_features
+        assert all(key < bound for memo in search.memos for key in memo)
+
+
 def test_memo_holds_plain_values_and_shared_stumps():
     # a memo value is (error, node); a node is a label or a tuple
     # (feature, low, high), and every fitted depth-1 split is one of the
     # search's 2F stumps, the same object wherever it is used
     rng = random.Random(53)
-    datasets = [*mask_keyed_datasets(rng),
+    datasets = [*row_keyed_datasets(rng),
                 parse_pla((PLA / "mul7u_p12_train.pla").read_text()),
                 *cell_tables(add8u())[:20]]
     for data in datasets:
@@ -539,7 +603,7 @@ def test_solve_rejects_depth_over_budget():
 
 
 def test_budgeted_fit_on_pla_data():
-    # a node limit cuts the row-mask-keyed search short; the memo keeps
+    # a node limit cuts the path-keyed search short; the memo keeps
     # only subproblems solved to optimality, equal to the full search's
     data = parse_pla((PLA / "add8u_cout_train.pla").read_text())
     depth = 4
