@@ -130,8 +130,7 @@ def _exploration_config(args) -> ExplorationConfig:
         qor_samples=args.samples,
         seed=args.seed,
         partition=_partition_config(args),
-        node_limit=args.node_limit,
-        time_limit=args.time_limit)
+        node_limit=args.node_limit)
 
 
 def cmd_approximate(args) -> int:
@@ -144,7 +143,7 @@ def cmd_approximate(args) -> int:
         "max_sub_inputs": args.max_sub_inputs,
         "max_sub_outputs": args.max_sub_outputs,
         "initial_parts": args.initial_parts,
-        "node_limit": args.node_limit, "time_limit": args.time_limit,
+        "node_limit": args.node_limit,
         "whole_circuit": args.whole_circuit, "depth": args.depth,
         "out": args.out, "format": args.format,
     }
@@ -157,9 +156,8 @@ def cmd_approximate(args) -> int:
         bench = exhaustive_testbench(circuit)
         proven = True
         for depth in depths:
-            approx = approx_sub_circuit(
-                circuit, depth, node_limit=args.node_limit,
-                time_limit=args.time_limit)
+            approx = approx_sub_circuit(circuit, depth,
+                                        node_limit=args.node_limit)
             proven = proven and approx.proven
             q = bench.measure(approx.circuit)
             trees = approx.per_output_trees
@@ -273,14 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--node-limit", type=int,
-                   help="stop each tree search after this many expansions; "
+    p.add_argument("--node-limit", type=int, metavar="N",
+                   help="stop each tree search once it has made N "
+                        "expansions, at most max(N, 1) + D - 1 at depth D; "
                         "an exhausted search keeps its best tree so far, "
                         "the run continues and exits 3")
-    p.add_argument("--time-limit", type=float,
-                   help="per-tree search time budget in seconds; an "
-                        "exhausted search keeps its best tree so far, the "
-                        "run continues and exits 3")
     _add_partition_flags(p)
     p.add_argument("--whole-circuit", action="store_true",
                    help="skip partitioning; learn trees over the full "

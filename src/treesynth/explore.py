@@ -38,9 +38,8 @@ The base, one state and one candidate are held at a time, which bounds
 the search's memory: (AND nodes of base + one state + one candidate) x
 (search vectors) bits, and as many times the AND node count in cone bits.
 
-A tree search that runs out of its node or time limit leaves the best tree
-it found for that cell; the run goes on with it and reports
-``budget_exceeded``.
+A tree search that reaches its node limit leaves the best tree it found
+for that cell; the run goes on with it and reports ``budget_exceeded``.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class ExplorationConfig:
     seed: int = 0
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     node_limit: int | None = None
-    time_limit: float | None = None
     jobs: int = 1  # accepted and ignored: every fit runs in this thread
 
     def __post_init__(self):
@@ -89,7 +87,7 @@ class ExplorationConfig:
                 f"exhaustive cap of {EXHAUSTIVE_INPUT_CAP}: every cell is "
                 "fitted on its whole truth table")
         # the tree search's own limit checks (OdtError), before any search
-        SearchBudget(self.initial_max_depth, self.node_limit, self.time_limit)
+        SearchBudget(self.initial_max_depth, self.node_limit)
 
 
 @dataclass(frozen=True)
@@ -293,9 +291,7 @@ class _Explorer:
         hit = self.cache.get(key)
         if hit is None:
             hit = self.cache[key] = approx_sub_circuit(
-                part.extracted, md,
-                node_limit=self.config.node_limit,
-                time_limit=self.config.time_limit)
+                part.extracted, md, node_limit=self.config.node_limit)
         return hit
 
     def normalize_md(self, part: SubCircuit, md: int) -> int:

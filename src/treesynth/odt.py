@@ -52,23 +52,28 @@ both children are leaves, so each candidate split needs only the weight and
 the positive weight of its high side; the low side follows by subtraction
 from the totals of the subproblem.  Each side of a table's split holds half
 its rows, so there a split costs one AND and one popcount.  No depth-0
-subproblem is created below the root.  Only a search with a node or time
-limit checks its budget inside the feature loops; an unbudgeted search
-never can run out, so it skips those checks, and unweighted data is
-counted with ``int.bit_count``.
+subproblem is created below the root.  Unweighted data is counted with
+``int.bit_count``.
 
-A node or time limit makes the search anytime: when the budget runs out it
-returns the best tree found so far with ``proven_optimal`` false, so the
-caller gets a worse tree, not an error.  Unbudgeted fits are pure functions
-of ``(data, max_depth)``, so finished trees are memoized per process in a
-bounded LRU cache.  Fits with a node or time limit never touch that cache:
-their outcome depends on the budget.
+A node limit, a cap on expansions, makes the search anytime: once it is
+reached the search returns the best tree found so far with
+``proven_optimal`` false, so the caller gets a worse tree, not an error.
+Only a search with a node limit checks it: once before each depth-1 loop,
+whose stumps expand nothing, and before each split of a deeper loop.  So
+a budgeted fit is a pure function of ``(data, budget)``.  It runs out
+exactly when it has made at least one expansion and at least
+``node_limit`` of them.  A split solves its high side without a check of
+its own, so each level below the check that last passed may expand one
+more subproblem: a fit makes at most
+``max(node_limit, 1) + max_depth - 1`` expansions.  Unbudgeted fits are
+pure functions of ``(data, max_depth)``, so finished trees are memoized
+per process in a bounded LRU cache.  Fits with a node limit never touch
+that cache: their outcome depends on the limit.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, replace
 
 from .aig import check_int, truth_table_input_words
@@ -85,21 +90,16 @@ Node = int | tuple  # a label, or (feature, low, high)
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits of one fit.  ``max_depth`` is an int >= 0; ``node_limit``, a
-    cap on expansions, is None or an int >= 0; ``time_limit`` is None or a
-    number of seconds >= 0.  Any other value is an ``OdtError``."""
+    cap on expansions, is None or an int >= 0.  Any other value is an
+    ``OdtError``."""
 
     max_depth: int
     node_limit: int | None = None
-    time_limit: float | None = None  # seconds
 
     def __post_init__(self):
         check_int("max_depth", self.max_depth, 0, OdtError)
         if self.node_limit is not None:
             check_int("node_limit", self.node_limit, 0, OdtError)
-        if self.time_limit is not None and not (
-                isinstance(self.time_limit, (int, float))
-                and self.time_limit >= 0):  # NaN fails too
-            raise OdtError("time_limit must be a number >= 0 or None")
 
 
 @dataclass(frozen=True)
@@ -215,8 +215,7 @@ class _Search:
         self.weight_of = (int.bit_count if data.weights is None
                           else functools.partial(_weighted_count,
                                                  weights=data.weights))
-        self.limited = (budget.node_limit is not None
-                        or budget.time_limit is not None)
+        self.limited = budget.node_limit is not None
         n = len(data.features)
         self.cube = (data.weights is None and data.num_rows == 1 << n
                      and list(data.features) == truth_table_input_words(n))
@@ -231,8 +230,6 @@ class _Search:
         # each distinct depth-1 value, stored once and shared by its entries
         self.values: dict[tuple[int, Node], tuple[int, Node]] = {}
         self.expansions = 0
-        self.deadline = (time.monotonic() + budget.time_limit
-                         if budget.time_limit is not None else None)
         self.exhausted = False
 
     def run(self) -> tuple[int, Node]:
@@ -245,13 +242,9 @@ class _Search:
         return err, _by_input(root, len(self.splits))
 
     def out_of_budget(self) -> bool:
-        if self.exhausted:
-            return True
-        b = self.budget
-        if b.node_limit is not None and self.expansions >= b.node_limit:
-            self.exhausted = True
-        elif self.deadline is not None and time.monotonic() > self.deadline:
-            self.exhausted = True
+        """Whether a budgeted search has reached its node limit; expansions
+        only grow, so once true it stays true."""
+        self.exhausted = self.expansions >= self.budget.node_limit
         return self.exhausted
 
     def solve(self, mask: int, depth: int, path: int = 0) -> tuple[int, Node]:
@@ -281,11 +274,12 @@ class _Search:
         limited = self.limited
         if depth == 1:
             # Both children are leaves: their errors follow from the counts
-            # of the high side and the totals of mask, without recursion.
+            # of the high side and the totals of mask, without recursion,
+            # so the loop expands nothing and one budget check covers it.
+            if limited and self.out_of_budget():
+                return best_err, best
             labels = self.labels
             for column, stumps in self.stumps:
-                if limited and self.out_of_budget():
-                    break
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
                     continue  # constant feature here; split can never improve
@@ -351,9 +345,9 @@ class _Search:
         limited = self.limited
         half = total >> 1  # the rows on either side of every split
         if depth == 1:
+            if limited and self.out_of_budget():  # as in solve
+                return best_err, best
             for column, stumps in self.stumps[:k]:
-                if limited and self.out_of_budget():
-                    break
                 o1 = (table & column).bit_count()
                 o0 = ones - o1
                 z0 = half - o0
@@ -401,15 +395,15 @@ class _Search:
 def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     """Tree with provably minimal weighted training error at the depth cap.
 
-    When a node or time limit preempts the proof, the best tree found so
-    far is returned with ``proven_optimal`` false.  Calls without such a
-    limit are memoized.
+    When the node limit preempts the proof, the best tree found so far is
+    returned with ``proven_optimal`` false.  Calls without a node limit
+    are memoized.
     """
     if data.num_rows < 1:
         raise OdtError("cannot fit a tree on an empty dataset")
     if budget.max_depth > data.num_features:  # no tree is deeper than F
         budget = replace(budget, max_depth=data.num_features)
-    if budget.node_limit is None and budget.time_limit is None:
+    if budget.node_limit is None:
         return _fit_unbudgeted(data, budget.max_depth)
     return _fit(data, budget)
 

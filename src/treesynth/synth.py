@@ -60,20 +60,19 @@ class ApproxSubCircuit:
         return all(t.proven_optimal for t in self.per_output_trees)
 
 
-def approx_sub_circuit(circuit: Aig, md: int, node_limit: int | None = None,
-                       time_limit: float | None = None) -> ApproxSubCircuit:
+def approx_sub_circuit(circuit: Aig, md: int,
+                       node_limit: int | None = None) -> ApproxSubCircuit:
     """Learn one depth-bounded optimal tree per output of ``circuit`` (a
     partition cell's extracted circuit, or a whole netlist) and reassemble
     them into a replacement circuit.  At ``md`` 0 each output is its
     majority constant; a negative ``md`` is an ``OdtError``.
 
     When every tree is error-free the recorded depth drops to the smallest
-    realized depth; otherwise the requested depth is recorded.  A node or
-    time limit that runs out leaves the best tree found so far for that
+    realized depth; otherwise the requested depth is recorded.  A node
+    limit that is reached leaves the best tree found so far for that
     output, and ``proven`` false.
     """
-    budget = SearchBudget(max_depth=md, node_limit=node_limit,
-                          time_limit=time_limit)
+    budget = SearchBudget(max_depth=md, node_limit=node_limit)
     trees = [fit_optimal(d, budget) for d in truth_tables(circuit)]
     exact = all(t.train_error == 0 for t in trees)
     recorded = min((t.realized_depth for t in trees), default=0) if exact else md

@@ -144,15 +144,13 @@ def test_approximate_explore(tmp_path, capsys):
 
 
 def test_approximate_budget_exit_code(capsys):
-    # an unsatisfiable node or time budget yields a partial result and
-    # exit code 3
-    for limit in (("--node-limit", "1"), ("--time-limit", "0")):
-        code, out = run(capsys, "approximate", str(BENCH / "add8u.aag"),
-                        "--threshold", "0.1", *limit, "--no-timing")
-        assert code == 3
-        selected = json.loads(out)["selected"]
-        assert selected["budget_exceeded"]
-        assert selected["qor"] <= 0.1
+    # an unsatisfiable node budget yields a partial result and exit code 3
+    code, out = run(capsys, "approximate", str(BENCH / "add8u.aag"),
+                    "--threshold", "0.1", "--node-limit", "1", "--no-timing")
+    assert code == 3
+    selected = json.loads(out)["selected"]
+    assert selected["budget_exceeded"]
+    assert selected["qor"] <= 0.1
 
 
 def test_empty_trace_is_an_empty_file(tmp_path, capsys):
@@ -199,7 +197,6 @@ def test_budgeted_report_replays_to_written_netlist(tmp_path, capsys):
     assert code == 3
     report = json.loads(out)
     assert report["config"]["node_limit"] == 200
-    assert report["config"]["time_limit"] is None
     cfg = _exploration_config(
         argparse.Namespace(**report["config"], seed=report["seed"]))
     circuit = parse_aiger((BENCH / "mul7u.aag").read_text())
@@ -443,7 +440,6 @@ def test_negative_limit_or_sample_count_is_input_error(capsys):
     # others were accepted and ran (c17 draws no vectors, so its seed was
     # never read)
     for name, flag, value in (("c17", "--node-limit", "-5"),
-                              ("c17", "--time-limit", "-1"),
                               ("c432", "--samples", "-1"),
                               ("c17", "--samples", "0"),
                               ("c17", "--seed", "-1")):
@@ -467,16 +463,29 @@ def test_negative_limit_or_sample_count_is_input_error(capsys):
 
 
 def test_bad_limits_rejected_without_cells(tmp_path, capsys):
-    # a netlist with no AND nodes fits no tree; the bad limits used to be
+    # a netlist with no AND nodes fits no tree; a bad limit used to be
     # accepted, echoed and exit 0
     wire = tmp_path / "wire.aag"
     wire.write_text("aag 1 1 0 1 0\n2\n2\n")
-    code = main(["approximate", str(wire), "--node-limit", "-5",
-                 "--time-limit", "-1"])
+    code = main(["approximate", str(wire), "--node-limit", "-5"])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and err.startswith("error:")
+
+
+def test_removed_time_limit_is_an_unknown_flag():
+    # the wall-clock budget made results depend on the host; --node-limit
+    # is the one search budget, and the old flag is a usage error
+    done = subprocess.run(
+        [sys.executable, "-m", "treesynth.cli", "approximate",
+         str(BENCH / "c17.aag"), "--time-limit", "1"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "unrecognized arguments: --time-limit 1" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_results_do_not_depend_on_the_hash_seed(tmp_path):
@@ -578,7 +587,8 @@ def test_every_declared_flag_is_read(tmp_path, capsys):
     assert sorted(subparsers.choices) == sorted(invocations)
     flags = [a for p in subparsers.choices.values() for a in p._actions
              if a.option_strings and a.dest != "help"]
-    assert len(flags) == 34  # 41 before eval and partition lost 7
+    # 41 before eval and partition lost 7 and approximate --time-limit
+    assert len(flags) == 33
     for command, argvs in invocations.items():
         reads = set()
         for argv in argvs:

@@ -192,8 +192,7 @@ SCALAR_PARAMETERS = {
             ("error_threshold", is_number), ("initial_max_depth", is_int),
             ("step", is_int), ("beam_width", is_int),
             ("qor_samples", is_int), ("seed", is_int),
-            ("node_limit", or_none(is_int)),
-            ("time_limit", or_none(is_number)), ("jobs", is_int),
+            ("node_limit", or_none(is_int)), ("jobs", is_int),
             ("partition", never))},
     "replay": {
         "substitutions": (lambda v: replay(C17, ExplorationConfig(), v),
@@ -212,8 +211,6 @@ SCALAR_PARAMETERS = {
         "max_depth": (SearchBudget, is_int),
         "node_limit": (lambda v: SearchBudget(2, node_limit=v),
                        or_none(is_int)),
-        "time_limit": (lambda v: SearchBudget(2, time_limit=v),
-                       or_none(is_number)),
     },
     "predict": {
         "features": (lambda v: predict(STUMP, v), never),
@@ -230,8 +227,6 @@ SCALAR_PARAMETERS = {
         "md": (lambda v: approx_sub_circuit(C17, v), is_int),
         "node_limit": (lambda v: approx_sub_circuit(C17, 2, node_limit=v),
                        or_none(is_int)),
-        "time_limit": (lambda v: approx_sub_circuit(C17, 2, time_limit=v),
-                       or_none(is_number)),
     },
     "tree_to_aig": {"num_inputs": (lambda v: tree_to_aig(STUMP, v), is_int)},
     "trees_to_aig": {"num_inputs": (lambda v: trees_to_aig([STUMP], v),
@@ -310,11 +305,13 @@ CLI_FLAGS = [
     *[[flag, text] for flag in ("--depth", "--depths")
       for text in ("3..1", "-1", "a..b", "1:4", "2", "1..2")],
     # NaN, negative limits and other out-of-range values
-    ["--threshold", "nan"], ["--time-limit", "nan"], ["--samples", "nan"],
-    ["--node-limit", "-1"], ["--time-limit", "-1"], ["--samples", "-5"],
+    ["--threshold", "nan"], ["--samples", "nan"],
+    ["--node-limit", "-1"], ["--samples", "-5"],
     ["--beam", "-1"], ["--step", "0"], ["--initial-depth", "-1"],
     ["--max-sub-inputs", "-1"], ["--max-sub-outputs", "0"],
     ["--initial-parts", "1"], ["--seed", "-1"], ["--jobs", "-3"],
+    # a flag that no command takes
+    ["--time-limit", "1"],
     # valid flags, so that malformed ones also meet runs that get far
     ["--whole-circuit"], ["--exhaustive"], ["--samples", "64"],
     ["--node-limit", "0"], ["--initial-depth", "2"], ["--threshold", "0.2"],

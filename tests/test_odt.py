@@ -131,22 +131,19 @@ def test_empty_dataset_rejected():
 
 
 def test_negative_budget_rejected():
-    for limits in ({"max_depth": -1}, {"node_limit": -5},
-                   {"time_limit": -1.0}, {"time_limit": float("nan")}):
+    for limits in ({"max_depth": -1}, {"node_limit": -5}):
         with pytest.raises(OdtError):
             SearchBudget(**{"max_depth": 1, **limits})
-    SearchBudget(max_depth=1, node_limit=0, time_limit=0.0)  # zero is valid
+    SearchBudget(max_depth=1, node_limit=0)  # zero is valid
 
 
 def test_non_int_budget_rejected():
     # max_depth=1.5 used to fail in range() at fit time, and "3" in the
     # comparison with 0, both with a TypeError
     for limits in ({"max_depth": 1.5}, {"max_depth": "3"},
-                   {"node_limit": 2.0}, {"node_limit": "3"},
-                   {"time_limit": "3"}):
+                   {"node_limit": 2.0}, {"node_limit": "3"}):
         with pytest.raises(OdtError):
             SearchBudget(**{"max_depth": 1, **limits})
-    SearchBudget(max_depth=1, time_limit=3)  # whole seconds are valid
 
 
 def test_node_limit_returns_unproven_tree():
@@ -155,11 +152,33 @@ def test_node_limit_returns_unproven_tree():
     partial = fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
     assert not partial.proven_optimal
     assert row_errors(partial, d) == partial.train_error
-    # a time limit of zero has passed by the first check of the deadline
-    for data in truth_tables(c17()):
-        partial = fit_optimal(data, SearchBudget(max_depth=3, time_limit=0.0))
-        assert not partial.proven_optimal
-        assert row_errors(partial, data) == partial.train_error
+
+
+def test_node_limit_bounds_expansions():
+    # a budgeted search runs out exactly when it has made at least one
+    # expansion and at least node_limit; a split solves its high side
+    # without a check of its own, so each level below the check that last
+    # passed may expand one more subproblem, and some fits reach that bound
+    rng = random.Random(31)
+    fits = [(make_dataset(rng, rng.randint(1, 7), rng.randint(1, 40),
+                          weighted=rng.random() < 0.5), rng.randint(0, 6))
+            for _ in range(300)]
+    for make in (add8u, mul7u):
+        for part in partition(make(), PartitionConfig(initial_parts=10)):
+            fits += [(data, depth) for data in truth_tables(part.extracted)
+                     for depth in (2, 4, 6)]
+    at_bound = 0
+    for data, depth in fits:
+        depth = min(depth, data.num_features)  # as fit_optimal clamps it
+        for limit in (0, 1, 2, 3, 5, 8, 13, 50, 200):
+            search = _Search(data, SearchBudget(depth, node_limit=limit))
+            search.run()
+            n = search.expansions
+            assert search.exhausted == (0 < n >= limit), (limit, n)
+            bound = max(limit, 1) + depth - 1
+            assert n <= bound, (limit, depth, n)
+            at_bound += n == bound and depth > 1
+    assert at_bound
 
 
 def test_budgeted_fit_bypasses_memo():
