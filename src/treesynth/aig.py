@@ -334,15 +334,17 @@ def cleanup(circuit: Aig) -> Aig:
     return cleaned
 
 
-def compose_builder(circuit: Aig, parts,
-                    replacements: dict[int, Aig]) -> tuple[AigBuilder,
-                                                           dict[int, int]]:
-    """The uncleaned composition behind ``compose``.
+def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
+    """Substitute several partition cells at once.
 
-    Returns the builder, whose outputs are the circuit's, and the builder
-    literal of node 0, of every primary input and of every boundary output
-    node.  Its nodes follow cell order; AND nodes no output reaches are
-    kept.
+    ``parts`` must be the partition of ``circuit`` (SubCircuit values, see
+    the partition module) in its flow order: every boundary input of a cell
+    is a primary input or a boundary output of an earlier cell.
+    ``replacements`` maps part id -> replacement Aig over the part's
+    boundary interface.  One pass over the cells inlines every cell, its
+    replacement or else its own extraction, on its already-built boundary
+    inputs.  The result is cleaned and structurally hashed; its nodes
+    follow cell order.
     """
     ids = {p.id for p in parts}
     for pid, cell in replacements.items():
@@ -352,9 +354,7 @@ def compose_builder(circuit: Aig, parts,
             raise AigError(f"replacement for part {pid} is not an Aig")
 
     builder = AigBuilder(circuit.num_inputs)
-    mapping: dict[int, int] = {0: CONST0}
-    for i in range(circuit.num_inputs):
-        mapping[1 + i] = builder.input_lit(i)
+    mapping = {n: lit(n) for n in range(circuit.num_inputs + 1)}
 
     def built(node: int, reader: str) -> int:
         if node not in mapping:
@@ -380,20 +380,4 @@ def compose_builder(circuit: Aig, parts,
 
     for o in circuit.outputs:
         builder.add_output(built(lit_node(o), "an output") ^ (o & 1))
-    return builder, mapping
-
-
-def compose(circuit: Aig, parts, replacements: dict[int, Aig]) -> Aig:
-    """Substitute several partition cells at once.
-
-    ``parts`` must be the partition of ``circuit`` (SubCircuit values, see
-    the partition module) in its flow order: every boundary input of a cell
-    is a primary input or a boundary output of an earlier cell.
-    ``replacements`` maps part id -> replacement Aig over the part's
-    boundary interface.  One pass over the cells inlines every cell, its
-    replacement or else its own extraction, on its already-built boundary
-    inputs.  The result is cleaned and structurally hashed; its nodes
-    follow cell order.
-    """
-    builder, _ = compose_builder(circuit, parts, replacements)
     return cleanup(builder.build(circuit.input_names, circuit.output_names))

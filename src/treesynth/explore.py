@@ -18,21 +18,22 @@ most ``max_inputs`` inputs, else ``qor_samples`` vectors drawn with the
 seed.  A new best is re-measured on the final testbench
 (``_final_measure``).
 
-A candidate is scored without composing it.  A run composes its cells
-once, the base: a structurally hashed builder holding every original cell
-in flow order, the builder literal of every boundary node, and beside each
-builder node its word on the search vectors and its cone, the set of AND
-nodes it reads as a bitset.  A beam state is applied on the base: its
-replaced cells are inlined, and a later cell is inlined again only when a
-boundary literal it reads changed.  A candidate is built on the state by
-the same rule.  Only the nodes a state or a candidate appends are
-simulated and given cones.  A candidate's area is the popcount of the OR
-of its outputs' cones.  Its error is the state's mismatched bits, minus
-those of the outputs the candidate changes, plus theirs on the
-candidate's words.  The candidate, and after its candidates the state, is
-then rolled back.  Structural hashing makes node identity the same as
-term identity, so area and error equal those of the composed candidate
-exactly; only a candidate that becomes the new best is composed.
+A candidate is scored without composing it.  A run builds one base: the
+original circuit on a structurally hashed builder, node ``n`` at literal
+``2 * n`` (the original is cleaned, so inlining rebuilds it node for
+node), and beside each node its word on the search vectors and its cone,
+the set of AND nodes it reads as a bitset.  A beam state is applied on
+the base: its replaced cells are inlined on the boundary literals, and a
+later cell is inlined again only when a boundary literal it reads
+changed.  A candidate is built on the state by the same rule.  Only the
+nodes a state or a candidate appends are simulated and given cones.  A
+candidate's area is the popcount of the OR of its outputs' cones.  Its
+error is the state's mismatched bits, minus those of the outputs the
+candidate changes, plus theirs on the candidate's words.  The candidate,
+and after its candidates the state, is then rolled back.  Structural
+hashing makes node identity the same as term identity, so area and error
+equal those of the composed candidate exactly; only a candidate that
+becomes the new best is composed.
 
 The base, one state and one candidate are held at a time, which bounds
 the search's memory: (AND nodes of base + one state + one candidate) x
@@ -48,8 +49,8 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .aig import (Aig, AigError, and_count, check_int, cleanup, compose,
-                  compose_builder, extend_words, literal_words)
+from .aig import (Aig, AigBuilder, AigError, and_count, check_int, cleanup,
+                  compose, extend_words, lit, literal_words)
 from .odt import SearchBudget
 from .partition import PartitionConfig, SubCircuit, partition
 from .qor import (EXHAUSTIVE_INPUT_CAP, QorReport, Testbench,
@@ -138,16 +139,16 @@ def _final_measure(testbench: Testbench, approx: Aig) -> QorReport:
 
 
 class _Base:
-    """The run's one composition of the original cells, on which each beam
-    state and each candidate is built and to which it is rolled back.
+    """The original circuit on a builder, on which each beam state and each
+    candidate is built and to which it is rolled back.
 
-    ``builder`` holds every cell inlined in flow order and ``lits`` the
-    builder literal of node 0, of each primary input and of each boundary
-    output node.  Beside each builder node, ``words`` holds its word on the
-    search testbench and ``cones`` the AND nodes it reads, itself included,
-    as a bitset whose bit ``i`` is node ``first_and + i``.  ``extend`` adds
-    both for the nodes built since it last ran; ``rollback`` drops them
-    with the nodes.
+    The original is cleaned, so inlining it rebuilds it node for node:
+    ``builder`` holds node ``n`` at literal ``2 * n``, and ``lits`` maps
+    node 0, each input and each boundary output node to that literal.
+    Beside each builder node, ``words`` holds its word on the search
+    testbench and ``cones`` the AND nodes it reads, itself included, as a
+    bitset whose bit ``i`` is node ``first_and + i``.  ``extend`` adds both
+    for the nodes built since it last ran; ``rollback`` drops them.
     """
 
     def __init__(self, original: Aig, parts: list[SubCircuit],
@@ -155,9 +156,13 @@ class _Base:
         self.parts = parts
         self.outputs = original.outputs
         self.bench = bench
-        self.builder, self.lits = compose_builder(original, parts, {})
+        self.first_and = first_and = original.num_inputs + 1
+        self.builder = AigBuilder(original.num_inputs)
+        self.builder.inline(original, [lit(n) for n in range(1, first_and)])
+        self.lits = {n: lit(n) for n in range(first_and)}
+        self.lits.update((n, lit(n)) for part in parts
+                         for n in part.boundary_outputs)
         self.size = len(self.builder.ands)
-        self.first_and = original.num_inputs + 1
         self.words = [0, *bench.words]
         self.cones = [0] * self.first_and
         self.extend()
@@ -203,8 +208,8 @@ class _Base:
 
 
 class _BeamState:
-    """One beam state, applied on the run's base composition while its
-    candidates are scored.
+    """One beam state, applied on the run's base while its candidates are
+    scored.
 
     The state's replacements are inlined on the base, and the later cells
     that read a boundary literal that changed are inlined again.  The
@@ -232,8 +237,8 @@ class _BeamState:
     def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
         """Build the candidate that replaces cell ``part_id`` by ``cell``.
 
-        Returns the candidate's area, the number of AND nodes its outputs'
-        cones cover, and its output literals.
+        Returns the candidate's area, which is the number of AND nodes its
+        outputs' cones cover, and its output literals.
         """
         base, lits = self.base, self.lits
         changed = base.inline(lits, self.cells, {part_id: cell})
@@ -278,13 +283,24 @@ class _Explorer:
         self.original_area = and_count(self.original)
         # (part id, depth an approximation was fitted at) -> approximation
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
-        n = self.original.num_inputs
-        self.final_bench = reporting_testbench(
-            self.original, config.qor_samples, config.seed + 1)
-        self.search_bench = (
-            self.final_bench if n <= config.partition.max_inputs
-            else monte_carlo_testbench(self.original, config.qor_samples,
-                                       config.seed))
+
+    # The testbenches and the base are built on first use: ``replay``
+    # reads none of them.
+    @cached_property
+    def final_bench(self) -> Testbench:
+        return reporting_testbench(self.original, self.config.qor_samples,
+                                   self.config.seed + 1)
+
+    @cached_property
+    def search_bench(self) -> Testbench:
+        config, original = self.config, self.original
+        if original.num_inputs <= config.partition.max_inputs:
+            return self.final_bench
+        return monte_carlo_testbench(original, config.qor_samples, config.seed)
+
+    @cached_property
+    def base(self) -> _Base:
+        return _Base(self.original, self.parts, self.search_bench)
 
     def approx(self, part: SubCircuit, md: int) -> ApproxSubCircuit:
         key = (part.id, md)
@@ -320,12 +336,6 @@ class _Explorer:
         if not replacements:
             return self.original
         return compose(self.original, self.parts, replacements)
-
-    @cached_property
-    def base(self) -> _Base:
-        """The run's base composition, built when a state is first scored
-        (``replay`` scores none)."""
-        return _Base(self.original, self.parts, self.search_bench)
 
     def search_qor(self, state: _BeamState, outputs: list[int]) -> float:
         """Search error of the candidate ``state`` holds, with output

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from treesynth import aig
+from treesynth import aig, qor
 from treesynth.aig import Aig, AigError, _reachable, and_count, compose
 from treesynth.aiger import write_aiger
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
@@ -444,27 +444,56 @@ def test_base_cones_are_reachable_nodes(rng):
 
 
 def test_one_composition_per_run(monkeypatch):
-    # the run composes its base once; every further composition is a new
-    # best's compose, never a beam state's
-    calls = {"compose_builder": 0, "compose": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
+    # the run builds its base once; every composition is a new best's
+    # compose, never a beam state's
+    explore_module = sys.modules["treesynth.explore"]
+    calls = {"_Base": 0, "compose": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(explore_module, name), name=name):
             calls[name] += 1
             return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    explore_module = sys.modules["treesynth.explore"]
-    for module, name in ((aig, "compose_builder"),
-                         (explore_module, "compose_builder"),
-                         (explore_module, "compose")):
-        counted(module, name)
+        monkeypatch.setattr(explore_module, name, counted)
     res = explore(add8u(), small_config(0.10, initial_parts=10))
     states = 1 + len(res.trace)  # the start, and each state a record adds
+    assert calls["_Base"] == 1
     assert states > 1 + calls["compose"] >= 2
-    assert calls["compose_builder"] == 1 + calls["compose"]
+
+
+@pytest.mark.parametrize("name,initial_parts,max_inputs", [
+    ("add8u", 10, 14), ("mul7u", 10, 14), ("c17", 2, 3)])
+def test_base_is_the_original(name, initial_parts, max_inputs):
+    # the base rebuilds the cleaned original node for node, whatever the
+    # cells' flow order, and simulates it as a plain simulation does
+    explorer = _Explorer(BENCHMARKS[name](), ExplorationConfig(
+        partition=PartitionConfig(initial_parts=initial_parts,
+                                  max_inputs=max_inputs)))
+    original, base, bench = (explorer.original, explorer.base,
+                             explorer.search_bench)
+    assert base.builder.ands == list(original.ands)
+    assert set(base.lits) == {*range(base.first_and), *(
+        n for part in explorer.parts for n in part.boundary_outputs)}
+    assert all(base.lits[n] == 2 * n for n in base.lits)
+    every_node = Aig(num_inputs=original.num_inputs, ands=original.ands,
+                     outputs=tuple(2 * n for n in range(len(base.words))))
+    assert base.words == aig.simulate_words(every_node, bench.words,
+                                            bench.mask)
+
+
+def test_replay_builds_no_unread_testbench(monkeypatch):
+    # a one-cell replay fits that cell on its truth table, one testbench;
+    # the explorer's final and search testbenches are never read
+    built = []
+    init = qor.Testbench.__init__
+
+    def counted(self, original, *args):
+        built.append(original.num_inputs)
+        init(self, original, *args)
+    monkeypatch.setattr(qor.Testbench, "__init__", counted)
+    cfg = small_config(0.10, initial_parts=10)
+    part = _Explorer(add8u(), cfg).parts[0]
+    built.clear()
+    replay(add8u(), cfg, [(part.id, 3)])
+    assert built == [len(part.boundary_inputs)]
 
 
 class ComposingState:

@@ -1,6 +1,10 @@
-"""The committed benchmark inputs are exactly what their generators write."""
+"""The committed benchmark inputs are exactly what their generators write,
+and the CLI's outputs on them have the committed digests."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,3 +32,15 @@ def test_benchmark_netlists_match_generator():
 def test_pla_cases_match_generator():
     assert_committed(ROOT / "benchmarks" / "pla",
                      load_script("make_pla_cases").case_files())
+
+
+def test_cli_outputs_match_committed_digests():
+    # every output of the fixed CLI runs is pinned; a change that alters
+    # one by design regenerates the file with
+    #     PYTHONPATH=src python3 scripts/output_digests.py
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "output_digests.py")],
+        capture_output=True, text=True, env=env, check=True)
+    expected = (ROOT / "tests" / "output_digests.txt").read_text()
+    assert run.stdout.splitlines() == expected.splitlines()
