@@ -6,12 +6,15 @@ runs (exhaustive search), ``c432`` with 8-input cells (search on
 Monte-Carlo vectors), ``c1908`` with 33-input cells (an input error: a
 cell's truth table has at most 20 inputs), a ``--whole-circuit`` depth
 sweep of ``c17`` written as AIGER, one read and written as BLIF and one
-of ``add8u`` (a 16-input truth table), ``learn`` on both PLA triples and
-on one from depth 0 with a CSV report and a BLIF netlist, ``partition``
-of three wide circuits and of ``c17.blif``, ``eval`` of the ``mul7u``
-0.10 netlist by default (exhaustive, since it has 14 inputs) and with
-``--exhaustive``, and ``eval`` of the ``c432`` netlist (36 inputs, so
-Monte Carlo) on 40 000 sampled vectors, more than one simulation slice.
+of ``add8u`` (a 16-input truth table), two runs whose tree searches
+reach a node limit (``mul7u`` at 0.10 with ``--node-limit 200``, and the
+``c17`` sweep with ``--node-limit 1``; both exit 3), ``learn`` on both
+PLA triples and on one from depth 0 with a CSV report and a BLIF
+netlist, ``partition`` of three wide circuits and of ``c17.blif``,
+``eval`` of the ``mul7u`` 0.10 netlist by default (exhaustive, since it
+has 14 inputs) and with ``--exhaustive``, and ``eval`` of the ``c432``
+netlist (36 inputs, so Monte Carlo) on 40 000 sampled vectors, more than
+one simulation slice.
 Each runs in-process in one temporary directory, on copies of the inputs
 under ``benchmarks/``.  Stdout gets one ``name sha256`` line per run,
 over its exit code, stdout and stderr, then one per file the runs wrote.
@@ -70,6 +73,14 @@ def runs(tmp: str) -> list[tuple[str, list[str]]]:
     out.append(("approximate_add8u_whole", [
         "approximate", f"{tmp}/add8u.aag", "--whole-circuit", "--depth",
         "1..3", "--no-timing"]))
+    out.append(("approximate_mul7u_0.10_nodes200", [
+        "approximate", f"{tmp}/mul7u.aag", "--threshold", "0.10",
+        "--initial-parts", "10", "--node-limit", "200", "--no-timing",
+        "--out", f"{tmp}/mul7u_0.10_nodes200.aag", "--trace",
+        f"{tmp}/mul7u_0.10_nodes200.trace"]))
+    out.append(("approximate_c17_whole_nodes1", [
+        "approximate", f"{tmp}/c17.aag", "--whole-circuit", "--depth",
+        "1..4", "--node-limit", "1", "--no-timing"]))
     for case in ("add8u_cout", "mul7u_p12"):
         out.append((f"learn_{case}", [
             "learn", *(f"{tmp}/pla/{case}_{split}.pla"

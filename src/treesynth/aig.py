@@ -159,13 +159,8 @@ def truth_table_input_words(num_inputs: int) -> list[int]:
 
 def reachable_nodes(circuit: Aig) -> set[int]:
     """AND nodes reachable from the outputs (constants/PIs excluded)."""
-    return _reachable(circuit.ands, circuit.num_inputs + 1, circuit.outputs)
-
-
-def _reachable(ands, first_and: int, literals) -> set[int]:
-    """AND nodes reachable from ``literals``; ``ands[i]`` is node
-    ``first_and + i``."""
-    seen = {x >> 1 for x in literals if x >> 1 >= first_and}
+    ands, first_and = circuit.ands, circuit.num_inputs + 1
+    seen = {x >> 1 for x in circuit.outputs if x >> 1 >= first_and}
     stack = list(seen)
     push, mark = stack.append, seen.add
     while stack:

@@ -143,12 +143,11 @@ class _Base:
     candidate is built and to which it is rolled back.
 
     The original is cleaned, so inlining it rebuilds it node for node:
-    ``builder`` holds node ``n`` at literal ``2 * n``, and ``lits`` maps
-    node 0, each input and each boundary output node to that literal.
-    Beside each builder node, ``words`` holds its word on the search
-    testbench and ``cones`` the AND nodes it reads, itself included, as a
-    bitset whose bit ``i`` is node ``first_and + i``.  ``extend`` adds both
-    for the nodes built since it last ran; ``rollback`` drops them.
+    ``builder`` holds node ``n`` at literal ``2 * n``.  Beside each
+    builder node, ``words`` holds its word on the search testbench and
+    ``cones`` the AND nodes it reads, itself included, as a bitset whose
+    bit ``i`` is node ``first_and + i``.  ``extend`` adds both for the
+    nodes built since it last ran; ``rollback`` drops them.
     """
 
     def __init__(self, original: Aig, parts: list[SubCircuit],
@@ -159,9 +158,6 @@ class _Base:
         self.first_and = first_and = original.num_inputs + 1
         self.builder = AigBuilder(original.num_inputs)
         self.builder.inline(original, [lit(n) for n in range(1, first_and)])
-        self.lits = {n: lit(n) for n in range(first_and)}
-        self.lits.update((n, lit(n)) for part in parts
-                         for n in part.boundary_outputs)
         self.size = len(self.builder.ands)
         self.words = [0, *bench.words]
         self.cones = [0] * self.first_and
@@ -177,12 +173,13 @@ class _Base:
             cones.append(cones[a >> 1] | cones[b >> 1] | bit)
             bit <<= 1
 
-    def inline(self, lits: dict[int, int], cells: list[Aig],
+    def inline(self, lits: dict[int, int], bodies: dict[int, Aig],
                replaced: dict[int, Aig]) -> dict[int, int]:
-        """Inline each cell ``replaced`` maps a part id to, on the boundary
-        literals ``lits``, and re-inline every later cell of ``cells`` that
-        reads a boundary literal that changed.  Returns the new literal of
-        each boundary output node whose literal changed."""
+        """Inline each cell ``replaced`` maps a part id to, and re-inline
+        every later cell that reads a boundary literal that changed, with
+        the body ``bodies`` maps its id to, else its extracted one.  Node
+        ``n`` is at literal ``lits.get(n, 2 * n)``.  Returns the new
+        literal of each boundary output node whose literal changed."""
         builder = self.builder
         changed: dict[int, int] = {}
         for part in self.parts[min(replaced):]:
@@ -190,12 +187,12 @@ class _Base:
             if body is None:
                 if changed.keys().isdisjoint(part.boundary_inputs):
                     continue  # same inputs, so the same nodes as before
-                body = cells[part.id]
-            inputs = [changed.get(src, lits[src])
+                body = bodies.get(part.id, part.extracted)
+            inputs = [changed.get(src, lits.get(src, 2 * src))
                       for src in part.boundary_inputs]
             for node, out in zip(part.boundary_outputs,
                                  builder.inline(body, inputs)):
-                if out != lits[node]:
+                if out != lits.get(node, 2 * node):
                     changed[node] = out
         return changed
 
@@ -213,7 +210,8 @@ class _BeamState:
 
     The state's replacements are inlined on the base, and the later cells
     that read a boundary literal that changed are inlined again.  The
-    state keeps its ``cells``, its boundary literals ``lits``, its output
+    state keeps its ``replacements``, the boundary literals ``lits`` they
+    changed (node ``n`` is at ``lits.get(n, 2 * n)``), its output
     literals and their words, and the bits in which those differ from the
     original's.  ``substitute`` appends a candidate's nodes, ``rollback``
     drops them again and ``release`` drops the state's own, leaving the
@@ -222,15 +220,14 @@ class _BeamState:
 
     def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
         base = self.base = explorer.base
-        self.cells = [replacements.get(part.id, part.extracted)
-                      for part in base.parts]
-        self.lits = base.lits
-        if replacements:
-            self.lits = {**base.lits,
-                         **base.inline(base.lits, self.cells, replacements)}
+        self.replacements = replacements
+        self.lits = (base.inline({}, replacements, replacements)
+                     if replacements else {})
         base.extend()
         self.size = len(base.builder.ands)
-        self.outputs = [self.lits[o >> 1] ^ (o & 1) for o in base.outputs]
+        # o & -2 is 2 * (o >> 1), the literal of a node the state kept
+        self.outputs = [self.lits.get(o >> 1, o & -2) ^ (o & 1)
+                        for o in base.outputs]
         self.words = literal_words(base.words, self.outputs, base.bench.mask)
         self.mismatched = mismatched_bits(base.bench.reference, self.words)
 
@@ -241,9 +238,9 @@ class _BeamState:
         outputs' cones cover, and its output literals.
         """
         base, lits = self.base, self.lits
-        changed = base.inline(lits, self.cells, {part_id: cell})
+        changed = base.inline(lits, self.replacements, {part_id: cell})
         base.extend()
-        outputs = [changed.get(o >> 1, lits[o >> 1]) ^ (o & 1)
+        outputs = [changed.get(o >> 1, lits.get(o >> 1, o & -2)) ^ (o & 1)
                    for o in base.outputs]
         cones = base.cones
         cone = 0

@@ -65,10 +65,11 @@ exactly when it has made at least one expansion and at least
 ``node_limit`` of them.  A split solves its high side without a check of
 its own, so each level below the check that last passed may expand one
 more subproblem: a fit makes at most
-``max(node_limit, 1) + max_depth - 1`` expansions.  Unbudgeted fits are
-pure functions of ``(data, max_depth)``, so finished trees are memoized
-per process in a bounded LRU cache.  Fits with a node limit never touch
-that cache: their outcome depends on the limit.
+``max(node_limit, 1) + max_depth - 1`` expansions.  Since every fit is
+a pure function of ``(data, budget)``, finished trees are memoized per
+process in a bounded LRU cache keyed on both, so a hit returns the tree a
+fresh search would, ``proven_optimal`` included, and a fit never answers
+a call with another node limit.
 """
 
 from __future__ import annotations
@@ -396,23 +397,17 @@ def fit_optimal(data: Dataset, budget: SearchBudget) -> DecisionTree:
     """Tree with provably minimal weighted training error at the depth cap.
 
     When the node limit preempts the proof, the best tree found so far is
-    returned with ``proven_optimal`` false.  Calls without a node limit
-    are memoized.
+    returned with ``proven_optimal`` false.  Calls are memoized on
+    ``(data, budget)``.
     """
     if data.num_rows < 1:
         raise OdtError("cannot fit a tree on an empty dataset")
     if budget.max_depth > data.num_features:  # no tree is deeper than F
         budget = replace(budget, max_depth=data.num_features)
-    if budget.node_limit is None:
-        return _fit_unbudgeted(data, budget.max_depth)
     return _fit(data, budget)
 
 
 @functools.lru_cache(maxsize=512)
-def _fit_unbudgeted(data: Dataset, max_depth: int) -> DecisionTree:
-    return _fit(data, SearchBudget(max_depth=max_depth))
-
-
 def _fit(data: Dataset, budget: SearchBudget) -> DecisionTree:
     search = _Search(data, budget)
     err, root = search.run()

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from treesynth.aig import Aig, AigBuilder
-from treesynth.odt import _fit_unbudgeted
+from treesynth.odt import _fit
 
 
 def clear_memos() -> None:
-    """Empty the per-process fit memo, the only cache kept across calls."""
-    _fit_unbudgeted.cache_clear()
+    """Empty the per-process fit memo, the only cache kept across calls
+    whose hits change how much work a call does."""
+    _fit.cache_clear()
 
 
 @pytest.fixture(autouse=True)

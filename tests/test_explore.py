@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from treesynth import aig, qor
-from treesynth.aig import Aig, AigError, _reachable, and_count, compose
+from treesynth.aig import Aig, AigError, and_count, compose, reachable_nodes
 from treesynth.aiger import write_aiger
 from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
                                explore, loss, replay)
@@ -355,7 +355,7 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
 
     def snapshot():
         return (list(base.builder.ands), dict(base.builder._strash),
-                list(base.words), list(base.cones), dict(base.lits))
+                list(base.words), list(base.cones))
 
     def check(state, replacements, part, cell):
         before = snapshot()
@@ -378,6 +378,8 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
                         if rng.random() < 0.4}
         before = snapshot()
         state = _BeamState(explorer, replacements)
+        # the state keeps only the boundary literals its replacements changed
+        assert all(out != 2 * node for node, out in state.lits.items())
         for _ in range(per_state):
             part = rng.choice(parts)
             check(state, replacements, part, random_cell(part))
@@ -388,7 +390,8 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
         # literal: the candidate is the state itself
         part = rng.choice(parts)
         own = compose(original, parts, replacements)
-        assert check(state, replacements, part, state.cells[part.id]) == (
+        own_cell = state.replacements.get(part.id, part.extracted)
+        assert check(state, replacements, part, own_cell) == (
             and_count(own), bench.measure(own).error, state.outputs)
         state.release()
         assert snapshot() == before
@@ -439,8 +442,8 @@ def test_base_cones_are_reachable_nodes(rng):
         assert len(base.cones) == len(base.words) == (
             base.first_and + len(base.builder.ands))
         for node in range(len(base.cones)):
-            assert cone_nodes(base, node) == _reachable(
-                base.builder.ands, base.first_and, [2 * node])
+            assert cone_nodes(base, node) == reachable_nodes(Aig(
+                base.first_and - 1, tuple(base.builder.ands), (2 * node,)))
 
 
 def test_one_composition_per_run(monkeypatch):
@@ -470,9 +473,6 @@ def test_base_is_the_original(name, initial_parts, max_inputs):
     original, base, bench = (explorer.original, explorer.base,
                              explorer.search_bench)
     assert base.builder.ands == list(original.ands)
-    assert set(base.lits) == {*range(base.first_and), *(
-        n for part in explorer.parts for n in part.boundary_outputs)}
-    assert all(base.lits[n] == 2 * n for n in base.lits)
     every_node = Aig(num_inputs=original.num_inputs, ands=original.ands,
                      outputs=tuple(2 * n for n in range(len(base.words))))
     assert base.words == aig.simulate_words(every_node, bench.words,

@@ -181,12 +181,40 @@ def test_node_limit_bounds_expansions():
     assert at_bound
 
 
-def test_budgeted_fit_bypasses_memo():
-    # an earlier unbudgeted fit of the same data must not answer a budgeted one
+@pytest.fixture
+def searches(monkeypatch) -> list:
+    """Every ``_Search`` that ``fit_optimal`` builds, in order."""
+    built = []
+
+    class CountingSearch(_Search):
+        def __init__(self, data: Dataset, budget: SearchBudget):
+            super().__init__(data, budget)
+            built.append(self)
+
+    monkeypatch.setattr("treesynth.odt._Search", CountingSearch)
+    return built
+
+
+def test_equal_budgeted_fits_share_one_search(searches):
+    # a budgeted fit is a pure function of (data, budget), so the memo
+    # answers an equal call, built anew, with the tree it already has
+    rng = random.Random(17)
+    d = make_dataset(rng, 8, 64)
+    first = fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
+    twin = Dataset(num_rows=d.num_rows, features=d.features, labels=d.labels)
+    assert fit_optimal(twin, SearchBudget(max_depth=6, node_limit=3)) is first
+    assert len(searches) == 1
+    assert not first.proven_optimal
+
+
+def test_unbudgeted_fit_never_answers_budgeted_one(searches):
+    # the memo key holds the node limit: an earlier unbudgeted fit of the
+    # same data and depth must not answer a budgeted one
     rng = random.Random(17)
     d = make_dataset(rng, 8, 64)
     assert fit_optimal(d, SearchBudget(max_depth=6)).proven_optimal
     partial = fit_optimal(d, SearchBudget(max_depth=6, node_limit=3))
+    assert len(searches) == 2
     assert not partial.proven_optimal
     assert row_errors(partial, d) == partial.train_error
 
@@ -203,7 +231,7 @@ def test_memo_hit_matches_fresh_search():
                        labels=d.labels, weights=d.weights)
         hit = fit_optimal(twin, budget)
         assert hit is first
-        # a node limit bypasses the memo, so this is a fresh search
+        # another node limit is another memo key, so this is a fresh search
         fresh = fit_optimal(d, SearchBudget(max_depth=budget.max_depth,
                                             node_limit=10**9))
         assert hit == fresh
@@ -637,18 +665,10 @@ def test_budgeted_fit_on_pla_data():
     assert memos_within(partial, full)
 
 
-def test_fit_deeper_than_features_is_the_fit_at_features(monkeypatch):
+def test_fit_deeper_than_features_is_the_fit_at_features(searches):
     # a split on a fixed feature is constant and skipped, so no tree is
     # deeper than its F features: a deeper request is the fit at F, and
     # its search needs one memo per depth up to F
-    searches = []
-
-    class CountingSearch(_Search):
-        def __init__(self, data: Dataset, budget: SearchBudget):
-            super().__init__(data, budget)
-            searches.append(self)
-
-    monkeypatch.setattr("treesynth.odt._Search", CountingSearch)
     for data in (truth_tables(c17())[0],
                  parse_pla((PLA / "mul7u_p12_train.pla").read_text())):
         for node_limit in (None, 10**9):
