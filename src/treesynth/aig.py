@@ -234,7 +234,7 @@ class AigBuilder:
             return b
         if a == b:
             return a
-        if a == lit_not(b):
+        if a == b ^ 1:
             return CONST0
         key = (a, b)
         cached = self._strash.get(key)
@@ -242,7 +242,7 @@ class AigBuilder:
             return cached
         node = self.num_inputs + 1 + len(self.ands)
         self.ands.append(key)
-        out = lit(node)
+        out = 2 * node
         self._strash[key] = out
         return out
 

@@ -1,13 +1,16 @@
 """Greedy beam search over per-cell depth budgets.
 
-Each beam state carries the per-cell depth vector plus the substitutions
-applied so far.  Every iteration scores the substitution of each eligible
-cell by loss = (area' - original_area) / error', keeps the best successor
-states inside the error budget, then steps the substituted cell's depth
-budget down from the depth its approximation records (the smallest
-realized depth when it is exact); a budget below 2 freezes the cell.  An
-approximation is cached only under the depth it was fitted at, which is
-also the trace's ``md`` and the substitution's depth.
+A beam state is one tuple: the depth each cell's substitution was fitted
+at, or None for a kept cell.  Every iteration scores the substitution of
+each eligible cell at its depth budget by loss = (area' - original_area)
+/ error' and keeps the best successor states inside the error budget.  A
+cell's budget follows from its depth (``_Explorer.budget``): one step
+below the depth its approximation records (the smallest realized depth
+when it is exact), ``initial_max_depth`` for a kept cell; a budget below
+2 freezes the cell.  A budget is below the depth it follows, so a state
+of iteration t made t moves and only states of one iteration coincide.
+An approximation is cached only under the depth it was fitted at, which
+is also the trace's ``md`` and the substitution's depth.
 
 Every cell is fitted on its whole truth table, so ``max_inputs`` may not
 exceed ``EXHAUSTIVE_INPUT_CAP``.  The final testbench is
@@ -280,6 +283,8 @@ class _Explorer:
         self.original_area = and_count(self.original)
         # (part id, depth an approximation was fitted at) -> approximation
         self.cache: dict[tuple[int, int], ApproxSubCircuit] = {}
+        # (part id, depth its substitution was fitted at, or None) -> budget
+        self.budgets: dict[tuple[int, int | None], int] = {}
 
     # The testbenches and the base are built on first use: ``replay``
     # reads none of them.
@@ -307,21 +312,31 @@ class _Explorer:
                 part.extracted, md, node_limit=self.config.node_limit)
         return hit
 
-    def normalize_md(self, part: SubCircuit, md: int) -> int:
-        """Advance a cell's depth budget past depths that can never be chosen.
+    def budget(self, part: SubCircuit, depth: int | None) -> int:
+        """The depth budget of cell ``part`` substituted at ``depth`` (None:
+        kept), memoized in ``budgets``.
 
-        An exact replacement that does not shrink the cell has infinite
-        loss; keeping the stream parked there would deadlock the search, so
-        the budget steps down from the depth it records until the
+        It starts one step below the depth the approximation at ``depth``
+        records, at ``initial_max_depth`` for a kept cell.  An exact
+        replacement that does not shrink the cell has infinite loss;
+        keeping the stream parked there would deadlock the search, so the
+        budget steps down from the depth it records until the
         approximation fitted at the budget is inexact or shrinks the cell.
         Returns that fitted depth; a budget below 2 freezes the cell.
         """
-        cell_area = and_count(part.extracted)
-        while md >= 2:
-            sa = self.approx(part, md)
-            if not sa.exact or and_count(sa.circuit) < cell_area:
-                return md
-            md = sa.md - self.config.step
+        key = (part.id, depth)
+        md = self.budgets.get(key)
+        if md is None:
+            step = self.config.step
+            md = (self.config.initial_max_depth if depth is None
+                  else self.cache[key].md - step)
+            cell_area = and_count(part.extracted)
+            while md >= 2:
+                sa = self.approx(part, md)
+                if not sa.exact or and_count(sa.circuit) < cell_area:
+                    break
+                md = sa.md - step
+            self.budgets[key] = md
         return md
 
     def replacements(self, applied: tuple[int | None, ...]) -> dict[int, Aig]:
@@ -339,19 +354,20 @@ class _Explorer:
         literals ``outputs``."""
         return state.error(outputs)
 
-    def score_state(self, stream_idx: int, md_stream: tuple[int, ...],
-                   state_applied: tuple[int | None, ...]) -> list[tuple]:
+    def score_state(self, stream_idx: int,
+                    applied: tuple[int | None, ...]) -> list[tuple]:
         """Score the substitution of each eligible cell of one beam state.
 
-        Returns (loss, part id, stream idx, applied, area, error) for each
+        Returns (loss, part id, stream idx, depth, area, error) for each
         candidate inside the error budget that is not a zero-gain exact
-        substitution.
+        substitution; depth is the cell's budget, which it is fitted at.
         """
         err = self.config.error_threshold
-        state = _BeamState(self, self.replacements(state_applied))
+        state = _BeamState(self, self.replacements(applied))
         out = []
         try:
-            for part, md in zip(self.parts, md_stream):
+            for part, depth in zip(self.parts, applied):
+                md = self.budget(part, depth)
                 if md < 2:
                     continue  # frozen cell
                 sa = self.approx(part, md)
@@ -363,10 +379,7 @@ class _Explorer:
                 score = loss(area, self.original_area, q)
                 if math.isinf(score) and score > 0:
                     continue  # zero-gain exact substitution
-                applied = list(state_applied)
-                applied[part.id] = md
-                out.append((score, part.id, stream_idx, tuple(applied), area,
-                            q))
+                out.append((score, part.id, stream_idx, md, area, q))
         finally:
             state.release()  # the base outlives the state
         return out
@@ -375,48 +388,35 @@ class _Explorer:
         config = self.config
         err = config.error_threshold
 
-        # Algorithm setup: approximate every cell at the initial depth and
-        # normalize it.  A beam state is (md_stream, applied): the per-cell
-        # depth budgets, and the depth each cell's active substitution was
-        # fitted at (None if original).
-        initial_md = tuple(self.normalize_md(part, config.initial_max_depth)
-                           for part in self.parts)
-        start = (initial_md, (None,) * len(self.parts))
-
+        start = (None,) * len(self.parts)  # no cell substituted
         best_circuit, best_area = self.original, self.original_area
         # the final testbench holds the original's output words already
         best_report = self.final_bench.report(self.final_bench.reference)
-        best_applied = start[1]
+        best_applied = start
         trace: list[TraceRecord] = []
 
         beam = [start]
-        seen = {start}
         iteration = 0
         while beam:
             iteration += 1
             candidates = []
-            for stream_idx, (md_stream, state_applied) in enumerate(beam):
-                candidates += self.score_state(stream_idx, md_stream,
-                                               state_applied)
+            for stream_idx, applied in enumerate(beam):
+                candidates += self.score_state(stream_idx, applied)
             candidates.sort(key=lambda c: (c[0], c[1], c[2]))
 
+            # an earlier iteration's states made fewer moves: none recurs
             next_beam = []
-            for score, part_id, stream_idx, applied, area, q in candidates:
+            for score, part_id, stream_idx, md, area, q in candidates:
                 if len(next_beam) >= config.beam_width:
                     break
-                md_stream = list(beam[stream_idx][0])
-                used_md = md_stream[part_id]
-                md_stream[part_id] = self.normalize_md(
-                    self.parts[part_id],
-                    self.cache[(part_id, used_md)].md - config.step)
-                state = (tuple(md_stream), applied)
-                if state in seen:
+                parent = beam[stream_idx]
+                applied = parent[:part_id] + (md,) + parent[part_id + 1:]
+                if applied in next_beam:
                     continue
-                seen.add(state)
-                next_beam.append(state)
+                next_beam.append(applied)
                 trace.append(TraceRecord(
                     iteration=iteration, stream=len(next_beam) - 1,
-                    part=part_id, md=used_md, loss=score, area=area, qor=q))
+                    part=part_id, md=md, loss=score, area=area, qor=q))
                 if area < best_area:
                     composed = self.compose_state(applied)
                     report = _final_measure(self.final_bench, composed)

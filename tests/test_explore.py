@@ -197,15 +197,29 @@ def test_deterministic(rng):
     assert r1.final_qor == r2.final_qor
 
 
-def test_stream_depths_monotone(rng):
-    """Per-cell depth budgets never increase along a trace."""
-    c = random_circuit(rng, 6, 40, 3)
-    res = explore(c, small_config(0.2))
-    last_md: dict[int, int] = {}
-    for rec in res.trace:
-        if rec.part in last_md:
-            assert rec.md <= last_md[rec.part]
-        last_md[rec.part] = rec.md
+def test_stream_depths_monotone():
+    """A cell's budget is below the depth its substitution was fitted at,
+    so each stream steps a cell's depth down, and each trace record's
+    depth is one of its cell's budgets.  Records of different streams may
+    read a cell's depths in any order: at seed 7, part 3 reads 3, then 2,
+    then 3 across iterations 2 and 3.  The fixture seed's circuit cleans
+    to no AND node, so it has no trace."""
+    for seed in (0xC0FFEE, 7, 66, 175):
+        c = random_circuit(random.Random(seed), 6, 40, 3)
+        explorer = _Explorer(c, small_config(0.2))
+        for part in explorer.parts:  # each cell's whole ladder, run or not
+            depth = None
+            while (md := explorer.budget(part, depth)) >= 2:
+                assert depth is None or md < depth
+                depth = md
+        explorer = _Explorer(c, small_config(0.2))
+        res = explorer.run()
+        assert bool(res.trace) == (seed != 0xC0FFEE)
+        for (part, depth), md in explorer.budgets.items():
+            assert depth is None or md < depth
+        for rec in res.trace:
+            assert rec.md in {md for (part, _), md in explorer.budgets.items()
+                              if part == rec.part}
 
 
 def test_beam_dominance(rng):
@@ -576,3 +590,41 @@ PINNED_RESULTS = [
 def test_results_are_pinned(name, cfg, digest):
     # a refactor or speed-up must leave every result byte-identical
     assert result_digest(explore(BENCHMARKS[name](), cfg)) == digest
+
+
+def random_runs():
+    """A hundred seeded runs on small random circuits, over beam
+    widths, steps, node limits and partition shapes."""
+    rng = random.Random(34)
+    for _ in range(100):
+        c = random_circuit(rng, rng.randint(4, 8), rng.randint(10, 60),
+                           rng.randint(1, 5))
+        yield c, ExplorationConfig(
+            error_threshold=rng.choice((0.05, 0.15, 0.3)),
+            beam_width=rng.randint(1, 4), step=rng.randint(1, 2),
+            node_limit=rng.choice((None, 3)),
+            partition=PartitionConfig(initial_parts=rng.randint(2, 5),
+                                      max_inputs=rng.randint(3, 8)))
+
+
+def test_random_runs_are_pinned(monkeypatch):
+    # one digest over every run's whole result; each run scores each beam
+    # state exactly once, the start and one per trace record
+    scored = []
+    score_state = _Explorer.score_state
+
+    def counted(self, stream_idx, applied):
+        scored.append(applied)
+        return score_state(self, stream_idx, applied)
+    monkeypatch.setattr(_Explorer, "score_state", counted)
+    digest = hashlib.sha256()
+    for c, cfg in random_runs():
+        scored.clear()
+        res = explore(c, cfg)
+        assert len(scored) == len(set(scored)) == 1 + len(res.trace)
+        digest.update(json.dumps([
+            [rec.as_dict() for rec in res.trace], res.substitutions,
+            res.original_area, res.final_area, res.final_qor.to_json(),
+            res.budget_exceeded, write_aiger(res.circuit)]).encode())
+    assert digest.hexdigest() == (
+        "7679b2902c4b2312ed9452ecc7f21c376811058666d89b6de8be1a6b9780d056")
