@@ -9,7 +9,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .aig import Aig, AigError, and_count, cleanup, simulate_words
+from .aig import Aig, AigError, and_count, check_int, cleanup, simulate_words
 from .aiger import parse_aiger, write_aiger
 from .blif import parse_blif, write_blif
 from .dataset import Dataset, DatasetError, load_pla_triple
@@ -79,6 +79,7 @@ def _emit_report(report: dict, args, started: float) -> None:
 
 def cmd_learn(args) -> int:
     started = time.monotonic()
+    check_int("seed", args.seed, 0)
     triple = load_pla_triple(Path(args.train).read_text(),
                              Path(args.validation).read_text(),
                              Path(args.test).read_text())
@@ -136,6 +137,7 @@ def _exploration_config(args) -> ExplorationConfig:
 def cmd_approximate(args) -> int:
     started = time.monotonic()
     circuit = _read_netlist(args.netlist)
+    config = _exploration_config(args)  # both modes check every flag
     config_echo = {
         "netlist": args.netlist, "threshold": args.threshold,
         "initial_depth": args.initial_depth, "step": args.step,
@@ -153,11 +155,11 @@ def cmd_approximate(args) -> int:
     if args.whole_circuit:
         # one approximation per depth over the whole circuit's truth tables
         depths = _parse_depth_range(args.depth or str(args.initial_depth))
-        bench = exhaustive_testbench(circuit)
+        bench = reporting_testbench(circuit, config.qor_samples, config.seed)
         proven = True
         for depth in depths:
             approx = approx_sub_circuit(circuit, depth,
-                                        node_limit=args.node_limit)
+                                        node_limit=config.node_limit)
             proven = proven and approx.proven
             q = bench.measure(approx.circuit)
             trees = approx.per_output_trees
@@ -178,7 +180,7 @@ def cmd_approximate(args) -> int:
         _emit_report(report, args, started)
         return EXIT_OK if proven else EXIT_BUDGET_EXCEEDED
 
-    result = explore(circuit, _exploration_config(args))
+    result = explore(circuit, config)
     report["results"] = [rec.as_dict() for rec in result.trace]
     report["selected"] = {
         "original_and_count": result.original_area,
@@ -311,6 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_int("jobs", args.jobs, 1)  # read by no handler: a no-op
         return args.func(args)
     except (AigError, DatasetError, OdtError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

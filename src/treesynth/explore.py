@@ -5,12 +5,13 @@ at, or None for a kept cell.  Every iteration scores the substitution of
 each eligible cell at its depth budget by loss = (area' - original_area)
 / error' and keeps the best successor states inside the error budget.  A
 cell's budget follows from its depth (``_Explorer.budget``): one step
-below the depth its approximation records (the smallest realized depth
-when it is exact), ``initial_max_depth`` for a kept cell; a budget below
-2 freezes the cell.  A budget is below the depth it follows, so a state
-of iteration t made t moves and only states of one iteration coincide.
-An approximation is cached only under the depth it was fitted at, which
-is also the trace's ``md`` and the substitution's depth.
+below that depth, or below its trees' smallest realized depth when they
+are exact (``_Explorer.below``); ``initial_max_depth`` for a kept cell.
+A budget below 2 freezes the cell.  A budget is below the depth it
+follows, so a state of iteration t made t moves and only states of one
+iteration coincide.  An approximation is cached only under the depth it
+was fitted at, which is also the trace's ``md`` and the substitution's
+depth.
 
 Every cell is fitted on its whole truth table, so ``max_inputs`` may not
 exceed ``EXHAUSTIVE_INPUT_CAP``.  The final testbench is
@@ -312,30 +313,36 @@ class _Explorer:
                 part.extracted, md, node_limit=self.config.node_limit)
         return hit
 
+    def below(self, part: SubCircuit, md: int) -> int:
+        """One ``step`` below ``md``, or below the smallest realized depth
+        of ``part``'s trees fitted at ``md`` when they are all exact."""
+        sa = self.cache[(part.id, md)]
+        if sa.exact:  # a cell has an output, so it has a tree
+            md = min(t.realized_depth for t in sa.per_output_trees)
+        return md - self.config.step
+
     def budget(self, part: SubCircuit, depth: int | None) -> int:
         """The depth budget of cell ``part`` substituted at ``depth`` (None:
         kept), memoized in ``budgets``.
 
-        It starts one step below the depth the approximation at ``depth``
-        records, at ``initial_max_depth`` for a kept cell.  An exact
-        replacement that does not shrink the cell has infinite loss;
-        keeping the stream parked there would deadlock the search, so the
-        budget steps down from the depth it records until the
-        approximation fitted at the budget is inexact or shrinks the cell.
-        Returns that fitted depth; a budget below 2 freezes the cell.
+        It starts at ``below(part, depth)``, at ``initial_max_depth`` for
+        a kept cell.  An exact replacement that does not shrink the cell
+        (its nodes: exactly its members, all live) has infinite loss; so
+        as not to park the stream there and deadlock the search, the
+        budget steps ``below`` until the approximation fitted at it is
+        inexact or shrinks the cell.  Returns that fitted depth.
         """
         key = (part.id, depth)
         md = self.budgets.get(key)
         if md is None:
-            step = self.config.step
             md = (self.config.initial_max_depth if depth is None
-                  else self.cache[key].md - step)
-            cell_area = and_count(part.extracted)
+                  else self.below(part, depth))
             while md >= 2:
                 sa = self.approx(part, md)
-                if not sa.exact or and_count(sa.circuit) < cell_area:
+                if not sa.exact or (and_count(sa.circuit)
+                                    < len(part.extracted.ands)):
                     break
-                md = sa.md - step
+                md = self.below(part, md)
             self.budgets[key] = md
         return md
 

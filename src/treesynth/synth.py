@@ -46,7 +46,6 @@ def trees_to_aig(trees: list[DecisionTree], num_inputs: int) -> Aig:
 @dataclass(frozen=True)
 class ApproxSubCircuit:
     circuit: Aig
-    md: int  # the explorer's next budget steps down from here
     per_output_trees: tuple[DecisionTree, ...]
 
     @property
@@ -65,17 +64,11 @@ def approx_sub_circuit(circuit: Aig, md: int,
     """Learn one depth-bounded optimal tree per output of ``circuit`` (a
     partition cell's extracted circuit, or a whole netlist) and reassemble
     them into a replacement circuit.  At ``md`` 0 each output is its
-    majority constant; a negative ``md`` is an ``OdtError``.
-
-    When every tree is error-free the recorded depth drops to the smallest
-    realized depth; otherwise the requested depth is recorded.  A node
+    majority constant; a negative ``md`` is an ``OdtError``.  A node
     limit that is reached leaves the best tree found so far for that
     output, and ``proven`` false.
     """
     budget = SearchBudget(max_depth=md, node_limit=node_limit)
     trees = [fit_optimal(d, budget) for d in truth_tables(circuit)]
-    exact = all(t.train_error == 0 for t in trees)
-    recorded = min((t.realized_depth for t in trees), default=0) if exact else md
-    return ApproxSubCircuit(
-        circuit=trees_to_aig(trees, circuit.num_inputs), md=recorded,
-        per_output_trees=tuple(trees))
+    return ApproxSubCircuit(circuit=trees_to_aig(trees, circuit.num_inputs),
+                            per_output_trees=tuple(trees))

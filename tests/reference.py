@@ -2,7 +2,8 @@
 
 ``BENCHMARKS`` maps each benchmark name, in the order of the generators in
 ``scripts/circuits.py``, to a function returning ``benchmarks/<name>.aag``
-as parsed; each file is parsed once, since an ``Aig`` is immutable.  The
+as parsed; each file is parsed once, since an ``Aig`` is immutable;
+``xor4`` builds the XOR of four inputs, which no depth-1 tree fits.  The
 oracles check the tool against code that shares none of its tricks: the
 gate-level references of c17 and c432, a naive tree enumerator and a
 leaf-merging pass.  ``simulate`` is a convenience over ``simulate_words``
@@ -12,7 +13,7 @@ for the tests: one tuple of bits per vector in, one per vector out.
 import functools
 from pathlib import Path
 
-from treesynth.aig import Aig, simulate_words
+from treesynth.aig import Aig, AigBuilder, simulate_words
 from treesynth.aiger import parse_aiger
 from treesynth.dataset import Dataset
 from treesynth.odt import DecisionTree, Node, OdtError, SearchBudget
@@ -31,6 +32,15 @@ c17 = BENCHMARKS["c17"]
 add8u = BENCHMARKS["add8u"]
 mul7u = BENCHMARKS["mul7u"]
 c432_profile = BENCHMARKS["c432"]
+
+
+def xor4() -> Aig:
+    b = AigBuilder(4)
+    x = b.input_lit(0)
+    for i in range(1, 4):
+        x = b.xor_(x, b.input_lit(i))
+    b.add_output(x)
+    return b.build()
 
 
 def pack_vectors(vectors: list[tuple[int, ...]], num_inputs: int) -> list[int]:

@@ -460,6 +460,42 @@ def test_negative_limit_or_sample_count_is_input_error(capsys):
         assert out == ""
         assert "Traceback" not in err and err.startswith("error:")
         assert flags[-2][2:] in err, err
+    # --whole-circuit checks the same config; each of these used to exit 0
+    for flag, value, name in (("--threshold", "7", "error_threshold"),
+                              ("--beam", "0", "beam_width"),
+                              ("--samples", "0", "qor_samples"),
+                              ("--step", "-3", "step"),
+                              ("--initial-depth", "0", "initial_max_depth"),
+                              ("--max-sub-inputs", "1", "max_inputs"),
+                              ("--seed", "-1", "seed")):
+        code = main(["approximate", c17, "--whole-circuit", "--depth", "1",
+                     flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2, (flag, value)
+        assert out == ""
+        assert "Traceback" not in err and err.startswith("error:")
+        assert name in err, err
+
+
+def test_bad_jobs_or_learn_seed_is_input_error(capsys):
+    # each of these used to exit 0, and learn echoed the seed -1
+    c17 = str(BENCH / "c17.aag")
+    pla = [str(PLA / f"mul7u_p12_{part}.pla")
+           for part in ("train", "valid", "test")]
+    for argv, name in ((["learn", *pla, "--jobs", "0"], "jobs"),
+                       (["learn", *pla, "--jobs", "-3"], "jobs"),
+                       (["learn", *pla, "--seed", "-1"], "seed"),
+                       (["approximate", c17, "--jobs", "0"], "jobs"),
+                       (["approximate", c17, "--whole-circuit", "--jobs",
+                         "0"], "jobs"),
+                       (["eval", c17, c17, "--jobs", "0"], "jobs"),
+                       (["partition", c17, "--jobs", "0"], "jobs")):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2, argv
+        assert out == ""
+        assert "Traceback" not in err and err.startswith("error:"), argv
+        assert f"{name} must be an int >= " in err, err
 
 
 def test_bad_limits_rejected_without_cells(tmp_path, capsys):

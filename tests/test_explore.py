@@ -18,7 +18,7 @@ from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
 
 from conftest import clear_memos, random_circuit
-from reference import BENCHMARKS, add8u, c17, mul7u, simulate
+from reference import BENCHMARKS, add8u, c17, mul7u, simulate, xor4
 
 
 def small_config(threshold, **kw):
@@ -119,8 +119,8 @@ def test_replay_rejects_a_part_named_twice():
 
 
 def test_replay_rebuilds_exact_cell_cached_under_smaller_depth():
-    # cell 1's exact approximation, fitted at depth 9, records its smallest
-    # realized depth, 2, at which the cell is not exact; the substitution
+    # cell 1's exact approximation, fitted at depth 9, has the smallest
+    # realized depth 2, at which the cell is not exact; the substitution
     # names the fitted depth, so replay rebuilds the same circuit, not a
     # 1-AND circuit with error 1/64
     c = Aig(num_inputs=5, ands=((3, 4), (6, 8), (12, 14), (7, 8), (5, 13)),
@@ -136,7 +136,7 @@ def test_replay_rebuilds_exact_cell_cached_under_smaller_depth():
 
 def test_exact_cell_with_a_constant_output_is_not_frozen():
     # cell 0's exact depth-9 approximation has a constant output, so it
-    # records depth 0; that record used to freeze the cell before its
+    # realizes depth 0; that depth used to freeze the cell before its
     # approximation was ever scored, and the run ended at area 3
     c = Aig(num_inputs=4,
             ands=((3, 6), (5, 7), (4, 6), (5, 14), (9, 15), (9, 16),
@@ -153,7 +153,7 @@ def test_exact_cell_with_a_constant_output_is_not_frozen():
 
 
 def test_replay_matches_explore_on_random_circuits():
-    # seed 1 reaches exact approximations that record a smaller depth than
+    # seed 1 reaches exact approximations that realize a smaller depth than
     # the one they were fitted at, the first at its 13th circuit; every
     # trace record of the first iteration, replayed alone, rebuilds the
     # area it scored
@@ -195,6 +195,26 @@ def test_deterministic(rng):
     assert r1.circuit == r2.circuit
     assert r1.trace == r2.trace
     assert r1.final_qor == r2.final_qor
+
+
+def test_below_steps_from_fitted_or_smallest_realized_depth():
+    # inexact: each cell of xor4 fits a constant at depth 1, so the next
+    # budget is one step below the fitted depth 1, not below the realized 0
+    explorer = _Explorer(xor4(), small_config(0.2, initial_parts=2))
+    for part in explorer.parts:
+        approx = explorer.approx(part, 1)
+        assert not approx.exact
+        assert [t.realized_depth for t in approx.per_output_trees] == [0]
+        assert explorer.below(part, 1) == 0
+    # exact: the c17 cells fit at depth 4 with trees of depths 2 and 3, and
+    # 4 and 4; the next budget is the smallest of them less one step
+    explorer = _Explorer(c17(), ExplorationConfig(
+        step=2, partition=PartitionConfig(max_inputs=4, initial_parts=2)))
+    fits = [explorer.approx(part, 4) for part in explorer.parts]
+    assert all(approx.exact for approx in fits)
+    assert [[t.realized_depth for t in approx.per_output_trees]
+            for approx in fits] == [[2, 3], [4, 4]]
+    assert [explorer.below(part, 4) for part in explorer.parts] == [0, 2]
 
 
 def test_stream_depths_monotone():

@@ -35,6 +35,12 @@ def check_soundness(circuit, parts, config):
         covered |= p.member_nodes
     assert covered == and_nodes
 
+    # a cell's extraction is its member nodes, every one live, so its node
+    # count is its area (the explorer reads it so)
+    for p in parts:
+        assert len(p.extracted.ands) == and_count(p.extracted) == len(
+            p.member_nodes)
+
     # interface budgets hold
     for p in parts:
         assert len(p.boundary_inputs) <= config.max_inputs

