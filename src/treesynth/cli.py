@@ -25,7 +25,11 @@ EXIT_BUDGET_EXCEEDED = 3
 
 
 def _read_netlist(path: str) -> Aig:
-    text = Path(path).read_text()
+    data = Path(path).read_bytes()
+    if data.split(maxsplit=1)[:1] == [b"aig"]:
+        raise AigError(f"{path}: binary AIGER is not supported; convert it "
+                       "to ASCII aag (for example with aigtoaig)")
+    text = data.decode()  # not UTF-8: a ValueError, which main reports
     if path.endswith(".blif"):
         return parse_blif(text)
     if text.lstrip().startswith("aag"):

@@ -7,11 +7,12 @@ each eligible cell at its depth budget by loss = (area' - original_area)
 cell's budget follows from its depth (``_Explorer.budget``): one step
 below that depth, or below its trees' smallest realized depth when they
 are exact (``_Explorer.below``); ``initial_max_depth`` for a kept cell.
-A budget below 2 freezes the cell.  A budget is below the depth it
-follows, so a state of iteration t made t moves and only states of one
-iteration coincide.  An approximation is cached only under the depth it
-was fitted at, which is also the trace's ``md`` and the substitution's
-depth.
+It steps on past a depth whose approximation is exact but no smaller
+than the cell, each area a node count.  A budget below 2 freezes the
+cell.  A budget is below the depth it follows, so a state of iteration
+t made t moves and only states of one iteration coincide.  An
+approximation is cached only under the depth it was fitted at, which is
+also the trace's ``md`` and the substitution's depth.
 
 Every cell is fitted on its whole truth table, so ``max_inputs`` may not
 exceed ``EXHAUSTIVE_INPUT_CAP``.  The final testbench is
@@ -327,10 +328,12 @@ class _Explorer:
 
         It starts at ``below(part, depth)``, at ``initial_max_depth`` for
         a kept cell.  An exact replacement that does not shrink the cell
-        (its nodes: exactly its members, all live) has infinite loss; so
-        as not to park the stream there and deadlock the search, the
-        budget steps ``below`` until the approximation fitted at it is
-        inexact or shrinks the cell.  Returns that fitted depth.
+        has infinite loss; so as not to park the stream there and
+        deadlock the search, the budget steps ``below`` until the
+        approximation fitted at it is inexact or shrinks the cell.  Both
+        areas are node counts: the cell holds exactly its members, all
+        live, and lowering builds no dead node (``synth``).  Returns that
+        fitted depth.
         """
         key = (part.id, depth)
         md = self.budgets.get(key)
@@ -339,7 +342,7 @@ class _Explorer:
                   else self.below(part, depth))
             while md >= 2:
                 sa = self.approx(part, md)
-                if not sa.exact or (and_count(sa.circuit)
+                if not sa.exact or (len(sa.circuit.ands)
                                     < len(part.extracted.ands)):
                     break
                 md = self.below(part, md)

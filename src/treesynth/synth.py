@@ -1,4 +1,20 @@
-"""Resynthesis of decision trees into AIG logic and circuit approximation."""
+"""Resynthesis of decision trees into AIG logic and circuit approximation.
+
+Lowering any tree builds only nodes its outputs read, so a lowered
+circuit's area is ``len(circuit.ands)``, with no reachability walk.  A
+branch is ``mux(s, h, l)`` on an input literal ``s`` and its children's
+literals; ``h == l`` builds nothing.  Otherwise ``and_(s, h)`` folds only
+when ``h`` is 0, 1, ``s`` or ``¬s``, and then builds nothing; the same
+holds for ``and_(¬s, l)``.  When both are nodes, the OR (the AND of their
+complements) cannot fold: both literals are even, and they differ, since
+their keys differ (equal keys need ``h = ¬s``, which folds).  When one
+folded, the OR is the other node, or the AND of it and ``s`` or ``¬s``,
+which cannot fold either.  So every node a mux builds feeds its result,
+and a child's node feeds ``and_(s, h)`` or ``and_(¬s, l)``, or is the
+result; a strash hit or a shared subtree reuses only nodes that are
+already live.  This holds for every tree, optimal or not, node-limited
+or not.
+"""
 
 from __future__ import annotations
 

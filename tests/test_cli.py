@@ -388,6 +388,23 @@ def test_whole_circuit_over_exhaustive_cap_is_input_error(capsys):
     assert "cap of 20" in err
 
 
+@pytest.mark.parametrize("data", [
+    b"aig 3 2 0 1 1\n6\n\x02\x02",  # 6 = 4 & 2: deltas 2, 2
+    b"aig 200 199 0 1 1\n400\n\x02\x8e\x03",  # 400 = 398 & 0: 2, 398
+], ids=["utf8", "not-utf8"])
+def test_binary_aiger_is_named_input_error(tmp_path, capsys, data):
+    # read as BLIF, the first file said "unsupported BLIF construct: aig";
+    # the second, whose delta bytes are not UTF-8, gave a codec error
+    path = tmp_path / "and.aig"
+    path.write_bytes(data)
+    code = main(["approximate", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("error:")
+    assert "binary AIGER is not supported" in err and "aag" in err
+
+
 def test_whole_circuit_on_16_inputs_runs(capsys):
     # add8u has 16 inputs, within the 20-input truth-table cap; the
     # whole-circuit table does not read --max-sub-inputs

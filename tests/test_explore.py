@@ -240,6 +240,8 @@ def test_stream_depths_monotone():
         for rec in res.trace:
             assert rec.md in {md for (part, _), md in explorer.budgets.items()
                               if part == rec.part}
+        for sa in explorer.cache.values():  # budget reads the node count
+            assert len(sa.circuit.ands) == and_count(sa.circuit)
 
 
 def test_beam_dominance(rng):
@@ -482,9 +484,10 @@ def test_base_cones_are_reachable_nodes(rng):
 
 def test_one_composition_per_run(monkeypatch):
     # the run builds its base once; every composition is a new best's
-    # compose, never a beam state's
+    # compose, never a beam state's; the one reachability walk is the
+    # original's area, as a fit's area is its node count
     explore_module = sys.modules["treesynth.explore"]
-    calls = {"_Base": 0, "compose": 0}
+    calls = {"_Base": 0, "compose": 0, "and_count": 0}
     for name in calls:
         def counted(*args, fn=getattr(explore_module, name), name=name):
             calls[name] += 1
@@ -492,7 +495,7 @@ def test_one_composition_per_run(monkeypatch):
         monkeypatch.setattr(explore_module, name, counted)
     res = explore(add8u(), small_config(0.10, initial_parts=10))
     states = 1 + len(res.trace)  # the start, and each state a record adds
-    assert calls["_Base"] == 1
+    assert calls["_Base"] == calls["and_count"] == 1
     assert states > 1 + calls["compose"] >= 2
 
 

@@ -44,3 +44,17 @@ def test_cli_outputs_match_committed_digests():
         capture_output=True, text=True, env=env, check=True)
     expected = (ROOT / "tests" / "output_digests.txt").read_text()
     assert run.stdout.splitlines() == expected.splitlines()
+
+
+def test_mutants_match_the_code():
+    # the full kill run is ``python3 scripts/mutants.py``; here each
+    # mutant's text must still occur once and its tests must still exist
+    mutants = load_script("mutants").MUTANTS
+    assert len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.tests, m.name
+        for test_id in m.tests:
+            path, name = test_id.split("::")
+            name = name.split("[")[0]
+            assert f"\ndef {name}(" in (ROOT / path).read_text(), test_id

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesynth.aig import and_count
 from treesynth.dataset import Dataset
@@ -88,6 +90,32 @@ def test_each_distinct_node_is_lowered_once(monkeypatch):
     assert sum(not isinstance(n, int) for n in distinct.values()) == 581
     assert len(checked) == len(distinct)  # 581 branches, leaves 0 and 1
     assert {id(n) for n in checked} == distinct.keys()
+
+
+@st.composite
+def lowered_trees(draw):
+    """One to four arbitrary trees, lowered together or (one) alone: each
+    branch tests any feature, repeats along a path included, and its
+    children are drawn from the constants and the earlier branches, so
+    subtrees are shared and both children may be the same node."""
+    num_inputs = draw(st.integers(1, 4))
+    nodes = [0, 1]
+    for _ in range(draw(st.integers(0, 24))):
+        pick = st.sampled_from(nodes)
+        nodes.append((draw(st.integers(0, num_inputs - 1)), draw(pick),
+                      draw(pick)))
+    roots = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+    trees = [make_tree(root) for root in roots]
+    if len(trees) == 1 and draw(st.booleans()):
+        return tree_to_aig(trees[0], num_inputs)
+    return trees_to_aig(trees, num_inputs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(lowered_trees())
+def test_lowering_builds_no_dead_node(circuit):
+    # the synth module's invariant: an approximation's area is its node count
+    assert len(circuit.ands) == and_count(circuit)
 
 
 def test_feature_out_of_range():
