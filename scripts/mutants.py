@@ -101,6 +101,21 @@ MUTANTS = (
         "",
         SCORER),
     Mutant(
+        "apply-keeps-last-state",  # strash reuses its nodes: same results
+        "src/treesynth/explore.py",
+        "        self._truncate(self.original_size)\n",
+        "",
+        (EXPLORE + "test_scorer_matches_compose_and_qor[6-14]",
+         EXPLORE + "test_scorer_matches_compose_and_qor[9-4]",
+         EXPLORE + "test_scorer_matches_compose_and_qor[15-15]",
+         EXPLORE + "test_scorer_matches_compose_and_qor_on_benchmarks")),
+    Mutant(
+        "candidate-rollback-drops-state",
+        "src/treesynth/explore.py",
+        "self._truncate(self.state_size)",
+        "self._truncate(self.original_size)",
+        (EXPLORE + "test_results_are_pinned[add8u]", *SCORER)),
+    Mutant(
         "mux-builds-before-equal-check",  # orphans two ANDs when high == low
         "src/treesynth/aig.py",
         "        if high == low:\n"

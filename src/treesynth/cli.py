@@ -249,9 +249,12 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool,
 
 
 def _add_partition_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-sub-inputs", type=int, default=14)
-    p.add_argument("--max-sub-outputs", type=int, default=5)
-    p.add_argument("--initial-parts", type=int, default=5)
+    p.add_argument("--max-sub-inputs", type=int,
+                   default=PartitionConfig.max_inputs)
+    p.add_argument("--max-sub-outputs", type=int,
+                   default=PartitionConfig.max_outputs)
+    p.add_argument("--initial-parts", type=int,
+                   default=PartitionConfig.initial_parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,11 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approximate", help="approximate a circuit under an "
                                            "error budget")
     p.add_argument("netlist")
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--initial-depth", type=int, default=9)
-    p.add_argument("--step", type=int, default=1)
-    p.add_argument("--beam", type=int, default=3)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--threshold", type=float,
+                   default=ExplorationConfig.error_threshold)
+    p.add_argument("--initial-depth", type=int,
+                   default=ExplorationConfig.initial_max_depth)
+    p.add_argument("--step", type=int, default=ExplorationConfig.step)
+    p.add_argument("--beam", type=int, default=ExplorationConfig.beam_width)
+    p.add_argument("--samples", type=int,
+                   default=ExplorationConfig.qor_samples)
     p.add_argument("--node-limit", type=int, metavar="N",
                    help="stop each tree search once it has made N "
                         "expansions, at most max(N, 1) + D - 1 at depth D; "
@@ -296,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="measure error between two netlists")
     p.add_argument("original")
     p.add_argument("approx")
-    p.add_argument("--samples", type=int, default=10_000,
+    p.add_argument("--samples", type=int,
+                   default=ExplorationConfig.qor_samples,
                    help="Monte-Carlo vectors, drawn only above 20 inputs")
     p.add_argument("--exhaustive", action="store_true",
                    help="exact error, or an input error above 20 inputs")

@@ -27,22 +27,24 @@ A candidate is scored without composing it.  A run builds one base: the
 original circuit on a structurally hashed builder, node ``n`` at literal
 ``2 * n`` (the original is cleaned, so inlining rebuilds it node for
 node), and beside each node its word on the search vectors and its cone,
-the set of AND nodes it reads as a bitset.  A beam state is applied on
-the base: its replaced cells are inlined on the boundary literals, and a
-later cell is inlined again only when a boundary literal it reads
-changed.  A candidate is built on the state by the same rule.  Only the
-nodes a state or a candidate appends are simulated and given cones.  A
-candidate's area is the popcount of the OR of its outputs' cones.  Its
-error is the state's mismatched bits, minus those of the outputs the
-candidate changes, plus theirs on the candidate's words.  The candidate,
-and after its candidates the state, is then rolled back.  Structural
-hashing makes node identity the same as term identity, so area and error
-equal those of the composed candidate exactly; only a candidate that
-becomes the new best is composed.
+the set of AND nodes it reads as a bitset.  The base holds one beam
+state, the original's at first; applying the next state drops the last
+one's nodes and inlines the new state's replaced cells on the boundary
+literals, and a later cell is inlined again only when a boundary literal
+it reads changed.  A candidate is built on the state by the same rule.
+Only the nodes a state or a candidate appends are simulated and given
+cones.  A candidate's area is the popcount of the OR of its outputs'
+cones.  Its error is the state's mismatched bits, minus those of the
+outputs the candidate changes, plus theirs on the candidate's words.  The
+candidate is then rolled back.  Structural hashing makes node identity
+the same as term identity, so area and error equal those of the composed
+candidate exactly; only a candidate that becomes the new best is
+composed.
 
-The base, one state and one candidate are held at a time, which bounds
-the search's memory: (AND nodes of base + one state + one candidate) x
-(search vectors) bits, and as many times the AND node count in cone bits.
+The base holds one state, which the next replaces, and one candidate at
+a time.  That bounds the search's memory: (AND nodes of base + one state
++ one candidate) x (search vectors) bits, and as many times the AND node
+count in cone bits.
 
 A tree search that reaches its node limit leaves the best tree it found
 for that cell; the run goes on with it and reports ``budget_exceeded``.
@@ -144,29 +146,38 @@ def _final_measure(testbench: Testbench, approx: Aig) -> QorReport:
 
 
 class _Base:
-    """The original circuit on a builder, on which each beam state and each
-    candidate is built and to which it is rolled back.
+    """The original circuit on a builder, holding one beam state on which
+    each candidate is built and from which it is rolled back.
 
     The original is cleaned, so inlining it rebuilds it node for node:
     ``builder`` holds node ``n`` at literal ``2 * n``.  Beside each
     builder node, ``words`` holds its word on the search testbench and
     ``cones`` the AND nodes it reads, itself included, as a bitset whose
     bit ``i`` is node ``first_and + i``.  ``extend`` adds both for the
-    nodes built since it last ran; ``rollback`` drops them.
+    nodes built since it last ran.
+
+    ``apply`` replaces the one state it holds, the original's at first:
+    it drops the last state's nodes, words and cones, inlines the new
+    ``replacements``, and keeps the boundary literals ``lits`` they changed
+    (node ``n`` is at ``lits.get(n, 2 * n)``), the output literals
+    ``outputs``, their ``output_words`` and the bits ``mismatched`` in which
+    those differ from the original's.  ``substitute`` appends a
+    candidate's nodes and ``rollback`` drops them again.
     """
 
     def __init__(self, original: Aig, parts: list[SubCircuit],
                  bench: Testbench):
         self.parts = parts
-        self.outputs = original.outputs
+        self.original_outputs = original.outputs
         self.bench = bench
         self.first_and = first_and = original.num_inputs + 1
         self.builder = AigBuilder(original.num_inputs)
         self.builder.inline(original, [lit(n) for n in range(1, first_and)])
-        self.size = len(self.builder.ands)
+        self.original_size = len(self.builder.ands)
         self.words = [0, *bench.words]
         self.cones = [0] * self.first_and
         self.extend()
+        self.apply({})
 
     def extend(self) -> None:
         """Simulate the nodes built since the last call and add their
@@ -178,21 +189,19 @@ class _Base:
             cones.append(cones[a >> 1] | cones[b >> 1] | bit)
             bit <<= 1
 
-    def inline(self, lits: dict[int, int], bodies: dict[int, Aig],
-               replaced: dict[int, Aig]) -> dict[int, int]:
+    def _inline(self, replaced: dict[int, Aig]) -> dict[int, int]:
         """Inline each cell ``replaced`` maps a part id to, and re-inline
         every later cell that reads a boundary literal that changed, with
-        the body ``bodies`` maps its id to, else its extracted one.  Node
-        ``n`` is at literal ``lits.get(n, 2 * n)``.  Returns the new
+        the state's replacement, else its extracted body.  Returns the new
         literal of each boundary output node whose literal changed."""
-        builder = self.builder
+        builder, lits = self.builder, self.lits
         changed: dict[int, int] = {}
-        for part in self.parts[min(replaced):]:
+        for part in self.parts[min(replaced, default=len(self.parts)):]:
             body = replaced.get(part.id)
             if body is None:
                 if changed.keys().isdisjoint(part.boundary_inputs):
                     continue  # same inputs, so the same nodes as before
-                body = bodies.get(part.id, part.extracted)
+                body = self.replacements.get(part.id, part.extracted)
             inputs = [changed.get(src, lits.get(src, 2 * src))
                       for src in part.boundary_inputs]
             for node, out in zip(part.boundary_outputs,
@@ -201,53 +210,44 @@ class _Base:
                     changed[node] = out
         return changed
 
-    def rollback(self, size: int) -> None:
+    def _output_lits(self, changed: dict[int, int]) -> list[int]:
+        """The state's output literals, with the boundary literals in
+        ``changed``; o & -2 is 2 * (o >> 1), a kept node's literal."""
+        lits = self.lits
+        return [changed.get(o >> 1, lits.get(o >> 1, o & -2)) ^ (o & 1)
+                for o in self.original_outputs]
+
+    def _truncate(self, size: int) -> None:
         """Drop the nodes built after the first ``size``, with their words
         and cones."""
         self.builder.rollback(size)
         del self.words[self.first_and + size:]
         del self.cones[self.first_and + size:]
 
-
-class _BeamState:
-    """One beam state, applied on the run's base while its candidates are
-    scored.
-
-    The state's replacements are inlined on the base, and the later cells
-    that read a boundary literal that changed are inlined again.  The
-    state keeps its ``replacements``, the boundary literals ``lits`` they
-    changed (node ``n`` is at ``lits.get(n, 2 * n)``), its output
-    literals and their words, and the bits in which those differ from the
-    original's.  ``substitute`` appends a candidate's nodes, ``rollback``
-    drops them again and ``release`` drops the state's own, leaving the
-    base as it was.
-    """
-
-    def __init__(self, explorer: _Explorer, replacements: dict[int, Aig]):
-        base = self.base = explorer.base
-        self.replacements = replacements
-        self.lits = (base.inline({}, replacements, replacements)
-                     if replacements else {})
-        base.extend()
-        self.size = len(base.builder.ands)
-        # o & -2 is 2 * (o >> 1), the literal of a node the state kept
-        self.outputs = [self.lits.get(o >> 1, o & -2) ^ (o & 1)
-                        for o in base.outputs]
-        self.words = literal_words(base.words, self.outputs, base.bench.mask)
-        self.mismatched = mismatched_bits(base.bench.reference, self.words)
+    def apply(self, replacements: dict[int, Aig]) -> None:
+        """Make the state that replaces each cell ``replacements`` maps a
+        part id to the one the base holds, in place of the last."""
+        self._truncate(self.original_size)
+        self.replacements, self.lits = replacements, {}  # the original's
+        self.lits = self._inline(replacements)
+        self.extend()
+        self.state_size = len(self.builder.ands)
+        self.outputs = self._output_lits({})
+        self.output_words = literal_words(self.words, self.outputs,
+                                          self.bench.mask)
+        self.mismatched = mismatched_bits(self.bench.reference,
+                                          self.output_words)
 
     def substitute(self, part_id: int, cell: Aig) -> tuple[int, list[int]]:
-        """Build the candidate that replaces cell ``part_id`` by ``cell``.
+        """Build the candidate that replaces cell ``part_id`` of the state
+        by ``cell``.
 
         Returns the candidate's area, which is the number of AND nodes its
         outputs' cones cover, and its output literals.
         """
-        base, lits = self.base, self.lits
-        changed = base.inline(lits, self.replacements, {part_id: cell})
-        base.extend()
-        outputs = [changed.get(o >> 1, lits.get(o >> 1, o & -2)) ^ (o & 1)
-                   for o in base.outputs]
-        cones = base.cones
+        outputs = self._output_lits(self._inline({part_id: cell}))
+        self.extend()
+        cones = self.cones
         cone = 0
         for o in outputs:
             cone |= cones[o >> 1]
@@ -257,24 +257,20 @@ class _BeamState:
         """Search error of the candidate with output literals ``outputs``:
         the state's mismatched bits, corrected on the outputs that
         changed."""
-        bench = self.base.bench
+        bench = self.bench
         changed = [k for k, (new, old) in enumerate(zip(outputs, self.outputs))
                    if new != old]
         reference = [bench.reference[k] for k in changed]
-        new = literal_words(self.base.words, [outputs[k] for k in changed],
+        new = literal_words(self.words, [outputs[k] for k in changed],
                             bench.mask)
-        old = [self.words[k] for k in changed]
+        old = [self.output_words[k] for k in changed]
         return bench.error_rate(self.mismatched
                                 + mismatched_bits(reference, new)
                                 - mismatched_bits(reference, old))
 
     def rollback(self) -> None:
         """Drop the nodes, words and cones of the last candidate."""
-        self.base.rollback(self.size)
-
-    def release(self) -> None:
-        """Drop the state's own nodes, words and cones."""
-        self.base.rollback(self.base.size)
+        self._truncate(self.state_size)
 
 
 class _Explorer:
@@ -359,10 +355,10 @@ class _Explorer:
             return self.original
         return compose(self.original, self.parts, replacements)
 
-    def search_qor(self, state: _BeamState, outputs: list[int]) -> float:
-        """Search error of the candidate ``state`` holds, with output
+    def search_qor(self, outputs: list[int]) -> float:
+        """Search error of the candidate the base holds, with output
         literals ``outputs``."""
-        return state.error(outputs)
+        return self.base.error(outputs)
 
     def score_state(self, stream_idx: int,
                     applied: tuple[int | None, ...]) -> list[tuple]:
@@ -373,25 +369,23 @@ class _Explorer:
         substitution; depth is the cell's budget, which it is fitted at.
         """
         err = self.config.error_threshold
-        state = _BeamState(self, self.replacements(applied))
+        base = self.base
+        base.apply(self.replacements(applied))
         out = []
-        try:
-            for part, depth in zip(self.parts, applied):
-                md = self.budget(part, depth)
-                if md < 2:
-                    continue  # frozen cell
-                sa = self.approx(part, md)
-                area, outputs = state.substitute(part.id, sa.circuit)
-                q = self.search_qor(state, outputs)
-                state.rollback()
-                if q > err:
-                    continue
-                score = loss(area, self.original_area, q)
-                if math.isinf(score) and score > 0:
-                    continue  # zero-gain exact substitution
-                out.append((score, part.id, stream_idx, md, area, q))
-        finally:
-            state.release()  # the base outlives the state
+        for part, depth in zip(self.parts, applied):
+            md = self.budget(part, depth)
+            if md < 2:
+                continue  # frozen cell
+            sa = self.approx(part, md)
+            area, outputs = base.substitute(part.id, sa.circuit)
+            q = self.search_qor(outputs)
+            base.rollback()
+            if q > err:
+                continue
+            score = loss(area, self.original_area, q)
+            if math.isinf(score) and score > 0:
+                continue  # zero-gain exact substitution
+            out.append((score, part.id, stream_idx, md, area, q))
         return out
 
     def run(self) -> ExplorationResult:

@@ -14,9 +14,11 @@ import pytest
 from treesynth.aig import simulate_words
 from treesynth.aiger import parse_aiger, write_aiger
 from treesynth.blif import parse_blif
-from treesynth.cli import _exploration_config, build_parser, main
+from treesynth.cli import (_exploration_config, _partition_config,
+                           build_parser, main)
 from treesynth.dataset import parse_pla
 from treesynth.explore import ExplorationConfig, replay
+from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_monte_carlo
 
 from conftest import clear_memos
@@ -175,12 +177,15 @@ def test_whole_circuit_trace_is_an_empty_file(tmp_path, capsys):
 
 
 def test_defaults_match_the_library():
-    # the CLI repeats the library's defaults; these must not drift apart
+    # the CLI reads the library's defaults; these must not drift apart
     parser = build_parser()
     approximate = parser.parse_args(["approximate", "x"])
     assert _exploration_config(approximate) == ExplorationConfig()
     assert approximate.jobs == ExplorationConfig().jobs
+    partitioning = parser.parse_args(["partition", "x"])
+    assert _partition_config(partitioning) == PartitionConfig()
     evaluation = parser.parse_args(["eval", "x", "y"])
+    assert evaluation.samples == ExplorationConfig.qor_samples
     defaults = inspect.signature(qor_monte_carlo).parameters
     assert (evaluation.samples, evaluation.seed) == (
         defaults["samples"].default, defaults["seed"].default)

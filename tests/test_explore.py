@@ -11,8 +11,8 @@ import pytest
 from treesynth import aig, qor
 from treesynth.aig import Aig, AigError, and_count, compose, reachable_nodes
 from treesynth.aiger import write_aiger
-from treesynth.explore import (ExplorationConfig, _BeamState, _Explorer,
-                               explore, loss, replay)
+from treesynth.explore import (ExplorationConfig, _Base, _Explorer, explore,
+                               loss, replay)
 from treesynth.odt import OdtError
 from treesynth.partition import PartitionConfig
 from treesynth.qor import qor_exhaustive, qor_monte_carlo
@@ -378,8 +378,10 @@ def constant_cell(part, value: int) -> Aig:
 
 def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
     """Score random candidates on random beam states against compose and
-    the QoR module, and check that rollback restores each state and
-    release restores the base."""
+    the QoR module; check that rollback restores each state, that each
+    state the base applies leaves it as a fresh base that applied only
+    that state, and that applying the start state restores the fresh
+    base."""
     explorer = _Explorer(circuit, config)
     original, parts, base = explorer.original, explorer.parts, explorer.base
     bench = explorer.search_bench
@@ -389,48 +391,56 @@ def check_scorer(circuit, config, rng, max_depth, states=3, per_state=4):
             return constant_cell(part, rng.randint(0, 1))
         return explorer.approx(part, rng.randint(1, max_depth)).circuit
 
-    def snapshot():
+    def snapshot(base):
         return (list(base.builder.ands), dict(base.builder._strash),
-                list(base.words), list(base.cones))
+                list(base.words), list(base.cones), dict(base.lits),
+                list(base.outputs), list(base.output_words), base.mismatched)
 
-    def check(state, replacements, part, cell):
-        before = snapshot()
-        area, outputs = state.substitute(part.id, cell)
-        error = explorer.search_qor(state, outputs)
-        state.rollback()
-        assert snapshot() == before
+    def check(replacements, part, cell):
+        before = snapshot(base)
+        area, outputs = base.substitute(part.id, cell)
+        error = explorer.search_qor(outputs)
+        base.rollback()
+        assert snapshot(base) == before
         composed = compose(original, parts, {**replacements, part.id: cell})
         assert area == and_count(composed)
         assert error == bench.measure(composed).error
         return area, error, outputs
+
+    def fresh(replacements):
+        new = _Base(original, parts, bench)
+        new.apply(replacements)
+        return snapshot(new)
 
     # a cell that drives an output, folded to constant 1
     driven = [(k, p) for k, o in enumerate(original.outputs) for p in parts
               if o >> 1 in p.boundary_outputs]
     assert driven
     index, driver = driven[0]
+    start = snapshot(base)
+    assert start == fresh({})
     for _ in range(states):
         replacements = {p.id: random_cell(p) for p in parts
                         if rng.random() < 0.4}
-        before = snapshot()
-        state = _BeamState(explorer, replacements)
+        base.apply(replacements)
+        # the previous state left nothing behind
+        assert snapshot(base) == fresh(replacements)
         # the state keeps only the boundary literals its replacements changed
-        assert all(out != 2 * node for node, out in state.lits.items())
+        assert all(out != 2 * node for node, out in base.lits.items())
         for _ in range(per_state):
             part = rng.choice(parts)
-            check(state, replacements, part, random_cell(part))
-        *_, outputs = check(state, replacements, driver,
-                            constant_cell(driver, 1))
+            check(replacements, part, random_cell(part))
+        *_, outputs = check(replacements, driver, constant_cell(driver, 1))
         assert outputs[index] in (0, 1)
         # a cell replaced by the one the state holds changes no output
         # literal: the candidate is the state itself
         part = rng.choice(parts)
         own = compose(original, parts, replacements)
-        own_cell = state.replacements.get(part.id, part.extracted)
-        assert check(state, replacements, part, own_cell) == (
-            and_count(own), bench.measure(own).error, state.outputs)
-        state.release()
-        assert snapshot() == before
+        own_cell = base.replacements.get(part.id, part.extracted)
+        assert check(replacements, part, own_cell) == (
+            and_count(own), bench.measure(own).error, base.outputs)
+    base.apply({})
+    assert snapshot(base) == start
 
 
 def deep_circuit(rng, num_inputs: int, num_ands: int,
@@ -533,13 +543,15 @@ def test_replay_builds_no_unread_testbench(monkeypatch):
     assert built == [len(part.boundary_inputs)]
 
 
-class ComposingState:
-    """``_BeamState``'s interface, computed the slow way: each candidate is
-    composed, which cleans it, and simulated whole on the search vectors."""
+class ComposingBase:
+    """``_Base``'s scoring interface, computed the slow way: each candidate
+    is composed, which cleans it, and simulated whole on the search
+    vectors."""
 
-    def __init__(self, explorer, replacements):
-        self.original, self.parts = explorer.original, explorer.parts
-        self.bench = explorer.search_bench
+    def __init__(self, original, parts, bench):
+        self.original, self.parts, self.bench = original, parts, bench
+
+    def apply(self, replacements):
         self.replacements = replacements
 
     def substitute(self, part_id, cell):
@@ -551,9 +563,6 @@ class ComposingState:
         return self.bench.measure(candidate).error
 
     def rollback(self):
-        pass
-
-    def release(self):
         pass
 
 
@@ -574,8 +583,8 @@ def test_whole_runs_match_composing_scorer(monkeypatch):
         fast = explore(c, cfg)
         with monkeypatch.context() as patch:
             # the package's ``explore`` attribute is the function
-            patch.setattr(sys.modules["treesynth.explore"], "_BeamState",
-                          ComposingState)
+            patch.setattr(sys.modules["treesynth.explore"], "_Base",
+                          ComposingBase)
             assert explore(c, cfg) == fast
 
 
