@@ -66,6 +66,24 @@ MUTANTS = (
         "self.weight_of = (int.bit_count if True",
         (ODT + "test_weighted_errors", ODT + "test_matches_bruteforce_oracle")),
     Mutant(
+        "odt-values-interned-only-at-depth-1",  # on rows
+        "src/treesynth/odt.py",
+        "            value = memo[path] = "
+        "self.values[depth].setdefault(value, value)\n",
+        "            if depth == 1:\n"
+        "                value = self.values[depth].setdefault(value, value)\n"
+        "            memo[path] = value\n",
+        (ODT + "test_values_are_shared_at_every_depth",)),
+    Mutant(
+        "odt-table-values-interned-only-at-depth-1",  # on a truth table
+        "src/treesynth/odt.py",
+        "            value = memo[table] = "
+        "self.values[depth].setdefault(value, value)\n",
+        "            if depth == 1:\n"
+        "                value = self.values[depth].setdefault(value, value)\n"
+        "            memo[table] = value\n",
+        (ODT + "test_values_are_shared_at_every_depth",)),
+    Mutant(
         "odt-path-key-drops-side",  # both sides of a split set one bit
         "src/treesynth/odt.py",
         "(f, column, 1 << 2 * f, 2 << 2 * f)",

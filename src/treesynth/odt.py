@@ -43,9 +43,11 @@ stay shared; on other data a fitted tree's root is the search's own node.
 Renaming keeps the order of the inputs, so the lowest-index tie rule picks
 the same split on both forms.  A depth-1 split in a memo has two different
 leaves, so it is one of 2F stumps ``(f, 1, 0)`` and ``(f, 0, 1)``, built
-once per search and shared by every entry that holds one.  Depth-1 values
-repeat far more than deeper ones, so each distinct one is also stored once
-per search and shared by all depth-1 entries that equal it.
+once per search and shared by every entry that holds one.  Values repeat
+at every depth, so each distinct value of ``memos[d]`` is stored once per
+search and shared by the entries of that depth that equal it.  The rule is
+per depth: a deeper split into two leaves equals a stump's value but is a
+tuple of its own, and the depth-1 entries hold only the search's stumps.
 
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
@@ -228,8 +230,9 @@ class _Search:
         # subproblem is expanded at depth 0, so memos[0] stays empty
         self.memos: list[dict[int, tuple[int, Node]]] = [
             {} for _ in range(budget.max_depth + 1)]
-        # each distinct depth-1 value, stored once and shared by its entries
-        self.values: dict[tuple[int, Node], tuple[int, Node]] = {}
+        # values[d] holds each distinct value of memos[d], shared by equals
+        self.values: list[dict[tuple[int, Node], tuple[int, Node]]] = [
+            {} for _ in range(budget.max_depth + 1)]
         self.expansions = 0
         self.exhausted = False
 
@@ -317,9 +320,7 @@ class _Search:
                         break
         value = best_err, best
         if not self.exhausted:
-            if depth == 1:
-                value = self.values.setdefault(value, value)
-            memo[path] = value
+            value = memo[path] = self.values[depth].setdefault(value, value)
         return value
 
     def solve_table(self, table: int, depth: int) -> tuple[int, Node]:
@@ -387,9 +388,7 @@ class _Search:
                         break
         value = best_err, best
         if not self.exhausted:
-            if depth == 1:
-                value = self.values.setdefault(value, value)
-            memo[table] = value
+            value = memo[table] = self.values[depth].setdefault(value, value)
         return value
 
 

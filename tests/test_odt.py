@@ -619,23 +619,32 @@ def test_memo_holds_plain_values_and_shared_stumps():
                                              and len(sub) == 3)
 
 
-def test_depth_one_values_are_shared():
-    # equal depth-1 values are one object each, as equal ROBDD nodes share
-    # one unique-table entry; their nodes are labels or the search's stumps
-    fits = [(parse_pla((PLA / "mul7u_p12_train.pla").read_text()), 4),
-            *((data, 4) for data in cell_tables(add8u()))]
-    shared = 0
+def test_values_are_shared_at_every_depth():
+    # at every depth, equal values are one object each, as equal ROBDD
+    # nodes share one unique-table entry; depth-1 nodes are labels or the
+    # search's stumps.  The row search of mul7u_p12 at depth 5 stores 1 721
+    # value objects for its 18 432 entries (3 634 when only depth-1 values
+    # were shared), and the table searches of mul7u's cells repeat values
+    # below the root at depths 1 to 3
+    rows = parse_pla((PLA / "mul7u_p12_train.pla").read_text())
+    fits = [(rows, 5), *((data, 4) for data in cell_tables(mul7u()))]
+    objects = []
+    shared = [0] * 6
     for data, depth in fits:
         search = _Search(data, SearchBudget(max_depth=depth))
         search.run()
-        values = list(search.memos[1].values())
-        distinct = set(values)
-        assert len({id(v) for v in values}) == len(distinct)
-        shared += len(values) - len(distinct)
+        for d, memo in enumerate(search.memos):
+            values = list(memo.values())
+            distinct = set(values)
+            assert len({id(v) for v in values}) == len(distinct), d
+            shared[d] += len(values) - len(distinct)
+        objects.append(len({id(v) for memo in search.memos
+                            for v in memo.values()}))
         stumps = {id(s) for _, pair in search.stumps for s in pair}
-        for err, node in distinct:
+        for err, node in search.memos[1].values():
             assert node in (0, 1) or id(node) in stumps
-    assert shared > 0
+    assert objects[0] == 1721
+    assert all(shared[1:4])
 
 
 def test_solve_rejects_depth_over_budget():
