@@ -44,17 +44,9 @@ SCORER = (EXPLORE + "test_scorer_matches_compose_and_qor[9-4]",
 
 MUTANTS = (
     Mutant(
-        "odt-depth1-no-budget-check",  # on rows
+        "odt-depth1-no-budget-check",
         "src/treesynth/odt.py",
         "            if limited and self.out_of_budget():\n"
-        "                return best_err, best\n"
-        "            labels = self.labels\n",
-        "            labels = self.labels\n",
-        (ODT + "test_node_limit_bounds_expansions",)),
-    Mutant(
-        "odt-table-depth1-no-budget-check",  # on a truth table
-        "src/treesynth/odt.py",
-        "            if limited and self.out_of_budget():  # as in solve\n"
         "                return best_err, best\n",
         "",
         (ODT + "test_depth_one_fit_respects_node_limit",
@@ -66,23 +58,21 @@ MUTANTS = (
         "self.weight_of = (int.bit_count if True",
         (ODT + "test_weighted_errors", ODT + "test_matches_bruteforce_oracle")),
     Mutant(
-        "odt-values-interned-only-at-depth-1",  # on rows
+        "odt-values-interned-only-at-depth-1",
         "src/treesynth/odt.py",
-        "            value = memo[path] = "
+        "            value = memo[key] = "
         "self.values[depth].setdefault(value, value)\n",
         "            if depth == 1:\n"
         "                value = self.values[depth].setdefault(value, value)\n"
-        "            memo[path] = value\n",
+        "            memo[key] = value\n",
         (ODT + "test_values_are_shared_at_every_depth",)),
     Mutant(
-        "odt-table-values-interned-only-at-depth-1",  # on a truth table
+        "odt-table-side-keeps-parent-rows",  # the high half keeps 2^k rows
         "src/treesynth/odt.py",
-        "            value = memo[table] = "
-        "self.values[depth].setdefault(value, value)\n",
-        "            if depth == 1:\n"
-        "                value = self.values[depth].setdefault(value, value)\n"
-        "            memo[table] = value\n",
-        (ODT + "test_values_are_shared_at_every_depth",)),
+        "err1, t1 = solve(side, low_rows, side, depth - 1)",
+        "err1, t1 = solve(side, mask, side, depth - 1)",
+        (ODT + "test_cofactor_key_matches_mask_key_on_random_tables",
+         ODT + "test_xor_needs_depth_two")),
     Mutant(
         "odt-path-key-drops-side",  # both sides of a split set one bit
         "src/treesynth/odt.py",

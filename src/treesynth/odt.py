@@ -8,25 +8,34 @@ key need not hold the depth, and a call deeper than ``max_depth`` is
 refused.  A split on a feature already fixed on the path is constant and
 skipped, so no tree is deeper than its F features, and ``fit_optimal``
 clamps the depth to F: a deeper request gives the same tree and would
-only allocate more memos.  On a complete unweighted truth table, whose
-row r sets feature i to bit i of r, every subproblem is a cube: its path
-fixes some inputs, and its answer depends only on its cofactor, the
+only allocate more memos.
+
+One recursive search, ``_Search.solve(labels, mask, key, depth)``, serves
+all data.  Two parts of it depend on the kind of data: the memo key, and
+how a split forms its two sides.  On a complete unweighted truth table,
+whose row r sets feature i to bit i of r, every subproblem is a cube: its
+path fixes some inputs, and its answer depends only on its cofactor, the
 function of the k inputs left free.  So the search works on that function
 itself, a 2^k-bit table whose row r sets the free input of rank j (its
-place among the free inputs, lowest index first) to bit j of r.  A split
-on rank j moves j to the top by delta swaps that keep the other ranks in
-order, and its two sides are the table's low and high halves.  k is fixed
-at each depth, so ``memos[d]`` is keyed on the table alone, and
-subproblems with equal cofactors share one entry wherever their free
-inputs lie, as ROBDD nodes do (Bryant 1986).  Other data (PLA rows,
-weighted or incomplete tables) is keyed, as in DL8.5, on its path: the
-feature conditions that lead to it, as an int with bit 2f for f = 0 and
-bit 2f+1 for f = 1, so the root's key is 0 and a split ORs in the bit of
-each side.  The row mask still travels down for the counts.  A path
-fixes each feature at most once and selects its rows, and a value
-depends only on the rows and the depth, so the key is sound; it stays
-below 4^F however many rows there are, but two paths that select the
-same rows no longer share an entry.
+place among the free inputs, lowest index first) to bit j of r; it is
+both the labels and the key, and the mask is all 2^k rows.  A split on
+rank j moves j to the top by delta swaps that keep the other ranks in
+order, and its two sides are the table's low and high halves, each with
+the low half of the rows as its mask.  k is fixed at each depth, so
+``memos[d]`` is keyed on the table alone, and subproblems with equal
+cofactors share one entry wherever their free inputs lie, as ROBDD nodes
+do (Bryant 1986).  The input word of rank j sets row r when bit j of r is
+1, so a rank at or above k is 0 on every row of the table: the split on
+it is constant, and skipped as a fixed feature is.  Other data (PLA rows,
+weighted or incomplete tables) keeps the data's labels and splits its row
+mask on each feature's column.  It is keyed, as in DL8.5, on its path:
+the feature conditions that lead to it, as an int with bit 2f for f = 0
+and bit 2f+1 for f = 1, so the root's key is 0 and a split ORs in the bit
+of each side.  A path fixes each feature at most once and selects its
+rows, and a value depends only on the rows and the depth, so the key is
+sound; it stays below 4^F however many rows there are, but two paths that
+select the same rows no longer share an entry.
+
 The memos hold exactly the subproblems the search expanded and solved to
 proven optimality, which keeps them sound regardless of bounding; a pure
 or depth-0 subproblem is its majority leaf, which two counts recompute,
@@ -52,10 +61,9 @@ tuple of its own, and the depth-1 entries hold only the search's stumps.
 The bottom of the search is solved in closed form, as in MurTree: at depth 1
 both children are leaves, so each candidate split needs only the weight and
 the positive weight of its high side; the low side follows by subtraction
-from the totals of the subproblem.  Each side of a table's split holds half
-its rows, so there a split costs one AND and one popcount.  No depth-0
-subproblem is created below the root.  Unweighted data is counted with
-``int.bit_count``.
+from the totals of the subproblem, so a split costs two ANDs and two
+counts on tables and rows alike.  No depth-0 subproblem is created below
+the root.  Unweighted data is counted with ``int.bit_count``.
 
 A node limit, a cap on expansions, makes the search anytime: once it is
 reached the search returns the best tree found so far with
@@ -241,8 +249,8 @@ class _Search:
         features named by input index."""
         depth = self.budget.max_depth
         if not self.cube:
-            return self.solve(self.rows, depth)
-        err, root = self.solve_table(self.labels, depth)
+            return self.solve(self.labels, self.rows, 0, depth)
+        err, root = self.solve(self.labels, self.rows, self.labels, depth)
         return err, _by_input(root, len(self.splits))
 
     def out_of_budget(self) -> bool:
@@ -251,9 +259,13 @@ class _Search:
         self.exhausted = self.expansions >= self.budget.node_limit
         return self.exhausted
 
-    def solve(self, mask: int, depth: int, path: int = 0) -> tuple[int, Node]:
-        """Minimum-error tree of depth <= depth for the rows in mask, which
-        the conditions of ``path`` select (the root's path is 0)."""
+    def solve(self, labels: int, mask: int, key: int,
+              depth: int) -> tuple[int, Node]:
+        """Minimum-error tree of depth <= depth for the rows in mask, memo
+        key ``key``.  A table passes its cofactor as labels and key and the
+        all-ones mask of its rows, and gets features named by rank; rows
+        pass the data's labels and the key of their path (the root's is 0).
+        """
         try:
             memo = self.memos[depth]
         except IndexError:
@@ -261,12 +273,12 @@ class _Search:
             # here before any memo holds an entry
             raise OdtError("solve depth exceeds the budget's max_depth") \
                 from None
-        hit = memo.get(path)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         weight_of = self.weight_of
         total = weight_of(mask)
-        ones = weight_of(mask & self.labels)
+        ones = weight_of(mask & labels)
         # majority class, ties to 0
         if ones > total - ones:
             best_err, best = total - ones, 1
@@ -282,7 +294,6 @@ class _Search:
             # so the loop expands nothing and one budget check covers it.
             if limited and self.out_of_budget():
                 return best_err, best
-            labels = self.labels
             for column, stumps in self.stumps:
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
@@ -301,6 +312,34 @@ class _Search:
                     best = stumps[o1 > z1]
                     if best_err == 0:
                         break
+        elif self.cube:
+            # tops[k-1-j] is the table with rank j moved to the top, so its
+            # low and high halves are the two sides of the split on j, each
+            # a table whose rows are low_rows
+            k = depth + self.spare
+            half = 1 << (k - 1)
+            low_rows = (1 << half) - 1
+            solve = self.solve
+            tops = [labels]
+            moved = labels
+            for swap, shift in self.moves[k]:
+                x = ((moved >> shift) ^ moved) & swap
+                moved ^= x ^ (x << shift)
+                tops.append(moved)
+            for j, moved in enumerate(reversed(tops)):
+                if limited and self.out_of_budget():
+                    break
+                side = moved & low_rows
+                err0, t0 = solve(side, low_rows, side, depth - 1)
+                if err0 >= best_err:
+                    continue
+                side = moved >> half
+                err1, t1 = solve(side, low_rows, side, depth - 1)
+                if err0 + err1 < best_err:
+                    best_err = err0 + err1
+                    best = (j, t0, t1)
+                    if best_err == 0:
+                        break
         else:
             solve = self.solve
             for f, column, low_bit, high_bit in self.splits:
@@ -309,10 +348,10 @@ class _Search:
                 m1 = mask & column
                 if m1 == 0 or m1 == mask:
                     continue  # constant feature here; split can never improve
-                err0, t0 = solve(mask ^ m1, depth - 1, path | low_bit)
+                err0, t0 = solve(labels, mask ^ m1, key | low_bit, depth - 1)
                 if err0 >= best_err:
                     continue
-                err1, t1 = solve(m1, depth - 1, path | high_bit)
+                err1, t1 = solve(labels, m1, key | high_bit, depth - 1)
                 if err0 + err1 < best_err:
                     best_err = err0 + err1
                     best = (f, t0, t1)
@@ -320,75 +359,7 @@ class _Search:
                         break
         value = best_err, best
         if not self.exhausted:
-            value = memo[path] = self.values[depth].setdefault(value, value)
-        return value
-
-    def solve_table(self, table: int, depth: int) -> tuple[int, Node]:
-        """Minimum-error tree of depth <= depth for a complete table over
-        its free inputs, features named by rank."""
-        try:
-            memo = self.memos[depth]
-        except IndexError:
-            raise OdtError("solve depth exceeds the budget's max_depth") \
-                from None
-        hit = memo.get(table)
-        if hit is not None:
-            return hit
-        k = depth + self.spare
-        total = 1 << k
-        ones = table.bit_count()
-        if ones > total - ones:
-            best_err, best = total - ones, 1
-        else:
-            best_err, best = ones, 0
-        if depth == 0 or best_err == 0:
-            return best_err, best
-        self.expansions += 1
-        limited = self.limited
-        half = total >> 1  # the rows on either side of every split
-        if depth == 1:
-            if limited and self.out_of_budget():  # as in solve
-                return best_err, best
-            for column, stumps in self.stumps[:k]:
-                o1 = (table & column).bit_count()
-                o0 = ones - o1
-                z0 = half - o0
-                err0 = z0 if o0 > z0 else o0
-                if err0 >= best_err:
-                    continue
-                z1 = half - o1
-                err1 = z1 if o1 > z1 else o1
-                if err0 + err1 < best_err:
-                    best_err = err0 + err1
-                    best = stumps[o1 > z1]
-                    if best_err == 0:
-                        break
-        else:
-            # tops[k-1-j] is the table with rank j moved to the top, so its
-            # low and high halves are the two sides of the split on j
-            tops = [table]
-            moved = table
-            for mask, shift in self.moves[k]:
-                x = ((moved >> shift) ^ moved) & mask
-                moved ^= x ^ (x << shift)
-                tops.append(moved)
-            low_rows = (1 << half) - 1
-            solve = self.solve_table
-            for j, moved in enumerate(reversed(tops)):
-                if limited and self.out_of_budget():
-                    break
-                err0, t0 = solve(moved & low_rows, depth - 1)
-                if err0 >= best_err:
-                    continue
-                err1, t1 = solve(moved >> half, depth - 1)
-                if err0 + err1 < best_err:
-                    best_err = err0 + err1
-                    best = (j, t0, t1)
-                    if best_err == 0:
-                        break
-        value = best_err, best
-        if not self.exhausted:
-            value = memo[table] = self.values[depth].setdefault(value, value)
+            value = memo[key] = self.values[depth].setdefault(value, value)
         return value
 
 

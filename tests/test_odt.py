@@ -650,12 +650,14 @@ def test_values_are_shared_at_every_depth():
 def test_solve_rejects_depth_over_budget():
     # a search has one memo per depth up to max_depth, so a deeper call is
     # refused with OdtError, not an IndexError from the memo list
-    data = xor_dataset()
-    search = _Search(data, SearchBudget(max_depth=1))
-    with pytest.raises(OdtError):
-        search.solve(data.row_mask, 2)
-    with pytest.raises(OdtError):
-        search.solve_table(data.labels, 2)
+    # on a complete table, keyed on its cofactor, and on rows, on the path
+    table = xor_dataset()
+    rows = Dataset(num_rows=3, features=(0b010, 0b100), labels=0b110)
+    for data, key in ((table, table.labels), (rows, 0)):
+        search = _Search(data, SearchBudget(max_depth=1))
+        assert search.cube == (data is table)
+        with pytest.raises(OdtError):
+            search.solve(data.labels, data.row_mask, key, 2)
 
 
 def test_budgeted_fit_on_pla_data():
